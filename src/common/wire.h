@@ -82,12 +82,20 @@ class Reader {
   }
   template <typename T>
   std::vector<T> vec() {
-    const auto count = pod<std::uint64_t>();
-    need(count * sizeof(T));
-    std::vector<T> v(count);
-    std::memcpy(v.data(), p_, count * sizeof(T));
-    p_ += count * sizeof(T);
+    const auto n = count(sizeof(T));
+    std::vector<T> v(n);
+    if (n > 0) std::memcpy(v.data(), p_, n * sizeof(T));
+    p_ += n * sizeof(T);
     return v;
+  }
+  /// Read a `CountT` element count and check that that many elements of at
+  /// least `min_bytes` each fit in what remains, so a corrupt count can
+  /// neither wrap a size product nor size an allocation.
+  template <typename CountT = std::uint64_t>
+  std::uint64_t count(std::size_t min_bytes) {
+    const std::uint64_t n = pod<CountT>();
+    check(n <= remaining() / min_bytes, "payload truncated: " + context_);
+    return n;
   }
   std::string str() {
     const auto len = pod<std::uint64_t>();

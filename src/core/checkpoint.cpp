@@ -102,7 +102,8 @@ bool load_checkpoint(const std::filesystem::path& path, SuiteCheckpoint& ck) {
   if (!wire::read_envelope_file(path, kSuiteMagic, payload)) return false;
   Reader r(payload.data(), payload.size(), path.string());
   ck.fingerprint = r.pod<std::uint64_t>();
-  const auto count = r.pod<std::uint64_t>();
+  // A job is at least its name's length word and four 8-byte fields.
+  const auto count = r.count(5 * 8);
   ck.completed.clear();
   ck.completed.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

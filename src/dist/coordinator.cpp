@@ -47,7 +47,7 @@ double percentile_of(std::vector<double> v, double pct) {
 /// straggler from normal pace.
 constexpr std::size_t kMinPaceSamples = 3;
 
-/// Nonzero v4 rejoin token: splitmix64 of the run fingerprint. Derived, not
+/// Nonzero rejoin token: splitmix64 of the run fingerprint. Derived, not
 /// random, so a restarted coordinator resuming the same work issues the
 /// identical token and pre-restart workers pass the rejoin check.
 std::uint64_t derive_session_token(std::uint64_t fingerprint) {
@@ -108,7 +108,7 @@ CoordinatorStats DistCoordinator::stats() const {
   return stats_snapshot_;
 }
 
-void DistCoordinator::accept_joiners(const WelcomeFrames& welcome,
+void DistCoordinator::accept_joiners(const std::string& welcome,
                                      RunState& rs) {
   // Drain the backlog: accept until the listener would block.
   for (;;) {
@@ -130,21 +130,19 @@ void DistCoordinator::accept_joiners(const WelcomeFrames& welcome,
       } else {
         version = decode_hello(payload, conn->peer());
       }
-      if (version < kMinProtocolVersion || version > kProtocolVersion) {
+      if (version != kProtocolVersion) {
         ++stats_.workers_rejected;
         net::send_frame(
             *conn, encode_reject("protocol version " +
                                  std::to_string(version) +
                                  " unsupported (coordinator speaks " +
-                                 std::to_string(kMinProtocolVersion) + ".." +
                                  std::to_string(kProtocolVersion) + ")"));
         continue;
       }
-      net::send_frame(*conn, version >= 4 ? welcome.v4 : welcome.legacy);
+      net::send_frame(*conn, welcome);
       auto w = std::make_unique<Worker>();
       w->conn = std::move(*conn);
       w->last_heard = Clock::now();
-      w->version = version;
       w->uid = next_worker_uid_++;
       workers_.push_back(std::move(w));
     } catch (const IoError&) {
@@ -228,9 +226,7 @@ bool DistCoordinator::send_assign(Worker& w, std::size_t s, RunState& rs) {
   a.trace_id = trace_id_;
   a.parent_span = obs::current_parent_span();
   try {
-    // v1 workers get byte-exact v1 payloads: their strict decoders treat
-    // trailing bytes as corruption.
-    net::send_frame(w.conn, encode_assign(a, w.version));
+    net::send_frame(w.conn, encode_assign(a));
   } catch (const IoError&) {
     drop_worker(w, rs);
     return false;
@@ -354,10 +350,7 @@ void DistCoordinator::handle_frame(Worker& w, RunState& rs) {
         const HeartbeatMsg hb = decode_heartbeat(payload, w.conn.peer());
         ++stats_.heartbeats;
         MLSIM_COUNTER_ADD(obs::names::kDistHeartbeats, 1);
-        // Version gate, not just a sign check: a pre-v2 worker can never
-        // contribute to the fleet-mean busy gauge, even if a frame of its
-        // happens to carry v2-looking trailing bytes.
-        if (w.version >= 2 && hb.busy_ratio >= 0.0) {
+        if (hb.busy_ratio >= 0.0) {
           w.busy_ratio = std::min(1.0, hb.busy_ratio);
           update_busy_gauge();
         }
@@ -548,22 +541,18 @@ core::ParallelSimResult DistCoordinator::run(
   }
 
   // A fully cache-served run skips the cluster entirely: encoding the
-  // Welcome (two copies of the trace) and broadcasting it to every worker
-  // would otherwise make a zero-dispatch re-run scale with the fleet size.
+  // Welcome (a copy of the trace) and broadcasting it to every worker would
+  // otherwise make a zero-dispatch re-run scale with the fleet size.
   // Workers keep their stale session state; the next dispatching run
   // re-welcomes them.
-  WelcomeFrames welcome;
+  std::string welcome;
   if (rs.done < plan.num_shards) {
-    welcome = WelcomeFrames{
-        encode_welcome(session_, fp, cfg, trace, session_token_,
-                       kProtocolVersion),
-        encode_welcome(session_, fp, cfg, trace, 0, 3)};
+    welcome = encode_welcome(session_, fp, cfg, trace, session_token_);
     // Re-welcome workers that joined in a previous run: their session state
     // is stale until they see this run's config and trace.
     for (auto& w : workers_) {
       try {
-        net::send_frame(w->conn,
-                        w->version >= 4 ? welcome.v4 : welcome.legacy);
+        net::send_frame(w->conn, welcome);
       } catch (const IoError&) {
         drop_worker(*w, rs);
       }
@@ -701,13 +690,13 @@ void DistCoordinator::finish_drain(RunState& rs) {
 }
 
 void DistCoordinator::update_busy_gauge() {
-  // Mean busy fraction over live, reporting v2+ workers — one declared
-  // gauge; per-worker ratios are in cluster_json. Pre-v2 workers cannot
-  // report busy time, so they are excluded rather than averaged in as zero.
+  // Mean busy fraction over live workers that have reported one — one
+  // declared gauge; per-worker ratios are in cluster_json. A worker with no
+  // report yet is excluded rather than averaged in as zero.
   double sum = 0.0;
   std::size_t cnt = 0;
   for (const auto& w : workers_) {
-    if (w->dead || w->version < 2 || w->busy_ratio < 0.0) continue;
+    if (w->dead || w->busy_ratio < 0.0) continue;
     sum += w->busy_ratio;
     ++cnt;
   }
@@ -731,13 +720,13 @@ void DistCoordinator::refresh_health(const RunState* rs) {
   bool first = true;
   for (const auto& w : workers_) {
     os << (first ? "" : ",") << "{\"id\":" << w->uid
-       << ",\"version\":" << w->version << ",\"completed\":" << w->completed
+       << ",\"completed\":" << w->completed
        << ",\"suspect\":" << (w->suspect ? "true" : "false")
        << ",\"busy_ratio\":";
-    if (w->version >= 2 && w->busy_ratio >= 0.0) {
+    if (w->busy_ratio >= 0.0) {
       os << w->busy_ratio;
     } else {
-      os << "null";  // pre-v2 workers cannot report busy time
+      os << "null";  // no heartbeat has reported busy time yet
     }
     os << '}';
     first = false;

@@ -21,9 +21,9 @@
 // coordination"): with a run journal configured, every assignment and
 // accepted result is fsynced before it takes effect, `resume` replays the
 // journal into the result cache so a restarted coordinator never
-// re-dispatches completed shards, protocol-v4 workers re-attach through the
-// Rejoin handshake, and a wake_fd byte (SIGTERM via net::SignalPipe) drains
-// the run gracefully instead of tearing it down.
+// re-dispatches completed shards, workers re-attach through the Rejoin
+// handshake, and a wake_fd byte (SIGTERM via net::SignalPipe) drains the run
+// gracefully instead of tearing it down.
 #pragma once
 
 #include <chrono>
@@ -120,7 +120,7 @@ struct CoordinatorStats {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_evictions = 0;
-  /// v4 Rejoin handshakes accepted (token matched the current run).
+  /// Rejoin handshakes accepted (token matched the current run).
   std::size_t workers_rejoined = 0;
   /// Completed shards rebuilt from the journal by `resume`.
   std::size_t journal_replayed = 0;
@@ -182,15 +182,11 @@ class DistCoordinator final : public service::RemoteBackend {
     Clock::time_point last_heard;
     Clock::time_point assigned_at;
     std::size_t completed = 0;
-    /// Protocol version from the worker's Hello; v2 additions are only sent
-    /// to (and expected from) workers that speak them.
-    std::uint32_t version = 0;
     /// Stable join-order id: pid of the worker's spans in the merged Chrome
     /// trace (the coordinator itself is pid 1), and "id" in cluster_json.
     std::uint32_t uid = 0;
-    /// Last reported busy/wall fraction; negative until a v2 heartbeat.
-    /// Never set for pre-v2 workers (they cannot report it), so they are
-    /// structurally excluded from the mean-busy gauge.
+    /// Last reported busy/wall fraction; negative until the first heartbeat
+    /// that reports one, which keeps the worker out of the mean-busy gauge.
     double busy_ratio = -1.0;
     /// EWMA of this worker's completed-shard latency (µs); < 0 until its
     /// first completion. The steal/speculation pace signal.
@@ -218,15 +214,9 @@ class DistCoordinator final : public service::RemoteBackend {
     std::vector<double> latencies_us;
   };
 
-  /// The per-version Welcome frames of the current run: pre-v4 workers get
-  /// the byte-exact legacy payload (their strict decoders reject the v4
-  /// trailing session token).
-  struct WelcomeFrames {
-    std::string v4;
-    std::string legacy;
-  };
-
-  void accept_joiners(const WelcomeFrames& welcome, RunState& rs);
+  /// Admit pending connections: a Hello or Rejoin of kProtocolVersion gets
+  /// `welcome` (the current run's Welcome frame), any other version a Reject.
+  void accept_joiners(const std::string& welcome, RunState& rs);
   void handle_frame(Worker& w, RunState& rs);
   void drop_worker(Worker& w, RunState& rs);
   /// Remove w from whichever side of its shard it holds: clears a spec slot,
@@ -262,7 +252,7 @@ class DistCoordinator final : public service::RemoteBackend {
   std::optional<JournalReplay> resume_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::uint64_t session_ = 0;
-  /// v4 rejoin token of the current run; derived from the run fingerprint,
+  /// Rejoin token of the current run; derived from the run fingerprint,
   /// so a restarted coordinator resuming the same work issues the identical
   /// token and pre-restart workers can re-attach. 0 between runs.
   std::uint64_t session_token_ = 0;

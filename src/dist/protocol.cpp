@@ -12,6 +12,12 @@ namespace {
 using wire::Reader;
 using wire::Writer;
 
+/// Wire sizes that bound the element counts a decoder may trust: a span is
+/// at least its name's length word, ts, dur, depth and tid; a rollup delta
+/// is its id and delta.
+constexpr std::size_t kMinSpanBytes = 8 + 8 + 8 + 4 + 4;
+constexpr std::size_t kRollupBytes = 4 + 8;
+
 void put_type(Writer& w, MsgType t) {
   w.pod(static_cast<std::uint32_t>(t));
 }
@@ -173,18 +179,17 @@ MsgType peek_type(std::string_view payload, const std::string& context) {
   return static_cast<MsgType>(t);
 }
 
-std::string encode_hello(std::uint32_t protocol_version) {
+std::string encode_hello(std::uint32_t version) {
   Writer w;
   put_type(w, MsgType::kHello);
-  w.pod(protocol_version);
+  w.pod(version);
   return w.take();
 }
 
 std::string encode_welcome(std::uint64_t session, std::uint64_t fingerprint,
                            const RunConfig& cfg,
                            const trace::EncodedTrace& trace,
-                           std::uint64_t token,
-                           std::uint32_t protocol_version) {
+                           std::uint64_t token) {
   Writer w;
   put_type(w, MsgType::kWelcome);
   w.pod(session);
@@ -195,9 +200,7 @@ std::string encode_welcome(std::uint64_t session, std::uint64_t fingerprint,
   w.pod(static_cast<std::uint8_t>(trace.labeled() ? 1 : 0));
   w.vec(trace.raw_features());
   w.vec(trace.raw_targets());
-  if (protocol_version >= 4) {
-    w.pod(token);
-  }
+  w.pod(token);
   return w.take();
 }
 
@@ -218,7 +221,7 @@ std::string encode_reject(const std::string& reason) {
   return w.take();
 }
 
-std::string encode_assign(const AssignMsg& m, std::uint32_t protocol_version) {
+std::string encode_assign(const AssignMsg& m) {
   Writer w;
   put_type(w, MsgType::kAssign);
   w.pod(m.session);
@@ -226,10 +229,8 @@ std::string encode_assign(const AssignMsg& m, std::uint32_t protocol_version) {
   w.pod(m.part_lo);
   w.pod(m.part_hi);
   w.pod(m.attempt);
-  if (protocol_version >= 2) {
-    w.pod(m.trace_id);
-    w.pod(m.parent_span);
-  }
+  w.pod(m.trace_id);
+  w.pod(m.parent_span);
   return w.take();
 }
 
@@ -254,19 +255,16 @@ std::string encode_result(const ResultHeader& h, const core::ShardOutcome& o,
   return w.take();
 }
 
-std::string encode_heartbeat(const HeartbeatMsg& m,
-                             std::uint32_t protocol_version) {
+std::string encode_heartbeat(const HeartbeatMsg& m) {
   Writer w;
   put_type(w, MsgType::kHeartbeat);
   w.pod(m.session);
   w.pod(m.shard);
-  if (protocol_version >= 2) {
-    w.pod(m.busy_ratio);
-    w.pod(static_cast<std::uint32_t>(m.rollups.size()));
-    for (const RollupDelta& d : m.rollups) {
-      w.pod(d.id);
-      w.pod(d.delta);
-    }
+  w.pod(m.busy_ratio);
+  w.pod(static_cast<std::uint32_t>(m.rollups.size()));
+  for (const RollupDelta& d : m.rollups) {
+    w.pod(d.id);
+    w.pod(d.delta);
   }
   return w.take();
 }
@@ -313,13 +311,12 @@ WelcomeDecoded decode_welcome(std::string_view payload,
   d.fingerprint = r.pod<std::uint64_t>();
   d.config = get_run_config(r);
   const std::string benchmark = r.str();
-  const auto n = r.pod<std::uint64_t>();
+  // Each instruction ships at least its feature row.
+  const auto n = r.count(trace::kNumFeatures * sizeof(std::int32_t));
   const auto labeled = r.pod<std::uint8_t>();
   const auto features = r.vec<std::int32_t>();
   const auto targets = r.vec<std::uint32_t>();
-  if (r.remaining() > 0) {  // v4 trailing session token
-    d.token = r.pod<std::uint64_t>();
-  }
+  d.token = r.pod<std::uint64_t>();
   r.finish();
   check(features.size() == n * trace::kNumFeatures,
         "welcome trace feature matrix shape mismatch from " + context);
@@ -360,10 +357,8 @@ AssignMsg decode_assign(std::string_view payload, const std::string& context) {
   m.part_lo = r.pod<std::uint64_t>();
   m.part_hi = r.pod<std::uint64_t>();
   m.attempt = r.pod<std::uint32_t>();
-  if (r.remaining() > 0) {  // v2 trailing trace context
-    m.trace_id = r.pod<std::uint64_t>();
-    m.parent_span = r.pod<std::uint64_t>();
-  }
+  m.trace_id = r.pod<std::uint64_t>();
+  m.parent_span = r.pod<std::uint64_t>();
   r.finish();
   return m;
 }
@@ -377,19 +372,17 @@ ResultDecoded decode_result(std::string_view payload,
   d.header.shard = r.pod<std::uint64_t>();
   d.header.attempt = r.pod<std::uint32_t>();
   d.outcome = get_outcome(r);
-  if (r.remaining() > 0) {  // v2 trailing span buffer
-    d.trace_id = r.pod<std::uint64_t>();
-    const auto n = r.pod<std::uint64_t>();
-    d.spans.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      obs::SpanRecord s;
-      s.name = r.str();
-      s.ts_ns = r.pod<std::uint64_t>();
-      s.dur_ns = r.pod<std::uint64_t>();
-      s.depth = r.pod<std::uint32_t>();
-      s.tid = r.pod<std::uint32_t>();
-      d.spans.push_back(std::move(s));
-    }
+  d.trace_id = r.pod<std::uint64_t>();
+  const auto n = r.count(kMinSpanBytes);
+  d.spans.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    obs::SpanRecord s;
+    s.name = r.str();
+    s.ts_ns = r.pod<std::uint64_t>();
+    s.dur_ns = r.pod<std::uint64_t>();
+    s.depth = r.pod<std::uint32_t>();
+    s.tid = r.pod<std::uint32_t>();
+    d.spans.push_back(std::move(s));
   }
   r.finish();
   return d;
@@ -402,19 +395,23 @@ HeartbeatMsg decode_heartbeat(std::string_view payload,
   HeartbeatMsg m;
   m.session = r.pod<std::uint64_t>();
   m.shard = r.pod<std::uint64_t>();
-  if (r.remaining() > 0) {  // v2 trailing busy_ratio + rollup deltas
-    m.busy_ratio = r.pod<double>();
-    const auto n = r.pod<std::uint32_t>();
-    m.rollups.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      RollupDelta d;
-      d.id = r.pod<std::uint32_t>();
-      d.delta = r.pod<std::uint64_t>();
-      m.rollups.push_back(d);
-    }
+  m.busy_ratio = r.pod<double>();
+  const auto n = r.count<std::uint32_t>(kRollupBytes);
+  m.rollups.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    RollupDelta d;
+    d.id = r.pod<std::uint32_t>();
+    d.delta = r.pod<std::uint64_t>();
+    m.rollups.push_back(d);
   }
   r.finish();
   return m;
+}
+
+void decode_shutdown(std::string_view payload, const std::string& context) {
+  Reader r(payload, context);
+  expect_type(r, MsgType::kShutdown, context);
+  r.finish();
 }
 
 WorkerErrorMsg decode_worker_error(std::string_view payload,

@@ -5,7 +5,7 @@
 // lifecycle:
 //
 //   worker            coordinator
-//   Hello       ->                   protocol handshake
+//   Hello       ->                   protocol handshake (or Rejoin)
 //               <-  Welcome          session + run config + full trace
 //               <-  Reject           (version mismatch: reason, then close)
 //               <-  Assign           shard + partition range + attempt
@@ -34,31 +34,11 @@
 namespace mlsim::dist {
 
 /// Protocol (message schema) version; distinct from wire::kWireVersion,
-/// which covers only the envelope layout. A coordinator Rejects workers
-/// that Hello with a version outside [kMinProtocolVersion,
-/// kProtocolVersion] and speaks each worker's own version back to it.
-///
-/// v2 (docs/OBSERVABILITY.md): Assign carries the distributed trace
-/// context, Result piggybacks the worker's span buffer, Heartbeat adds
-/// busy_ratio and cluster-rollup counter deltas. Every v2 addition is a
-/// trailing optional field, so v2 decoders accept v1 payloads untouched.
-///
-/// v3 (docs/DISTRIBUTED.md "Elasticity & churn"): adds the Goodbye message
-/// — a worker announcing a planned departure so the coordinator requeues
-/// its shard immediately instead of burning the heartbeat timeout. No
-/// existing message gains fields, so v1/v2 payloads stay byte-exact; pre-v3
-/// workers simply never say Goodbye and depart via the timeout path.
-///
-/// v4 (docs/DISTRIBUTED.md "Crash-safe coordination"): Welcome gains a
-/// trailing session token, and Rejoin is a Hello variant carrying that
-/// token plus the worker's in-flight shard. A worker whose connection
-/// drops mid-shard reconnects — possibly to a *restarted* coordinator —
-/// presents the token, and either re-delivers its finished Result or
-/// resumes the assignment. The token addition is a trailing optional
-/// field, so v1–v3 Welcome payloads stay byte-exact; pre-v4 workers fall
-/// back to a plain re-Hello and are treated as fresh joiners.
+/// which covers only the envelope layout. The coordinator and its workers
+/// ship from one build, so the handshake is an exact match: a Hello or
+/// Rejoin carrying any other version is Rejected. Every message has one
+/// layout, and its decoder reads every field and rejects trailing bytes.
 inline constexpr std::uint32_t kProtocolVersion = 4;
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,
@@ -111,7 +91,7 @@ struct AssignMsg {
   std::uint64_t part_lo = 0;
   std::uint64_t part_hi = 0;
   std::uint32_t attempt = 0;
-  // v2: distributed trace context the worker records its spans under
+  // Distributed trace context the worker records its spans under
   // (0 = none; see obs::set_trace_context).
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
@@ -123,8 +103,8 @@ struct ResultHeader {
   std::uint32_t attempt = 0;
 };
 
-/// One worker-local counter delta piggybacked on a v2 heartbeat; `id`
-/// indexes kRollupCounters.
+/// One worker-local counter delta piggybacked on a heartbeat; `id` indexes
+/// kRollupCounters.
 struct RollupDelta {
   std::uint32_t id = 0;
   std::uint64_t delta = 0;
@@ -134,9 +114,9 @@ struct HeartbeatMsg {
   std::uint64_t session = 0;
   /// Shard being computed, or kIdleShard between assignments.
   std::uint64_t shard = 0;
-  // v2: fraction of wall time spent inside run_partition since the previous
-  // heartbeat, in [0, 1]; negative = not reported (v1 worker, or first
-  // heartbeat). Folded into the cluster.worker.busy_ratio gauge.
+  // Fraction of wall time spent inside run_partition since the previous
+  // heartbeat, in [0, 1]; negative = not reported. Folded into the
+  // cluster.worker.busy_ratio gauge.
   double busy_ratio = -1.0;
   std::vector<RollupDelta> rollups;
 };
@@ -144,7 +124,7 @@ inline constexpr std::uint64_t kIdleShard = ~0ull;
 
 /// Worker-local counters shipped as heartbeat deltas and folded into the
 /// coordinator's cluster-rollup metrics. The wire carries positional ids,
-/// so the table order is part of protocol v2 — append only.
+/// so the table order is part of the protocol — append only.
 struct RollupCounter {
   const char* local;    // worker-side registry name
   const char* cluster;  // coordinator-side rollup name
@@ -170,7 +150,7 @@ struct WorkerErrorMsg {
   std::string what;
 };
 
-/// v3: planned departure (drain, scale-down, supervisor restart). The
+/// Planned departure (drain, scale-down, supervisor restart). The
 /// coordinator requeues the announced in-flight shard at once — no
 /// heartbeat-timeout wait — and the connection closes after this frame.
 struct GoodbyeMsg {
@@ -179,7 +159,7 @@ struct GoodbyeMsg {
   std::uint64_t shard = 0;
 };
 
-/// v4: the reconnect handshake. Sent *instead of* Hello by a worker that
+/// The reconnect handshake. Sent *instead of* Hello by a worker that
 /// already held a session: `token` proves it belonged to this run (the
 /// token is derived from the run fingerprint, so it survives a coordinator
 /// restart), `shard` names the assignment it still holds (kIdleShard when
@@ -204,29 +184,20 @@ void put_run_config(wire::Writer& w, const RunConfig& c);
 RunConfig get_run_config(wire::Reader& r);
 
 // ---- encoders ---------------------------------------------------------------
-std::string encode_hello(std::uint32_t protocol_version);
-/// v4 appends `token` as a trailing optional field; passing
-/// `protocol_version` <= 3 reproduces the pre-v4 payload byte-exactly for
-/// workers whose strict decoders reject trailing bytes.
+std::string encode_hello(std::uint32_t version);
+/// `token` is the session's rejoin token; 0 means "no rejoin".
 std::string encode_welcome(std::uint64_t session, std::uint64_t fingerprint,
                            const RunConfig& cfg,
                            const trace::EncodedTrace& trace,
-                           std::uint64_t token = 0,
-                           std::uint32_t protocol_version = kProtocolVersion);
+                           std::uint64_t token = 0);
 std::string encode_rejoin(const RejoinMsg& m);
 std::string encode_reject(const std::string& reason);
-/// `protocol_version` selects the schema the *peer* speaks: a v2
-/// coordinator keeps sending byte-exact v1 payloads to v1 workers (whose
-/// strict decoders reject trailing bytes).
-std::string encode_assign(const AssignMsg& m,
-                          std::uint32_t protocol_version = kProtocolVersion);
-/// v2 appends trace_id and the worker's span buffer after the outcome.
+std::string encode_assign(const AssignMsg& m);
+/// The outcome is followed by `trace_id` and the worker's span buffer.
 std::string encode_result(const ResultHeader& h, const core::ShardOutcome& o,
                           std::uint64_t trace_id = 0,
                           const std::vector<obs::SpanRecord>& spans = {});
-std::string encode_heartbeat(const HeartbeatMsg& m,
-                             std::uint32_t protocol_version =
-                                 kProtocolVersion);
+std::string encode_heartbeat(const HeartbeatMsg& m);
 std::string encode_shutdown();
 std::string encode_worker_error(const WorkerErrorMsg& m);
 std::string encode_goodbye(const GoodbyeMsg& m);
@@ -239,8 +210,8 @@ struct WelcomeDecoded {
   std::uint64_t fingerprint = 0;
   RunConfig config;
   trace::EncodedTrace trace;
-  // v4 trailing session token; 0 when a pre-v4 coordinator sent the
-  // welcome (0 is never issued, so workers treat it as "no rejoin").
+  // Session rejoin token; the coordinator never issues 0, so workers treat
+  // it as "no rejoin".
   std::uint64_t token = 0;
 };
 WelcomeDecoded decode_welcome(std::string_view payload,
@@ -250,7 +221,7 @@ AssignMsg decode_assign(std::string_view payload, const std::string& context);
 struct ResultDecoded {
   ResultHeader header;
   core::ShardOutcome outcome;
-  // v2 trailing fields; zero/empty when a v1 worker sent the result.
+  // Zero/empty when the worker was not tracing.
   std::uint64_t trace_id = 0;
   std::vector<obs::SpanRecord> spans;
 };
@@ -258,6 +229,7 @@ ResultDecoded decode_result(std::string_view payload,
                             const std::string& context);
 HeartbeatMsg decode_heartbeat(std::string_view payload,
                               const std::string& context);
+void decode_shutdown(std::string_view payload, const std::string& context);
 WorkerErrorMsg decode_worker_error(std::string_view payload,
                                    const std::string& context);
 GoodbyeMsg decode_goodbye(std::string_view payload,

@@ -19,7 +19,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Per-connection telemetry the worker piggybacks on v2 heartbeats: the
+/// Per-connection telemetry the worker piggybacks on heartbeats: the
 /// busy/wall ratio since the previous heartbeat (pure clock math — works
 /// with obs disabled) and deltas of the kRollupCounters registry values.
 struct WorkerTelemetry {
@@ -116,11 +116,11 @@ net::TcpConn connect_with_retry(const WorkerConfig& cfg) {
 
 WorkerStats run_worker(const WorkerConfig& cfg) {
   WorkerStats stats;
-  // Cross-connection re-attach state (protocol v4). `token` is the rejoin
-  // token from the last Welcome (0 = no session, or a pre-v4 coordinator);
-  // `inflight_shard` is the assignment held when a connection breaks; a
-  // finished-but-unacknowledged outcome waits in `pending` for re-delivery
-  // under the next Welcome of the same run.
+  // Cross-connection re-attach state. `token` is the rejoin token from the
+  // last Welcome (0 = no session yet); `inflight_shard` is the assignment
+  // held when a connection breaks; a finished-but-unacknowledged outcome
+  // waits in `pending` for re-delivery under the next Welcome of the same
+  // run.
   std::uint64_t token = 0;
   std::uint64_t last_session = 0;
   std::uint64_t inflight_shard = kIdleShard;
@@ -158,7 +158,7 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
                                     session ? session->id : 0, kIdleShard)));
         }
         if (!net::recv_frame(conn, payload)) {
-          // Clean EOF. Pre-v4 semantics (no token): the coordinator is
+          // Clean EOF. Before any Welcome (no token): the coordinator is
           // done with us. With a live session: transport loss — rejoin.
           if (token == 0) return stats;
           throw IoError("coordinator closed the connection mid-session");
@@ -199,6 +199,7 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
             break;
           }
           case MsgType::kShutdown:
+            decode_shutdown(payload, conn.peer());
             return stats;
           case MsgType::kAssign: {
             const AssignMsg a = decode_assign(payload, conn.peer());

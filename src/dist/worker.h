@@ -41,18 +41,18 @@ struct WorkerStats {
   std::size_t shards_computed = 0;
   std::size_t kills_simulated = 0;
   std::size_t sessions = 0;
-  /// v4 Rejoin handshakes sent after a transport loss mid-session.
+  /// Rejoin handshakes sent after a transport loss mid-session.
   std::size_t rejoins = 0;
 };
 
-/// Run a worker until the coordinator shuts it down (or, pre-v4, closes the
-/// connection). A v4 worker that loses its connection mid-session instead
-/// reconnects with backoff and presents its session token (Rejoin),
-/// re-delivering a finished Result or resuming its assignment — including
-/// against a *restarted* coordinator resuming the same run from its
-/// journal. Throws IoError when the coordinator is unreachable or the
-/// reconnect budget runs out, and CheckError when it Rejects the handshake
-/// (protocol version mismatch).
+/// Run a worker until the coordinator shuts it down (or closes the
+/// connection before any Welcome). A worker that loses its connection
+/// mid-session instead reconnects with backoff and presents its session
+/// token (Rejoin), re-delivering a finished Result or resuming its
+/// assignment — including against a *restarted* coordinator resuming the
+/// same run from its journal. Throws IoError when the coordinator is
+/// unreachable or the reconnect budget runs out, and CheckError when it
+/// Rejects the handshake (protocol version mismatch).
 WorkerStats run_worker(const WorkerConfig& cfg);
 
 }  // namespace mlsim::dist

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <optional>
@@ -34,6 +36,7 @@
 #include "obs/obs.h"
 #include "net/socket.h"
 #include "service/service.h"
+#include "trace/encoder.h"
 #include "trace/trace.h"
 #include "uarch/ground_truth.h"
 
@@ -394,39 +397,56 @@ TEST(Dist, TruncatedFrameDropsWorkerAndRunStillCompletes) {
   const auto opts = base_options(4, 1);  // a single shard
   const auto local = local_reference(tr, opts);
 
-  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
-  // The garbler takes the shard, then emits a torn frame and vanishes. The
-  // coordinator must diagnose it as transport loss (typed IoError internally,
-  // never a hang), drop the worker, and reassign.
-  std::thread garbler([port = coord->port()] {
-    try {
-      auto s = fake_join(port);
-      (void)fake_await_assign(*s);
-      const std::string frame = wire::seal(net::kFrameMagic, "half a result");
-      s->conn.send_all(frame.data(), frame.size() / 2);
-      s->conn.close();
-    } catch (const IoError&) {
-    }
-  });
-  std::thread rescuer([port = coord->port()] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    WorkerConfig cfg;
-    cfg.port = port;
-    cfg.heartbeat_ms = 50;
-    try {
-      run_worker(cfg);
-    } catch (const IoError&) {
-    }
-  });
+  // The garbler takes the shard, then sends one of these and vanishes: a
+  // torn frame, or a well-framed Result whose span count claims 2^62 spans.
+  // The coordinator must diagnose either as the worker's loss (typed error
+  // internally, never a hang or an escaped exception), drop the worker,
+  // and reassign.
+  using Garble = void (*)(net::TcpConn&, const AssignMsg&);
+  const Garble garbles[] = {
+      [](net::TcpConn& conn, const AssignMsg&) {
+        const std::string frame =
+            wire::seal(net::kFrameMagic, "half a result");
+        conn.send_all(frame.data(), frame.size() / 2);
+      },
+      [](net::TcpConn& conn, const AssignMsg& a) {
+        std::string result = encode_result({a.session, a.shard, a.attempt},
+                                           core::ShardOutcome{});
+        const std::uint64_t spans = 1ull << 62;  // the Result's last field
+        std::memcpy(result.data() + result.size() - sizeof(spans), &spans,
+                    sizeof(spans));
+        net::send_frame(conn, result);
+      }};
+  for (const Garble garble : garbles) {
+    auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
+    std::thread garbler([port = coord->port(), garble] {
+      try {
+        auto s = fake_join(port);
+        garble(s->conn, fake_await_assign(*s));
+        s->conn.close();
+      } catch (const IoError&) {
+      }
+    });
+    std::thread rescuer([port = coord->port()] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      WorkerConfig cfg;
+      cfg.port = port;
+      cfg.heartbeat_ms = 50;
+      try {
+        run_worker(cfg);
+      } catch (const IoError&) {
+      }
+    });
 
-  const auto out = coord->run(tr, opts);
-  expect_identical(local, out);
-  EXPECT_GE(coord->stats().workers_lost, 1u);
-  EXPECT_GE(coord->stats().reassignments, 1u);
+    const auto out = coord->run(tr, opts);
+    expect_identical(local, out);
+    EXPECT_GE(coord->stats().workers_lost, 1u);
+    EXPECT_GE(coord->stats().reassignments, 1u);
 
-  coord.reset();
-  garbler.join();
-  rescuer.join();
+    coord.reset();
+    garbler.join();
+    rescuer.join();
+  }
 }
 
 TEST(Dist, AssignmentBudgetExhaustionIsCheckError) {
@@ -466,29 +486,48 @@ TEST(Dist, AssignmentBudgetExhaustionIsCheckError) {
 }
 
 TEST(Dist, ProtocolVersionMismatchIsRejected) {
-  // Coordinator side: a wrong-version Hello is Rejected and never joins.
+  // Coordinator side: a Hello or Rejoin of any version but kProtocolVersion
+  // is Rejected and never joins, and the run still merges bit-identically.
   const auto tr = make_trace("xz", 6000);
   const auto opts = base_options(2, 1);
+  const auto local = local_reference(tr, opts);
+  const std::uint32_t versions[] = {1, 2, 3, kProtocolVersion + 1};
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
-  std::thread ancient([port = coord->port()] {
+  std::thread peers([port = coord->port(), &versions] {
+    for (const std::uint32_t v : versions) {
+      for (const bool rejoin : {false, true}) {
+        SCOPED_TRACE("version " + std::to_string(v) +
+                     (rejoin ? " Rejoin" : " Hello"));
+        try {
+          net::TcpConn conn = net::TcpConn::connect("127.0.0.1", port);
+          net::send_frame(conn, rejoin ? encode_rejoin({v, 1, 1, kIdleShard})
+                                       : encode_hello(v));
+          std::string payload;
+          EXPECT_TRUE(net::recv_frame(conn, payload));
+          EXPECT_EQ(peek_type(payload, "fake"), MsgType::kReject);
+          EXPECT_NE(decode_reject(payload, "fake").find("version"),
+                    std::string::npos);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << e.what();
+        }
+      }
+    }
+    // The current-version worker joins only after every mismatch was
+    // answered, so all of them were handled inside the run.
+    WorkerConfig cfg;
+    cfg.port = port;
+    cfg.heartbeat_ms = 50;
     try {
-      net::TcpConn conn = net::TcpConn::connect("127.0.0.1", port);
-      net::send_frame(conn, encode_hello(kProtocolVersion + 7));
-      std::string payload;
-      ASSERT_TRUE(net::recv_frame(conn, payload));
-      EXPECT_EQ(peek_type(payload, "fake"), MsgType::kReject);
-      EXPECT_NE(decode_reject(payload, "fake").find("version"),
-                std::string::npos);
+      run_worker(cfg);
     } catch (const IoError&) {
     }
   });
-  std::thread w = worker_thread(coord->port());
   const auto out = coord->run(tr, opts);
-  EXPECT_EQ(out.total_cycles, local_reference(tr, opts).total_cycles);
-  EXPECT_EQ(coord->stats().workers_rejected, 1u);
+  expect_identical(local, out);
+  EXPECT_EQ(coord->stats().workers_rejected, 2 * std::size(versions));
+  EXPECT_EQ(coord->stats().workers_joined, 1u);
   coord.reset();
-  ancient.join();
-  w.join();
+  peers.join();
 
   // Worker side: a Reject surfaces as a typed CheckError, not a retry loop.
   net::TcpListener fake_coord = net::TcpListener::bind(0);
@@ -506,7 +545,7 @@ TEST(Dist, ProtocolVersionMismatchIsRejected) {
 }
 
 
-// ---- protocol v2 (telemetry fields) and v1 compatibility --------------------
+// ---- message codecs --------------------------------------------------------
 
 TEST(DistProtocol, AssignEncodesTraceContextPerPeerVersion) {
   AssignMsg m;
@@ -518,23 +557,14 @@ TEST(DistProtocol, AssignEncodesTraceContextPerPeerVersion) {
   m.trace_id = 0xfeedULL;
   m.parent_span = 0x1234ULL;
 
-  const AssignMsg v2 = decode_assign(encode_assign(m), "test");
-  EXPECT_EQ(v2.session, m.session);
-  EXPECT_EQ(v2.shard, m.shard);
-  EXPECT_EQ(v2.part_lo, m.part_lo);
-  EXPECT_EQ(v2.part_hi, m.part_hi);
-  EXPECT_EQ(v2.attempt, m.attempt);
-  EXPECT_EQ(v2.trace_id, m.trace_id);
-  EXPECT_EQ(v2.parent_span, m.parent_span);
-
-  // A v1 peer gets a byte-exact v1 payload: no telemetry tail at all, and
-  // a v2 decoder reads it back with the fields defaulted.
-  const std::string v1_payload = encode_assign(m, 1);
-  EXPECT_EQ(v1_payload.size() + 16, encode_assign(m).size());
-  const AssignMsg v1 = decode_assign(v1_payload, "test");
-  EXPECT_EQ(v1.shard, m.shard);
-  EXPECT_EQ(v1.trace_id, 0u);
-  EXPECT_EQ(v1.parent_span, 0u);
+  const AssignMsg d = decode_assign(encode_assign(m), "test");
+  EXPECT_EQ(d.session, m.session);
+  EXPECT_EQ(d.shard, m.shard);
+  EXPECT_EQ(d.part_lo, m.part_lo);
+  EXPECT_EQ(d.part_hi, m.part_hi);
+  EXPECT_EQ(d.attempt, m.attempt);
+  EXPECT_EQ(d.trace_id, m.trace_id);
+  EXPECT_EQ(d.parent_span, m.parent_span);
 }
 
 TEST(DistProtocol, ResultCarriesSpansAndDecodesV1Payloads) {
@@ -563,15 +593,6 @@ TEST(DistProtocol, ResultCarriesSpansAndDecodesV1Payloads) {
   EXPECT_EQ(d.spans[0].depth, 1u);
   EXPECT_EQ(d.spans[0].tid, 4u);
   EXPECT_EQ(d.spans[1].ts_ns, 200u);
-
-  // What a v1 worker puts on the wire is today's encoding minus the
-  // trailing trace_id + span count; the decoder defaults both.
-  std::string v1_payload = encode_result(h, outcome);
-  v1_payload.resize(v1_payload.size() - 16);
-  const ResultDecoded v1 = decode_result(v1_payload, "test");
-  EXPECT_EQ(v1.header.shard, 1u);
-  EXPECT_EQ(v1.trace_id, 0u);
-  EXPECT_TRUE(v1.spans.empty());
 }
 
 TEST(DistProtocol, HeartbeatCarriesBusyRatioAndRollups) {
@@ -581,21 +602,15 @@ TEST(DistProtocol, HeartbeatCarriesBusyRatioAndRollups) {
   m.busy_ratio = 0.625;
   m.rollups = {{0, 41}, {2, 7}};
 
-  const HeartbeatMsg v2 = decode_heartbeat(encode_heartbeat(m), "test");
-  EXPECT_EQ(v2.session, 5u);
-  EXPECT_EQ(v2.shard, kIdleShard);
-  EXPECT_DOUBLE_EQ(v2.busy_ratio, 0.625);
-  ASSERT_EQ(v2.rollups.size(), 2u);
-  EXPECT_EQ(v2.rollups[0].id, 0u);
-  EXPECT_EQ(v2.rollups[0].delta, 41u);
-  EXPECT_EQ(v2.rollups[1].id, 2u);
-  EXPECT_EQ(v2.rollups[1].delta, 7u);
-
-  // v1 heartbeat: no telemetry tail; decoder reports "not reported".
-  const HeartbeatMsg v1 = decode_heartbeat(encode_heartbeat(m, 1), "test");
-  EXPECT_EQ(v1.session, 5u);
-  EXPECT_LT(v1.busy_ratio, 0.0);
-  EXPECT_TRUE(v1.rollups.empty());
+  const HeartbeatMsg d = decode_heartbeat(encode_heartbeat(m), "test");
+  EXPECT_EQ(d.session, 5u);
+  EXPECT_EQ(d.shard, kIdleShard);
+  EXPECT_DOUBLE_EQ(d.busy_ratio, 0.625);
+  ASSERT_EQ(d.rollups.size(), 2u);
+  EXPECT_EQ(d.rollups[0].id, 0u);
+  EXPECT_EQ(d.rollups[0].delta, 41u);
+  EXPECT_EQ(d.rollups[1].id, 2u);
+  EXPECT_EQ(d.rollups[1].delta, 7u);
 }
 
 TEST(DistProtocol, GoodbyeRoundTrips) {
@@ -612,7 +627,7 @@ TEST(DistProtocol, GoodbyeRoundTrips) {
   EXPECT_EQ(decode_goodbye(encode_goodbye(idle), "test").shard, kIdleShard);
 }
 
-// ---- protocol v4 (rejoin token) --------------------------------------------
+// ---- rejoin ----------------------------------------------------------------
 
 TEST(DistProtocol, WelcomeTokenIsTrailingOptional) {
   const auto tr = make_trace("xz", 2000);
@@ -620,19 +635,11 @@ TEST(DistProtocol, WelcomeTokenIsTrailingOptional) {
   cfg.num_subtraces = 4;
   cfg.num_gpus = 2;
 
-  const std::string v4 = encode_welcome(11, 0xabcdULL, cfg, tr, 0x5eedULL);
-  const WelcomeDecoded d = decode_welcome(v4, "test");
+  const WelcomeDecoded d =
+      decode_welcome(encode_welcome(11, 0xabcdULL, cfg, tr, 0x5eedULL), "test");
   EXPECT_EQ(d.session, 11u);
   EXPECT_EQ(d.fingerprint, 0xabcdULL);
   EXPECT_EQ(d.token, 0x5eedULL);
-
-  // A pre-v4 peer gets a byte-exact legacy payload — no token tail at all,
-  // even when one was supplied — and a v4 decoder defaults it to 0.
-  const std::string legacy = encode_welcome(11, 0xabcdULL, cfg, tr,
-                                            0x5eedULL, 3);
-  EXPECT_EQ(legacy.size() + 8, v4.size());
-  EXPECT_EQ(legacy, v4.substr(0, legacy.size()));
-  EXPECT_EQ(decode_welcome(legacy, "test").token, 0u);
 }
 
 TEST(DistProtocol, RejoinRoundTrips) {
@@ -650,8 +657,92 @@ TEST(DistProtocol, RejoinRoundTrips) {
   EXPECT_EQ(d.shard, 7u);
 }
 
+TEST(DistProtocol, DecodersRejectEveryPrefixAndTrailingByte) {
+  // Every message has one layout and a decoder that reads all of it: no
+  // strict prefix of a valid payload decodes, and neither does the payload
+  // with one byte appended.
+  core::ShardOutcome outcome;
+  outcome.part_hi = 1;
+  outcome.partition_cycles = {7};
+  outcome.final_attempt = {0};
+  std::vector<obs::SpanRecord> spans(1);
+  spans[0].name = "worker/partition";
+  HeartbeatMsg hb;
+  hb.busy_ratio = 0.5;
+  hb.rollups = {{1, 3}};
+  struct Case {
+    const char* name;
+    std::string payload;
+    void (*decode)(std::string_view);
+  };
+  const Case cases[] = {
+      {"Hello", encode_hello(kProtocolVersion),
+       [](std::string_view p) { (void)decode_hello(p, "test"); }},
+      {"Welcome", encode_welcome(1, 2, RunConfig{}, make_trace("xz", 4), 3),
+       [](std::string_view p) { (void)decode_welcome(p, "test"); }},
+      {"Reject", encode_reject("no"),
+       [](std::string_view p) { (void)decode_reject(p, "test"); }},
+      {"Assign", encode_assign({1, 2, 0, 1, 0, 5, 6}),
+       [](std::string_view p) { (void)decode_assign(p, "test"); }},
+      {"Result", encode_result({1, 2, 0}, outcome, 5, spans),
+       [](std::string_view p) { (void)decode_result(p, "test"); }},
+      {"Heartbeat", encode_heartbeat(hb),
+       [](std::string_view p) { (void)decode_heartbeat(p, "test"); }},
+      {"Shutdown", encode_shutdown(),
+       [](std::string_view p) { decode_shutdown(p, "test"); }},
+      {"WorkerError", encode_worker_error({1, 2, 1, "boom"}),
+       [](std::string_view p) { (void)decode_worker_error(p, "test"); }},
+      {"Goodbye", encode_goodbye({1, kIdleShard}),
+       [](std::string_view p) { (void)decode_goodbye(p, "test"); }},
+      {"Rejoin", encode_rejoin({kProtocolVersion, 3, 1, kIdleShard}),
+       [](std::string_view p) { (void)decode_rejoin(p, "test"); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string_view payload = c.payload;
+    EXPECT_NO_THROW(c.decode(payload));
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+      EXPECT_THROW(c.decode(payload.substr(0, len)), CheckError)
+          << "prefix of " << len << " bytes";
+    }
+    EXPECT_THROW(c.decode(c.payload + '\0'), CheckError);
+  }
+}
+
+TEST(DistProtocol, CountsBeyondThePayloadAreCheckErrors) {
+  // Element counts that claim more than the payload holds, chosen so the
+  // size product wraps or the reservation cannot be met: each must be a
+  // typed CheckError before anything is allocated from it.
+  std::string result = encode_result({1, 0, 0}, core::ShardOutcome{});
+  const std::uint64_t spans = 1ull << 62;  // span count: the last field
+  std::memcpy(result.data() + result.size() - sizeof(spans), &spans,
+              sizeof(spans));
+  EXPECT_THROW(decode_result(result, "test"), CheckError);
+
+  std::string heartbeat = encode_heartbeat(HeartbeatMsg{});
+  const std::uint32_t rollups = ~0u;  // rollup count: the last field
+  std::memcpy(heartbeat.data() + heartbeat.size() - sizeof(rollups), &rollups,
+              sizeof(rollups));
+  EXPECT_THROW(decode_heartbeat(heartbeat, "test"), CheckError);
+
+  // One unlabeled feature row declared as 2^63 + 1 instructions, so that
+  // n * kNumFeatures wraps back to the row's length.
+  wire::Writer w;
+  w.pod(static_cast<std::uint32_t>(MsgType::kWelcome));
+  w.pod<std::uint64_t>(1);  // session
+  w.pod<std::uint64_t>(2);  // fingerprint
+  put_run_config(w, RunConfig{});
+  w.str("xz");
+  w.pod<std::uint64_t>((1ull << 63) + 1);
+  w.pod<std::uint8_t>(0);  // unlabeled
+  w.vec(std::vector<std::int32_t>(trace::kNumFeatures));
+  w.vec(std::vector<std::uint32_t>{});
+  w.pod<std::uint64_t>(3);  // token
+  EXPECT_THROW(decode_welcome(w.bytes(), "test"), CheckError);
+}
+
 TEST(Dist, RejoiningWorkerReattachesAndRunStaysBitIdentical) {
-  // A scripted v4 worker takes a shard, drops its connection mid-flight,
+  // A scripted worker takes a shard, drops its connection mid-flight,
   // then reconnects with the session token (Rejoin) and finishes the run.
   const auto tr = make_trace("xz", 8000);
   const auto opts = base_options(4, 2);  // 2 shards
@@ -703,64 +794,6 @@ TEST(Dist, RejoiningWorkerReattachesAndRunStaysBitIdentical) {
   fake.join();
 }
 
-TEST(Dist, V1WorkerCompletesRunAndGetsV1Frames) {
-  // End-to-end backward compatibility: a worker that Hellos with protocol
-  // v1 joins, receives byte-exact v1 Assigns (no trace context even though
-  // the coordinator is tracing), answers with v1 Results and Heartbeats,
-  // and the run still merges bit-identically.
-  if (obs::kCompiledIn) {
-    obs::set_enabled(true);  // make the coordinator derive a trace id
-    obs::reset_trace();
-  }
-  const auto tr = make_trace("xz", 8000);
-  const auto opts = base_options(4, 2);  // 2 shards
-  const auto local = local_reference(tr, opts);
-
-  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
-  std::thread fake([port = coord->port()] {
-    try {
-      auto s = std::make_unique<FakeSession>();
-      s->conn = net::TcpConn::connect("127.0.0.1", port);
-      net::send_frame(s->conn, encode_hello(1));  // ancient but supported
-      std::string payload;
-      while (true) {
-        if (!net::recv_frame(s->conn, payload)) {
-          throw IoError("coordinator closed during fake handshake");
-        }
-        if (peek_type(payload, "fake") == MsgType::kWelcome) break;
-      }
-      s->welcome = decode_welcome(payload, "fake");
-      s->injector = device::FaultInjector(s->welcome.config.fault_options());
-      s->opts = s->welcome.config.to_options(
-          s->welcome.config.faults_enabled ? &s->injector : nullptr);
-      s->plan = core::ShardPlan::make(s->welcome.trace.size(), s->opts);
-      for (int shard = 0; shard < 2; ++shard) {
-        const AssignMsg a = fake_await_assign(*s);
-        // The coordinator must not have leaked v2 fields to a v1 peer.
-        EXPECT_EQ(a.trace_id, 0u);
-        EXPECT_EQ(a.parent_span, 0u);
-        HeartbeatMsg hb;
-        hb.session = a.session;
-        hb.shard = a.shard;
-        net::send_frame(s->conn, encode_heartbeat(hb, 1));
-        std::string result = encode_result({a.session, a.shard, a.attempt},
-                                           fake_compute(*s, a));
-        result.resize(result.size() - 16);  // v1: no trace_id / span tail
-        net::send_frame(s->conn, result);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    } catch (const IoError&) {
-    }
-  });
-
-  const auto out = coord->run(tr, opts);
-  expect_identical(local, out);
-  EXPECT_EQ(coord->stats().shards_completed, 2u);
-  coord.reset();
-  fake.join();
-  if (obs::kCompiledIn) obs::set_enabled(false);
-}
-
 TEST(Dist, HeartbeatRollupsFoldIntoClusterMetrics) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "stripped build";
   obs::set_enabled(true);
@@ -773,47 +806,56 @@ TEST(Dist, HeartbeatRollupsFoldIntoClusterMetrics) {
   const std::uint64_t retries_before =
       reg.counter(obs::names::kClusterWorkerRetries).value();
 
-  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
-  std::thread fake([port = coord->port()] {
-    try {
-      auto s = fake_join(port);
-      for (int shard = 0; shard < 2; ++shard) {
+  CoordinatorOptions co;
+  co.min_workers = 2;  // one shard each
+  co.heartbeat_timeout_ms = 30000;
+  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
+  // One worker reports busy time and rollups; the other never heartbeats,
+  // so it must stay out of the mean-busy gauge rather than count as zero.
+  const auto fake = [port = coord->port()](bool reports) {
+    return std::thread([port, reports] {
+      try {
+        auto s = fake_join(port);
         const AssignMsg a = fake_await_assign(*s);
-        HeartbeatMsg hb;
-        hb.session = a.session;
-        hb.shard = a.shard;
-        if (shard == 0) {
+        if (reports) {
+          HeartbeatMsg hb;
+          hb.session = a.session;
+          hb.shard = a.shard;
           hb.busy_ratio = 0.75;
           hb.rollups = {{0, 5}, {2, 7}, {kNumRollupCounters + 9, 1}};
+          net::send_frame(s->conn, encode_heartbeat(hb));
         }
-        net::send_frame(s->conn, encode_heartbeat(hb));
         net::send_frame(s->conn, encode_result({a.session, a.shard, a.attempt},
                                                fake_compute(*s, a)));
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      } catch (const IoError&) {
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    } catch (const IoError&) {
-    }
-  });
+    });
+  };
+  std::thread reporting = fake(true);
+  std::thread silent = fake(false);
 
   const auto out = coord->run(tr, opts);
   EXPECT_EQ(out.total_cycles, local_reference(tr, opts).total_cycles);
   // The worker-shipped deltas landed in the cluster rollups (the unknown
-  // positional id was ignored), and the busy report drove the gauge.
+  // positional id was ignored), and the busy report alone drove the gauge.
   EXPECT_EQ(reg.counter(obs::names::kClusterWorkerInstructions).value(),
             instr_before + 5);
   EXPECT_EQ(reg.counter(obs::names::kClusterWorkerRetries).value(),
             retries_before + 7);
   EXPECT_DOUBLE_EQ(reg.gauge(obs::names::kClusterWorkerBusyRatio).value(),
                    0.75);
-  // The health document exposes the per-worker ratio; appending
-  // flight-recorder post-mortems keeps it one well-formed JSON object.
+  // The health document exposes each worker's ratio, null until reported;
+  // appending flight-recorder post-mortems keeps it one well-formed object.
   const std::string health = coord->cluster_json();
   EXPECT_NE(health.find("\"busy_ratio\":0.75"), std::string::npos) << health;
+  EXPECT_NE(health.find("\"busy_ratio\":null"), std::string::npos) << health;
   const std::string with_errors = coord->cluster_json(2);
   EXPECT_NE(with_errors.find("\"last_errors\":["), std::string::npos);
   EXPECT_EQ(with_errors.back(), '}');
   coord.reset();
-  fake.join();
+  reporting.join();
+  silent.join();
   obs::set_enabled(false);
 }
 
@@ -874,12 +916,14 @@ TEST(Dist, WorkerLeaveAfterShardsDepartsCleanly) {
   const auto local = local_reference(tr, opts);
 
   CoordinatorOptions co;
-  co.min_workers = 2;
   co.heartbeat_timeout_ms = 30000;
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
 
   // A real worker that drains one shard and then leaves on purpose (the
   // scale-down / supervisor-restart path); the stayer finishes the rest.
+  // The stayer joins only once the leaver has returned, so shards are still
+  // pending when the Goodbye arrives: a stayer racing ahead could otherwise
+  // finish the run before the coordinator reads it.
   WorkerStats leaver_stats;
   std::thread leaver([&leaver_stats, port = coord->port()] {
     WorkerConfig cfg;
@@ -891,7 +935,10 @@ TEST(Dist, WorkerLeaveAfterShardsDepartsCleanly) {
     } catch (const IoError&) {
     }
   });
-  std::thread stayer = worker_thread(coord->port());
+  std::thread stayer([&leaver, port = coord->port()] {
+    leaver.join();  // returned on its own after the Goodbye
+    worker_thread(port).join();
+  });
 
   const auto out = coord->run(tr, opts);
   expect_identical(local, out);
@@ -899,11 +946,10 @@ TEST(Dist, WorkerLeaveAfterShardsDepartsCleanly) {
   EXPECT_EQ(st.shards_completed, 4u);
   EXPECT_EQ(st.workers_departed, 1u);
   EXPECT_EQ(st.workers_lost, 0u);
-  leaver.join();  // returned on its own after the Goodbye
-  EXPECT_EQ(leaver_stats.shards_computed, 1u);
 
   coord.reset();
   stayer.join();
+  EXPECT_EQ(leaver_stats.shards_computed, 1u);
 }
 
 TEST(Dist, WorkerJoinsMidRunAndReceivesWork) {
@@ -1196,88 +1242,6 @@ TEST(ResultCache, LruEvictionAndAccounting) {
   EXPECT_EQ(off.misses(), 0u);
 }
 
-TEST(Dist, MixedFleetBusyGaugeExcludesV1Workers) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "stripped build";
-  obs::set_enabled(true);
-  obs::reset_trace();
-  const auto tr = make_trace("xz", 8000);
-  const auto opts = base_options(4, 2);  // 2 shards
-  const auto local = local_reference(tr, opts);
-
-  CoordinatorOptions co;
-  co.min_workers = 2;
-  co.heartbeat_timeout_ms = 30000;
-  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
-  const std::uint16_t port = coord->port();
-
-  // A v1 relic that nonetheless ships a v2-shaped heartbeat claiming 90%
-  // busy: the version gate (not just a sign check) must keep it out of the
-  // fleet-mean gauge.
-  std::thread relic([port] {
-    try {
-      auto s = std::make_unique<FakeSession>();
-      s->conn = net::TcpConn::connect("127.0.0.1", port);
-      net::send_frame(s->conn, encode_hello(1));
-      std::string payload;
-      while (true) {
-        if (!net::recv_frame(s->conn, payload)) {
-          throw IoError("coordinator closed during fake handshake");
-        }
-        if (peek_type(payload, "fake") == MsgType::kWelcome) break;
-      }
-      s->welcome = decode_welcome(payload, "fake");
-      s->injector = device::FaultInjector(s->welcome.config.fault_options());
-      s->opts = s->welcome.config.to_options(
-          s->welcome.config.faults_enabled ? &s->injector : nullptr);
-      s->plan = core::ShardPlan::make(s->welcome.trace.size(), s->opts);
-      const AssignMsg a = fake_await_assign(*s);
-      HeartbeatMsg hb;
-      hb.session = a.session;
-      hb.shard = a.shard;
-      hb.busy_ratio = 0.9;
-      net::send_frame(s->conn, encode_heartbeat(hb));  // v2 bytes from a v1
-      std::string result =
-          encode_result({a.session, a.shard, a.attempt}, fake_compute(*s, a));
-      result.resize(result.size() - 16);  // v1 result: no telemetry tail
-      net::send_frame(s->conn, result);
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    } catch (const IoError&) {
-    }
-  });
-  std::thread modern([port] {
-    try {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      auto s = fake_join(port);
-      const AssignMsg a = fake_await_assign(*s);
-      HeartbeatMsg hb;
-      hb.session = a.session;
-      hb.shard = a.shard;
-      hb.busy_ratio = 0.25;
-      net::send_frame(s->conn, encode_heartbeat(hb));
-      net::send_frame(s->conn, encode_result({a.session, a.shard, a.attempt},
-                                             fake_compute(*s, a)));
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    } catch (const IoError&) {
-    }
-  });
-
-  const auto out = coord->run(tr, opts);
-  expect_identical(local, out);
-  // Mean busy over the fleet is exactly the v2 worker's report — the v1
-  // claim never dragged it.
-  EXPECT_DOUBLE_EQ(
-      obs::default_registry().gauge(obs::names::kClusterWorkerBusyRatio).value(),
-      0.25);
-  const std::string health = coord->cluster_json();
-  EXPECT_NE(health.find("\"busy_ratio\":null"), std::string::npos) << health;
-  EXPECT_NE(health.find("\"busy_ratio\":0.25"), std::string::npos) << health;
-
-  coord.reset();
-  relic.join();
-  modern.join();
-  obs::set_enabled(false);
-}
-
 TEST(Dist, TelemetryScrapeDuringRunIsRaceFree) {
   // stats(), connected_workers() and cluster_json() are hammered from a
   // second thread for the whole run — under TSan this is the proof that the
@@ -1323,21 +1287,20 @@ TEST(Dist, TelemetryScrapeDuringRunIsRaceFree) {
 
 #if !defined(MLSIM_TSAN)
 
-/// Fork a real worker process. The child never returns. `delay_ms` makes
-/// the child sleep before connecting — a late joiner forked while the
-/// parent is still quiet (forking mid-run from a multithreaded parent is
-/// not safe).
+/// Fork a real worker process. The child never returns. With `gate_fd`
+/// (the read end of a pipe) the child connects only once a byte arrives on
+/// it — a late joiner forked while the parent is still quiet (forking
+/// mid-run from a multithreaded parent is not safe) and released mid-run.
 pid_t fork_worker(std::uint16_t port, int heartbeat_ms = 50,
-                  bool enable_obs = false, int delay_ms = 0) {
+                  bool enable_obs = false, int gate_fd = -1) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
-  if (delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
+  char released = 0;
+  if (gate_fd >= 0 && ::read(gate_fd, &released, 1) != 1) _exit(1);
   WorkerConfig cfg;
   cfg.port = port;
   cfg.heartbeat_ms = heartbeat_ms;
-  if (enable_obs) obs::set_enabled(true);  // record + ship spans (v2)
+  if (enable_obs) obs::set_enabled(true);  // record + ship spans
   try {
     run_worker(cfg);
     _exit(0);
@@ -1431,22 +1394,26 @@ TEST(DistProcess, ChurnKilledAndJoinedWorkersStayBitIdentical) {
   co.heartbeat_timeout_ms = 500;
   co.poll_ms = 20;
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
+  int gate[2];
+  ASSERT_EQ(pipe(gate), 0);
   const pid_t victim = fork_worker(coord->port());
   const pid_t survivor = fork_worker(coord->port());
   const pid_t joiner =
-      fork_worker(coord->port(), 50, /*enable_obs=*/false, /*delay_ms=*/250);
+      fork_worker(coord->port(), 50, /*enable_obs=*/false, /*gate_fd=*/gate[0]);
   ASSERT_GT(victim, 0);
   ASSERT_GT(survivor, 0);
   ASSERT_GT(joiner, 0);
 
   // Kill once a couple of shards have completed, observed through the same
-  // thread-safe stats() snapshot the telemetry plane scrapes.
-  std::thread killer([&coord, victim] {
+  // thread-safe stats() snapshot the telemetry plane scrapes, then release
+  // the joiner while the survivor still has most of the shards to go.
+  std::thread killer([&coord, victim, release = gate[1]] {
     for (int i = 0; i < 1000; ++i) {
       if (coord->stats().shards_completed >= 2) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     kill(victim, SIGKILL);
+    EXPECT_EQ(::write(release, "j", 1), 1);
   });
 
   core::ParallelSimResult out;
@@ -1471,6 +1438,8 @@ TEST(DistProcess, ChurnKilledAndJoinedWorkersStayBitIdentical) {
   EXPECT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(waitpid(survivor, &status, 0), survivor);
   EXPECT_EQ(waitpid(joiner, &status, 0), joiner);
+  close(gate[0]);
+  close(gate[1]);
 }
 
 TEST(DistProcess, ThreeProcessesMergeOneDistributedTrace) {

@@ -10,6 +10,7 @@
 
 #include "common/artifacts.h"
 #include "common/check.h"
+#include "common/wire.h"
 #include "core/analytic_predictor.h"
 #include "core/checkpoint.h"
 #include "core/cnn_predictor.h"
@@ -525,6 +526,25 @@ TEST(Checkpoint, SuiteResumeSkipsCompletedJobs) {
   }
   EXPECT_DOUBLE_EQ(got.makespan_us, want.makespan_us);
   EXPECT_FALSE(fs::exists(ckpt));
+}
+
+TEST(Checkpoint, SuiteJobCountBeyondFileIsRejected) {
+  // A well-sealed suite checkpoint whose job count claims 2^62 jobs must be
+  // refused before anything is reserved for them.
+  const fs::path ckpt = temp_file("mlsim_fault_test_suite_count.ckpt");
+  save_checkpoint(ckpt, SuiteCheckpoint{});
+  std::uint32_t magic = 0;  // the envelope's first word
+  {
+    std::ifstream f(ckpt, std::ios::binary);
+    f.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  }
+  wire::Writer w;
+  w.pod<std::uint64_t>(0);           // fingerprint
+  w.pod<std::uint64_t>(1ull << 62);  // job count
+  wire::write_envelope_file(ckpt, magic, w.bytes());
+  SuiteCheckpoint ck;
+  EXPECT_THROW(load_checkpoint(ckpt, ck), CheckError);
+  fs::remove(ckpt);
 }
 
 // ---- hardened I/O -----------------------------------------------------------

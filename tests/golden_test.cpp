@@ -18,6 +18,10 @@ struct Golden {
   std::uint64_t truth_cycles;  // ground-truth fetch-cycle total
 };
 
+// Without this gtest prints the raw bytes of the struct, so the `abbr`
+// pointer would make the parameter's printed name change from build to build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << '"' << g.abbr << '"'; }
+
 class GoldenCycles : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenCycles, GroundTruthPinned) {

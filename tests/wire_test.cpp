@@ -29,6 +29,7 @@ std::string sample_payload() {
   w.pod<std::uint64_t>(0xdeadbeefcafe1234ull);
   w.str("hello wire");
   w.vec(std::vector<std::uint32_t>{1, 2, 3, 5, 8, 13});
+  w.vec(std::vector<std::uint16_t>{});
   w.pod<double>(2.5);
   return w.take();
 }
@@ -46,6 +47,7 @@ TEST(Wire, SealUnsealRoundTrip) {
   EXPECT_EQ(r.pod<std::uint64_t>(), 0xdeadbeefcafe1234ull);
   EXPECT_EQ(r.str(), "hello wire");
   EXPECT_EQ(r.vec<std::uint32_t>(), (std::vector<std::uint32_t>{1, 2, 3, 5, 8, 13}));
+  EXPECT_TRUE(r.vec<std::uint16_t>().empty());
   EXPECT_EQ(r.pod<double>(), 2.5);
   r.finish();
 }
@@ -104,6 +106,15 @@ TEST(Wire, ReaderNeverReadsPastEnd) {
   const std::string lie = lying.take();
   Reader r2(lie, "test");
   EXPECT_THROW(r2.vec<std::uint64_t>(), CheckError);
+
+  // A length word whose byte size wraps: 8 * (2^61 + 1) == 8 (mod 2^64),
+  // and 8 bytes do remain.
+  Writer wrapping;
+  wrapping.pod<std::uint64_t>((1ull << 61) + 1);
+  wrapping.pod<std::uint64_t>(0);
+  const std::string wrap = wrapping.take();
+  Reader r3(wrap, "test");
+  EXPECT_THROW(r3.vec<std::uint64_t>(), CheckError);
 }
 
 TEST(Wire, FinishRejectsTrailingBytes) {
