@@ -84,7 +84,7 @@ LatencyPrediction CnnPredictor::predict(const WindowView& window,
                                         std::uint64_t /*global_index*/) {
   tensor::Tensor x({1, trace::kNumFeatures, bundle_.model.config().window});
   fill_input(x, 0, window.data, window.rows);
-  const tensor::Tensor y = bundle_.model.forward(x);
+  const tensor::Tensor y = bundle_.model.infer(x);
   return {decode(y.at(0)), decode(y.at(1)), decode(y.at(2))};
 }
 
@@ -96,7 +96,7 @@ void CnnPredictor::predict_batch(const std::int32_t* windows, std::size_t batch,
   for (std::size_t b = 0; b < batch; ++b) {
     fill_input(x, b, windows + b * rows * trace::kNumFeatures, rows);
   }
-  const tensor::Tensor y = bundle_.model.forward(x);
+  const tensor::Tensor y = bundle_.model.infer(x);
   for (std::size_t b = 0; b < batch; ++b) {
     out[b] = {decode(y(b, 0)), decode(y(b, 1)), decode(y(b, 2))};
   }

@@ -4,7 +4,9 @@
 // Features are normalised per-slot with scales computed from the training
 // set; outputs are trained in log1p space and rounded back to integer
 // cycles. The engine flavour only affects the simulated-time model (and,
-// for fp16/2:4, the quantised weights used for real inference).
+// for fp16/2:4, the quantised weights used for real inference). Prediction
+// runs the model's const inference path and writes no state, so one
+// predictor can serve concurrent callers.
 #pragma once
 
 #include <filesystem>

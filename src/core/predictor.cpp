@@ -57,9 +57,9 @@ std::size_t LazyWindow::context_count() const {
 }
 
 LatencyPrediction LatencyPredictor::predict_lazy(const LazyWindow& window) {
-  window.materialize(lazy_buf_);
-  return predict(WindowView{lazy_buf_.data(), window.rows()},
-                 window.current_index());
+  std::vector<std::int32_t> buf;
+  window.materialize(buf);
+  return predict(WindowView{buf.data(), window.rows()}, window.current_index());
 }
 
 void LatencyPredictor::predict_batch(const std::int32_t* windows, std::size_t batch,

@@ -83,10 +83,11 @@ class LatencyPredictor {
                              std::size_t rows, const std::uint64_t* global_indices,
                              LatencyPrediction* out);
 
-  /// Lazy-window prediction. The default materialises the window and calls
-  /// predict(); predictors that can read the queue in place (the analytic
-  /// model — and, on real hardware, the custom convolution path) override
-  /// this to skip the copy.
+  /// Lazy-window prediction. The default materialises the window into a
+  /// buffer of its own and calls predict(), so it is as safe to call
+  /// concurrently as predict() is; predictors that can read the queue in
+  /// place (the analytic model — and, on real hardware, the custom
+  /// convolution path) override this to skip the copy.
   virtual LatencyPrediction predict_lazy(const LazyWindow& window);
 
   /// FLOPs per single-window inference (drives the device cost model;
@@ -95,9 +96,6 @@ class LatencyPredictor {
 
   /// Which device inference engine this predictor models.
   virtual device::Engine engine() const { return device::Engine::kTensorRT; }
-
- private:
-  std::vector<std::int32_t> lazy_buf_;  // scratch for the default lazy path
 };
 
 /// Replays ground-truth labels from a labeled trace.

@@ -160,7 +160,7 @@ SimNetBundle train_simnet(const std::vector<const trace::EncodedTrace*>& traces,
       const Sample s = holdout[k];
       fill_sample(datasets[s.ds], s.idx, bundle.feature_scale, scratch, xe.data(),
                   y.data());
-      const tensor::Tensor pred = bundle.model.forward(xe);
+      const tensor::Tensor pred = bundle.model.infer(xe);
       const auto t = datasets[s.ds].targets(s.idx);
       const double pf = CnnPredictor::decode(pred.at(0));
       const double pe = CnnPredictor::decode(pred.at(1));
@@ -178,7 +178,7 @@ SimNetBundle train_simnet(const std::vector<const trace::EncodedTrace*>& traces,
   return bundle;
 }
 
-float evaluate_loss(SimNetBundle& bundle, const trace::EncodedTrace& labeled,
+float evaluate_loss(const SimNetBundle& bundle, const trace::EncodedTrace& labeled,
                     std::size_t max_samples) {
   WindowDataset ds(labeled, bundle.model.config().window);
   const std::size_t n = std::min(max_samples, ds.size());
@@ -190,7 +190,7 @@ float evaluate_loss(SimNetBundle& bundle, const trace::EncodedTrace& labeled,
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     fill_sample(ds, i, bundle.feature_scale, scratch, x.data(), y.data());
-    acc += static_cast<double>(tensor::mse_loss(bundle.model.forward(x), y, grad));
+    acc += static_cast<double>(tensor::mse_loss(bundle.model.infer(x), y, grad));
   }
   return static_cast<float>(acc / static_cast<double>(n));
 }

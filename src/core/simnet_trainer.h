@@ -88,7 +88,7 @@ void finetune_2to4(SimNetBundle& bundle,
 
 /// Mean log1p-space MSE of a bundle over the first `max_samples`
 /// ground-truth windows of a labeled trace (the training objective).
-float evaluate_loss(SimNetBundle& bundle, const trace::EncodedTrace& labeled,
+float evaluate_loss(const SimNetBundle& bundle, const trace::EncodedTrace& labeled,
                     std::size_t max_samples = 2000);
 
 /// Evaluate a bundle on a labeled test trace: runs the full sequential

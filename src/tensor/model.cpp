@@ -20,9 +20,13 @@ SimNetModel::SimNetModel(const SimNetModelConfig& cfg, std::uint64_t seed) : cfg
   fc2_ = std::make_unique<Linear>(cfg.hidden, cfg.outputs, rng);
 }
 
-Tensor SimNetModel::forward(const Tensor& x) {
+void SimNetModel::check_input(const Tensor& x) const {
   check(x.rank() == 3 && x.dim(1) == cfg_.in_features && x.dim(2) == cfg_.window,
         "SimNetModel input must be (B, in_features, window)");
+}
+
+Tensor SimNetModel::forward(const Tensor& x) {
+  check_input(x);
   return forward_tail(conv1_->forward(x));
 }
 
@@ -31,16 +35,30 @@ Tensor SimNetModel::forward_tail(const Tensor& conv1_preact) {
   h = relu2_->forward(conv2_->forward(h));
   h = relu3_->forward(conv3_->forward(h));
   const std::size_t B = h.dim(0);
-  h = h.reshaped({B, cfg_.channels * cfg_.window});
+  h = std::move(h).reshaped({B, cfg_.channels * cfg_.window});
   h = relu4_->forward(fc1_->forward(h));
   return fc2_->forward(h);
+}
+
+Tensor SimNetModel::infer(const Tensor& x) const {
+  check_input(x);
+  Tensor h = conv1_->infer(x);
+  relu_inplace(h);
+  h = conv2_->infer(h);
+  relu_inplace(h);
+  h = conv3_->infer(h);
+  relu_inplace(h);
+  const std::size_t B = h.dim(0);
+  h = fc1_->infer(std::move(h).reshaped({B, cfg_.channels * cfg_.window}));
+  relu_inplace(h);
+  return fc2_->infer(h);
 }
 
 void SimNetModel::backward(const Tensor& grad_out) {
   Tensor g = fc2_->backward(grad_out);
   g = fc1_->backward(relu4_->backward(g));
   const std::size_t B = g.dim(0);
-  g = g.reshaped({B, cfg_.channels, cfg_.window});
+  g = std::move(g).reshaped({B, cfg_.channels, cfg_.window});
   g = conv3_->backward(relu3_->backward(g));
   g = conv2_->backward(relu2_->backward(g));
   conv1_->backward(relu1_->backward(g));
@@ -79,6 +97,38 @@ void write_vec(std::ofstream& os, const std::vector<float>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
+std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  check(!__builtin_mul_overflow(a, b, &r), "model dimensions overflow");
+  return r;
+}
+
+std::uint64_t checked_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  check(!__builtin_add_overflow(a, b, &r), "model dimensions overflow");
+  return r;
+}
+
+// Bytes the ten (count, floats) parameter blocks of a `cfg` model occupy,
+// after checking that every dimension is usable.
+std::uint64_t payload_bytes(const SimNetModelConfig& cfg) {
+  check(cfg.in_features > 0 && cfg.window > 0 && cfg.channels > 0 && cfg.hidden > 0 &&
+            cfg.kernel > 0 && cfg.outputs > 0,
+        "model dimensions must be positive");
+  check(cfg.kernel % 2 == 1, "model kernel must be odd");
+  check(cfg.window > cfg.kernel / 2, "model window must exceed half the kernel width");
+  const std::uint64_t conv1 = checked_mul(checked_mul(cfg.channels, cfg.in_features), cfg.kernel);
+  const std::uint64_t conv23 = checked_mul(checked_mul(cfg.channels, cfg.channels), cfg.kernel);
+  const std::uint64_t fc1 = checked_mul(checked_mul(cfg.channels, cfg.window), cfg.hidden);
+  const std::uint64_t fc2 = checked_mul(cfg.hidden, cfg.outputs);
+  std::uint64_t bytes = 0;
+  for (const std::uint64_t n : {conv1, cfg.channels, conv23, cfg.channels, conv23, cfg.channels,
+                                fc1, cfg.hidden, fc2, cfg.outputs}) {
+    bytes = checked_add(checked_add(bytes, sizeof(std::uint64_t)), checked_mul(n, sizeof(float)));
+  }
+  return bytes;
+}
+
 void read_vec(std::ifstream& is, std::vector<float>& v) {
   std::uint64_t n = 0;
   is.read(reinterpret_cast<char*>(&n), sizeof(n));
@@ -109,14 +159,18 @@ void SimNetModel::save(const std::filesystem::path& path) const {
 }
 
 SimNetModel SimNetModel::load(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   check(is.is_open(), "cannot open model file: " + path.string());
+  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
   std::uint32_t magic = 0;
   is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   check(magic == kModelMagic, "bad model magic");
   SimNetModelConfig cfg;
   is.read(reinterpret_cast<char*>(&cfg), sizeof(cfg));
   check(static_cast<bool>(is), "model file truncated");
+  check(payload_bytes(cfg) <= file_size - sizeof(magic) - sizeof(cfg),
+        "model file shorter than its header declares");
   SimNetModel m(cfg);
   read_vec(is, m.conv1_->weight());
   read_vec(is, m.conv1_->bias());

@@ -32,8 +32,14 @@ class SimNetModel {
 
   const SimNetModelConfig& config() const { return cfg_; }
 
-  /// Full forward pass: (B, F, W) -> (B, outputs).
+  /// Full forward pass: (B, F, W) -> (B, outputs). Training path: every
+  /// layer caches its input for backward().
   Tensor forward(const Tensor& x);
+
+  /// Inference: the same kernels and bit-identical outputs as forward(),
+  /// but const — no layer state is written, so concurrent callers may share
+  /// one model.
+  Tensor infer(const Tensor& x) const;
 
   /// Tail of the network given the *pre-activation* output of conv1
   /// (B, channels, W). Used to splice in the custom convolution layer that
@@ -61,9 +67,13 @@ class SimNetModel {
   std::size_t flops_per_batch(std::size_t batch) const;
 
   void save(const std::filesystem::path& path) const;
+  /// Throws CheckError for a file that is not a well-formed model, before
+  /// allocating anything sized by its header.
   static SimNetModel load(const std::filesystem::path& path);
 
  private:
+  void check_input(const Tensor& x) const;
+
   SimNetModelConfig cfg_;
   std::unique_ptr<Conv1D> conv1_, conv2_, conv3_;
   std::unique_ptr<ReLU> relu1_, relu2_, relu3_, relu4_;

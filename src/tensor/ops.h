@@ -6,6 +6,15 @@
 //   Conv1D : (B, C_in, L)  -> (B, C_out, L)
 //   Linear : (B, N_in)     -> (B, N_out)
 //   ReLU   : elementwise.
+//
+// Conv1D and Linear also have a const infer(): the same kernel as forward()
+// without caching the input, so one layer can serve concurrent callers.
+// Kernel contract (docs/INTERNALS.md): every output element accumulates in
+// a fixed order — bias, then input channel ascending, then tap ascending —
+// one rounded product at a time; in Conv1D a zero weight adds nothing and a
+// tap outside the row is never multiplied; the build never fuses a*b+c into
+// one multiply-add. Results are bit-identical for every batch size, vector
+// width and target.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +51,9 @@ class Conv1D final : public Layer {
   void collect_params(std::vector<Param>& out) override;
   void zero_grad() override;
 
+  /// forward() without caching the input; needs L > kernel / 2.
+  Tensor infer(const Tensor& x) const;
+
   std::size_t in_channels() const { return c_in_; }
   std::size_t out_channels() const { return c_out_; }
   std::size_t kernel() const { return k_; }
@@ -70,6 +82,9 @@ class Linear final : public Layer {
   void collect_params(std::vector<Param>& out) override;
   void zero_grad() override;
 
+  /// forward() without caching the input.
+  Tensor infer(const Tensor& x) const;
+
   std::size_t in_features() const { return n_in_; }
   std::size_t out_features() const { return n_out_; }
   std::vector<float>& weight() { return w_; }  // (N_out, N_in)
@@ -93,6 +108,9 @@ class ReLU final : public Layer {
  private:
   Tensor cached_input_;
 };
+
+/// ReLU applied in place (the inference path's activation).
+void relu_inplace(Tensor& t);
 
 /// Mean-squared-error loss; returns loss and writes d(loss)/d(pred) to grad.
 float mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad);

@@ -38,11 +38,15 @@ void Tensor::resize(std::vector<std::size_t> shape) {
   data_.assign(product(shape_), 0.0f);
 }
 
-Tensor Tensor::reshaped(std::vector<std::size_t> shape) const {
+Tensor Tensor::reshaped(std::vector<std::size_t> shape) const& {
+  return Tensor(*this).reshaped(std::move(shape));
+}
+
+Tensor Tensor::reshaped(std::vector<std::size_t> shape) && {
   check(product(shape) == numel(), "reshape must preserve element count");
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = data_;
+  t.data_ = std::move(data_);
   return t;
 }
 

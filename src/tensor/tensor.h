@@ -54,8 +54,10 @@ class Tensor {
   void fill(float v);
   void resize(std::vector<std::size_t> shape);
 
-  /// Reshape without copying; total element count must match.
-  Tensor reshaped(std::vector<std::size_t> shape) const;
+  /// Same data under a new shape; total element count must match. The
+  /// rvalue overload moves the data instead of copying it.
+  Tensor reshaped(std::vector<std::size_t> shape) const&;
+  Tensor reshaped(std::vector<std::size_t> shape) &&;
 
  private:
   std::vector<std::size_t> shape_;

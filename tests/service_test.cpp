@@ -15,7 +15,9 @@
 #include "common/cancellation.h"
 #include "common/check.h"
 #include "core/analytic_predictor.h"
+#include "core/cnn_predictor.h"
 #include "core/parallel_sim.h"
+#include "core/simnet_trainer.h"
 #include "device/fault.h"
 #include "obs/metric_names.h"
 #include "obs/obs.h"
@@ -284,6 +286,44 @@ TEST(Service, ParallelRequestMatchesDirectEngineRun) {
   EXPECT_EQ(r.total_cycles, want.total_cycles);
   EXPECT_EQ(r.instructions, want.instructions);
   EXPECT_DOUBLE_EQ(r.cpi, want.cpi());
+}
+
+TEST(Service, SharedCnnPrimaryMatchesStandaloneRunsWithBatchingOff) {
+  // With batching off every worker calls the one primary directly, so the
+  // CNN's inference path must not write shared state. A trained model: with
+  // random weights the outputs barely react to the input, and a clobbered
+  // window would go unnoticed.
+  const trace::EncodedTrace train = make_trace("perl", 2000);
+  core::SimNetTrainConfig cfg;
+  cfg.model.window = 17;  // a default Request's context length + 1
+  cfg.model.channels = 8;
+  cfg.model.hidden = 16;
+  cfg.epochs = 1;
+  core::CnnPredictor cnn(core::train_simnet({&train}, cfg));
+  core::AnalyticPredictor fallback;
+
+  const char* const benchmarks[] = {"mcf", "lbm", "xz", "exch", "x264", "deep"};
+  std::vector<trace::EncodedTrace> traces;
+  std::vector<core::ParallelSimResult> want;
+  for (std::size_t i = 0; i < std::size(benchmarks); ++i) {
+    traces.push_back(make_trace(benchmarks[i], 800 + 140 * i));
+    want.push_back(reference_run(cnn, traces.back()));
+  }
+
+  ServiceOptions opts;
+  opts.num_workers = 3;
+  SimulationService svc(cnn, fallback, opts);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<SimulationService::Ticket> tickets;
+    for (const auto& tr : traces) tickets.push_back(svc.submit(parallel_request(tr)));
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      const Response r = tickets[i].future.get();
+      ASSERT_EQ(r.status, ResponseStatus::kCompleted) << r.error;
+      EXPECT_FALSE(r.degraded);
+      EXPECT_EQ(r.total_cycles, want[i].total_cycles) << benchmarks[i] << " round " << round;
+      EXPECT_EQ(r.instructions, want[i].instructions);
+    }
+  }
 }
 
 TEST(Service, InvalidRequestFailsTyped) {

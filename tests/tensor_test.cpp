@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -347,6 +350,224 @@ TEST(SimNetModel, SaveLoadRoundTrip) {
   const Tensor y2 = back.forward(x);
   for (std::size_t i = 0; i < y1.numel(); ++i) EXPECT_EQ(y1.at(i), y2.at(i));
   std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------ kernel bit-exactness --
+
+// The scalar forward loops the vectorised kernels replaced, kept as the
+// reference: each output starts at its bias and adds one product at a time
+// in (input channel, tap) order; Conv1D skips zero weights and taps outside
+// the row, Linear multiplies every weight.
+Tensor conv_reference(const Conv1D& conv, const Tensor& x) {
+  const std::size_t B = x.dim(0), c_in = conv.in_channels(),
+                    c_out = conv.out_channels(), k = conv.kernel(), L = x.dim(2);
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k / 2);
+  Tensor y({B, c_out, L});
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t co = 0; co < c_out; ++co) {
+      float* yrow = y.data() + (b * c_out + co) * L;
+      for (std::size_t l = 0; l < L; ++l) yrow[l] = conv.bias()[co];
+      for (std::size_t ci = 0; ci < c_in; ++ci) {
+        const float* xrow = x.data() + (b * c_in + ci) * L;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          const float wv = conv.weight()[(co * c_in + ci) * k + kk];
+          if (wv == 0.0f) continue;
+          const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kk) - pad;
+          const std::size_t lo = off < 0 ? static_cast<std::size_t>(-off) : 0;
+          const std::size_t hi = off > 0 ? L - static_cast<std::size_t>(off) : L;
+          for (std::size_t l = lo; l < hi; ++l) {
+            yrow[l] += wv * xrow[static_cast<std::size_t>(static_cast<std::ptrdiff_t>(l) + off)];
+          }
+        }
+      }
+    }
+  }
+  return y;
+}
+
+Tensor linear_reference(const Linear& fc, const Tensor& x) {
+  const std::size_t B = x.dim(0), n_in = fc.in_features(), n_out = fc.out_features();
+  Tensor y({B, n_out});
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t o = 0; o < n_out; ++o) {
+      float acc = fc.bias()[o];
+      for (std::size_t i = 0; i < n_in; ++i) {
+        acc += fc.weight()[o * n_in + i] * x.data()[b * n_in + i];
+      }
+      y(b, o) = acc;
+    }
+  }
+  return y;
+}
+
+Tensor relu_reference(Tensor t) {
+  for (auto& v : t.flat()) v = v > 0.0f ? v : 0.0f;
+  return t;
+}
+
+Tensor model_reference(const SimNetModel& m, const Tensor& x) {
+  Tensor h = relu_reference(conv_reference(m.conv1(), x));
+  h = relu_reference(conv_reference(m.conv2(), h));
+  h = relu_reference(conv_reference(m.conv3(), h));
+  h = h.reshaped({h.dim(0), h.dim(1) * h.dim(2)});
+  return linear_reference(m.fc2(), relu_reference(linear_reference(m.fc1(), h)));
+}
+
+// Raw float bytes, so -0.0f vs 0.0f and NaN payloads count as differences.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Random parameters exercising the kernels' special cases: every third
+// draw 2:4-prunes the weights, and about a quarter of the biases are -0.0f.
+void randomize(std::vector<float>& w, std::vector<float>& bias, Rng& rng) {
+  for (auto& v : w) v = static_cast<float>(rng.normal());
+  if (rng.next_below(3) == 0) prune_2to4_inplace(w);
+  for (auto& v : bias) v = rng.next_below(4) == 0 ? -0.0f : static_cast<float>(rng.normal());
+}
+
+// Inputs with zero runs (whole zero tensors, zero rows, scattered zeros) and
+// a few infinities, which a zero weight must not turn into NaN.
+void fill_input(Tensor& x, std::size_t row, Rng& rng) {
+  const bool all_zero = rng.next_below(6) == 0;
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const bool zero = all_zero || (i / row) % 5 == 3 || rng.next_below(8) == 0;
+    const bool inf = !zero && rng.next_below(200) == 0;
+    x.at(i) = zero  ? 0.0f
+              : inf ? std::copysign(HUGE_VALF, static_cast<float>(rng.normal()))
+                    : static_cast<float>(rng.normal());
+  }
+}
+
+TEST(Kernels, ConvMatchesScalarLoopsBitForBit) {
+  Rng rng(61);
+  std::size_t cases = 0;
+  for (const std::size_t k : {1, 3, 5}) {
+    for (std::size_t L = k / 2 + 1; L <= 130; ++L) {
+      const std::size_t c_in = 1 + rng.next_below(9), c_out = 1 + rng.next_below(7);
+      const std::size_t B = 1 + rng.next_below(3);
+      Conv1D conv(c_in, c_out, k, rng);
+      randomize(conv.weight(), conv.bias(), rng);
+      Tensor x({B, c_in, L});
+      fill_input(x, L, rng);
+      const Tensor want = conv_reference(conv, x);
+      ASSERT_TRUE(same_bits(conv.infer(x), want)) << "k=" << k << " L=" << L;
+      ASSERT_TRUE(same_bits(conv.forward(x), want)) << "k=" << k << " L=" << L;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 130u + 129u + 128u);
+}
+
+TEST(Kernels, LinearMatchesScalarLoopsBitForBit) {
+  Rng rng(62);
+  for (int t = 0; t < 300; ++t) {
+    const std::size_t n_in = 1 + rng.next_below(t % 10 == 0 ? 1100 : 70);
+    const std::size_t n_out = 1 + rng.next_below(70);
+    const std::size_t B = 1 + rng.next_below(3);
+    Linear fc(n_in, n_out, rng);
+    randomize(fc.weight(), fc.bias(), rng);
+    Tensor x({B, n_in});
+    fill_input(x, n_in, rng);
+    const Tensor want = linear_reference(fc, x);
+    ASSERT_TRUE(same_bits(fc.infer(x), want)) << n_in << "->" << n_out;
+    ASSERT_TRUE(same_bits(fc.forward(x), want)) << n_in << "->" << n_out;
+  }
+}
+
+TEST(Kernels, ModelInferAndForwardMatchScalarLoops) {
+  Rng rng(63);
+  const SimNetModelConfig configs[] = {
+      {.in_features = 50, .window = 33, .channels = 32, .hidden = 64, .kernel = 3, .outputs = 3},
+      {.in_features = 50, .window = 112, .channels = 13, .hidden = 9, .kernel = 3, .outputs = 3},
+      {.in_features = 7, .window = 3, .channels = 5, .hidden = 6, .kernel = 5, .outputs = 2},
+      {.in_features = 6, .window = 17, .channels = 6, .hidden = 18, .kernel = 1, .outputs = 3}};
+  for (const auto& cfg : configs) {
+    SimNetModel m(cfg, 64);
+    if (cfg.channels == 13) prune_model_2to4(m);
+    for (const std::size_t B : {1, 3}) {
+      Tensor x({B, cfg.in_features, cfg.window});
+      fill_input(x, cfg.window, rng);
+      const Tensor want = model_reference(m, x);
+      EXPECT_TRUE(same_bits(m.infer(x), want)) << "window " << cfg.window << " batch " << B;
+      EXPECT_TRUE(same_bits(m.forward(x), want)) << "window " << cfg.window << " batch " << B;
+    }
+  }
+}
+
+TEST(Kernels, RejectWindowShorterThanHalfTheKernel) {
+  Rng rng(65);
+  Conv1D conv(2, 2, 5, rng);
+  EXPECT_THROW(conv.infer(Tensor({1, 2, 2})), CheckError);
+  EXPECT_THROW(conv.forward(Tensor({1, 2, 2})), CheckError);
+  EXPECT_NO_THROW(conv.infer(Tensor({1, 2, 3})));
+
+  SimNetModel m({.in_features = 2, .window = 2, .channels = 2, .hidden = 2, .kernel = 5,
+                 .outputs = 1});
+  EXPECT_THROW(m.infer(Tensor({1, 2, 2})), CheckError);
+  EXPECT_THROW(m.forward(Tensor({1, 2, 2})), CheckError);
+}
+
+// ------------------------------------------------------------ model files --
+
+class ModelFile : public ::testing::Test {
+ protected:
+  // Header: u32 magic, then SimNetModelConfig's six size_t fields in order.
+  static constexpr std::size_t kFieldOffset = sizeof(std::uint32_t);
+  static constexpr std::size_t kChannels = 2;
+
+  void SetUp() override {
+    SimNetModel({.in_features = 6, .window = 5, .channels = 4, .hidden = 7, .kernel = 3,
+                 .outputs = 3},
+                17)
+        .save(path_);
+    std::ifstream is(path_, std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  void set_field(std::size_t field, std::uint64_t v) {
+    std::memcpy(bytes_.data() + kFieldOffset + field * sizeof(std::uint64_t), &v, sizeof v);
+  }
+  void write(std::size_t n) {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc)
+        .write(bytes_.data(), static_cast<std::streamsize>(n));
+  }
+
+  const std::filesystem::path path_ =
+      std::filesystem::temp_directory_path() / "mlsim_model_file_test.bin";
+  std::string bytes_;
+};
+
+TEST_F(ModelFile, TruncatedHeaderThrowsTyped) {
+  write(kFieldOffset + 3 * sizeof(std::uint64_t));
+  EXPECT_THROW(SimNetModel::load(path_), CheckError);
+  write(2);
+  EXPECT_THROW(SimNetModel::load(path_), CheckError);
+}
+
+TEST_F(ModelFile, TruncatedPayloadThrowsTyped) {
+  write(bytes_.size() - 1);
+  EXPECT_THROW(SimNetModel::load(path_), CheckError);
+}
+
+TEST_F(ModelFile, InflatedChannelCountThrowsTypedBeforeAllocating) {
+  for (const std::uint64_t channels :
+       {std::uint64_t{40}, std::uint64_t{1} << 40, ~std::uint64_t{0}, std::uint64_t{0}}) {
+    set_field(kChannels, channels);
+    write(bytes_.size());
+    EXPECT_THROW(SimNetModel::load(path_), CheckError) << channels;
+  }
+}
+
+TEST_F(ModelFile, WindowShorterThanHalfTheKernelThrowsTyped) {
+  // Well formed, but the model could never run: "same" padding needs
+  // window > kernel / 2.
+  SimNetModel({.in_features = 3, .window = 2, .channels = 2, .hidden = 2, .kernel = 5,
+               .outputs = 1})
+      .save(path_);
+  EXPECT_THROW(SimNetModel::load(path_), CheckError);
 }
 
 // ------------------------------------------------------------------- adam --
