@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
   const double local_err = std::abs(local.cpi() - truth_cpi) / truth_cpi;
 
   // Merge overhead in isolation: recompute every shard outcome in-process
-  // and time only ShardMerger::add + finish — the work the coordinator does
-  // on top of pure shard compute.
+  // and time only the ledger absorb + finalize — the work the coordinator
+  // does on top of pure shard compute.
   const core::ShardPlan plan = core::ShardPlan::make(tr.size(), opts);
   std::vector<core::ShardOutcome> outcomes;
   for (std::size_t s = 0; s < plan.num_shards; ++s) {
@@ -87,10 +87,9 @@ int main(int argc, char** argv) {
     outcomes.push_back(engine.block_outcome(plan.shard_lo(s), plan.shard_hi(s)));
   }
   const auto tm = std::chrono::steady_clock::now();
-  core::ShardMerger merger(plan, opts.record_predictions,
-                           opts.record_context_counts);
-  for (const auto& o : outcomes) merger.add(o);
-  const auto merged = merger.finish(opts, 0);
+  core::ShardOutcome ledger = core::ShardOutcome::full(plan, opts);
+  for (const auto& o : outcomes) ledger.absorb(plan, o);
+  const auto merged = core::finalize(opts, plan, ledger, 0);
   const double merge_s = seconds_since(tm);
 
   Table t({"workers", "wall s", "speedup", "MIPS (real)", "merge %",

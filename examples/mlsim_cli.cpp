@@ -19,7 +19,7 @@
 //             at rate R in [0,1];
 //         --fault-seed=S   deterministic injection seed (default 1);
 //         --retries=N      per-partition retry budget (default 3);
-//         --checkpoint[=path]  periodic per-partition checkpointing
+//         --checkpoint[=path]  checkpoint after every partition
 //             (default path lives in the artifact cache);
 //         --resume         continue from the checkpoint if one exists.
 //
@@ -211,6 +211,15 @@ std::size_t parse_size(const char* what, const std::string& text) {
     throw UsageError(std::string(what) + ": '" + text + "' is too large");
   }
   return static_cast<std::size_t>(v);
+}
+
+/// A count/interval flag that must be at least 1.
+std::uint64_t parse_positive(const char* what, const std::string& text) {
+  const std::uint64_t v = parse_u64(what, text);
+  if (v == 0) {
+    throw UsageError(std::string(what) + ": '" + text + "' must be >= 1");
+  }
+  return v;
 }
 
 double parse_finite(const char* what, const std::string& text) {
@@ -430,9 +439,12 @@ int cmd_simulate(int argc, char** argv) {
     } else if (s.rfind("--set=", 0) == 0) {
       sets.push_back(split_axis_flag("--set", s.substr(6)));
     }
-    else if (s.rfind("--gpus=", 0) == 0) gpus = parse_size("--gpus", s.substr(7));
+    else if (s.rfind("--gpus=", 0) == 0) {
+      gpus = static_cast<std::size_t>(parse_positive("--gpus", s.substr(7)));
+    }
     else if (s.rfind("--context=", 0) == 0) {
-      context = parse_size("--context", s.substr(10));
+      context = static_cast<std::size_t>(
+          parse_positive("--context", s.substr(10)));
     }
     else if (s == "--no-recovery") recovery = false;
     else if (s.rfind("--fault-kill=", 0) == 0) {
@@ -568,8 +580,13 @@ int cmd_suite(int argc, char** argv) {
     pos.push_back(s);
   }
   const std::size_t n =
-      pos.size() > 0 ? parse_size("<instructions-per-benchmark>", pos[0]) : 50000;
-  const std::size_t gpus = pos.size() > 1 ? parse_size("<gpus>", pos[1]) : 4;
+      pos.size() > 0 ? static_cast<std::size_t>(parse_positive(
+                           "<instructions-per-benchmark>", pos[0]))
+                     : 50000;
+  const std::size_t gpus =
+      pos.size() > 1
+          ? static_cast<std::size_t>(parse_positive("<gpus>", pos[1]))
+          : 4;
   enable_obs(obs_flags);
   std::printf("simulating all 21 benchmarks, %zu instructions each, across "
               "%zu modeled GPUs (LPT schedule)\n", n, gpus);
@@ -650,8 +667,11 @@ int cmd_stream(int argc, char** argv) {
     return 2;
   }
   const std::string abbr = pos[0];
-  const std::uint64_t n = parse_u64("<instructions>", pos[1]);
-  const std::size_t ctx = pos.size() > 2 ? parse_size("[context]", pos[2]) : 64;
+  const std::uint64_t n = parse_positive("<instructions>", pos[1]);
+  const std::size_t ctx =
+      pos.size() > 2
+          ? static_cast<std::size_t>(parse_positive("[context]", pos[2]))
+          : 64;
   enable_obs(obs_flags);
   trace::LabeledTraceStream stream(trace::find_workload(abbr));
   core::AnalyticPredictor pred;
@@ -673,15 +693,6 @@ std::uint16_t parse_port(const char* what, const std::string& text) {
                      "' is not a TCP port (0-65535)");
   }
   return static_cast<std::uint16_t>(v);
-}
-
-/// A count/interval flag that must be at least 1.
-std::uint64_t parse_positive(const char* what, const std::string& text) {
-  const std::uint64_t v = parse_u64(what, text);
-  if (v == 0) {
-    throw UsageError(std::string(what) + ": '" + text + "' must be >= 1");
-  }
-  return v;
 }
 
 int cmd_coordinator(int argc, char** argv) {
@@ -722,11 +733,13 @@ int cmd_coordinator(int argc, char** argv) {
           parse_u64("--timeout-ms", s.substr(13)),
           std::numeric_limits<int>::max()));
     } else if (s.rfind("--parallel=", 0) == 0) {
-      parallel = parse_size("--parallel", s.substr(11));
+      parallel = static_cast<std::size_t>(
+          parse_positive("--parallel", s.substr(11)));
     } else if (s.rfind("--gpus=", 0) == 0) {
-      gpus = parse_size("--gpus", s.substr(7));
+      gpus = static_cast<std::size_t>(parse_positive("--gpus", s.substr(7)));
     } else if (s.rfind("--context=", 0) == 0) {
-      context = parse_size("--context", s.substr(10));
+      context = static_cast<std::size_t>(
+          parse_positive("--context", s.substr(10)));
     } else if (s == "--no-recovery") {
       recovery = false;
     } else if (s.rfind("--fault-worker-kill=", 0) == 0) {
@@ -968,11 +981,13 @@ int cmd_serve(int argc, char** argv) {
       telemetry_port = parse_port("--telemetry-port", s.substr(17));
       have_telemetry = true;
     } else if (s.rfind("--workers=", 0) == 0) {
-      workers = parse_size("--workers", s.substr(10));
+      workers =
+          static_cast<std::size_t>(parse_positive("--workers", s.substr(10)));
     } else if (s.rfind("--queue=", 0) == 0) {
-      queue = parse_size("--queue", s.substr(8));
+      queue = static_cast<std::size_t>(parse_positive("--queue", s.substr(8)));
     } else if (s.rfind("--parallel=", 0) == 0) {
-      parallel = parse_size("--parallel", s.substr(11));
+      parallel = static_cast<std::size_t>(
+          parse_positive("--parallel", s.substr(11)));
     } else if (s.rfind("--deadline-ms=", 0) == 0) {
       deadline_ms = parse_u64("--deadline-ms", s.substr(14));
     } else if (s.rfind("--tenant-quota=", 0) == 0) {

@@ -12,34 +12,7 @@ namespace mlsim {
 /// Welford online mean/variance with min/max tracking.
 class RunningStats {
  public:
-  /// Complete accumulator state, exposed so long-running consumers (e.g. the
-  /// parallel engine's checkpoint) can serialize and later restore() an
-  /// accumulator bit-identically mid-stream.
-  struct State {
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-
-  RunningStats() = default;
-
-  State state() const {
-    return {static_cast<std::uint64_t>(n_), mean_, m2_, min_, max_};
-  }
-  static RunningStats restore(const State& s) {
-    RunningStats r;
-    r.n_ = static_cast<std::size_t>(s.n);
-    r.mean_ = s.mean;
-    r.m2_ = s.m2;
-    r.min_ = s.min;
-    r.max_ = s.max;
-    return r;
-  }
-
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }

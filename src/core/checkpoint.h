@@ -4,12 +4,12 @@
 // FNV-1a payload checksum so a file torn by process death is detected and
 // rejected on load rather than silently resumed from:
 //
-//   ParallelCheckpoint — per-partition progress of a ParallelSimulator run:
-//       completed-partition index, accumulated per-partition Clocks/steps,
-//       the end-of-partition context ring (the state post-error correction
-//       resumes from), the occupancy accumulator, and the fault-recovery
-//       bookkeeping. Resuming replays the remaining partitions and is
-//       bit-identical to an uninterrupted run.
+//   RunCheckpoint — resume point of a ParallelSimulator run, written after
+//       every partition: the run fingerprint, the correction snapshot, and
+//       the run ledger (core/shard.h) of the completed partitions
+//       [0, next), in the same put_outcome layout the dist Result frame
+//       uses. Resuming absorbs that prefix into a fresh engine and replays
+//       the remaining partitions, bit-identical to an uninterrupted run.
 //   SuiteCheckpoint — per-job results of a run_suite() sweep so a killed
 //       suite run re-simulates only the jobs it had not finished.
 //
@@ -22,52 +22,31 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
+#include "core/shard.h"
 
 namespace mlsim::core {
 
-struct ParallelCheckpoint {
+/// Envelope magic of a RunCheckpoint file ("MLCL"), distinct from every
+/// other magic in the repo. The older "MLCK" layout carried the same
+/// fingerprint, so a file in it fails on its first four bytes instead of
+/// being misparsed.
+inline constexpr std::uint32_t kRunCheckpointMagic = 0x4d4c434c;
+
+struct RunCheckpoint {
   std::uint64_t fingerprint = 0;
-  std::uint64_t next_partition = 0;  // first partition NOT yet completed
-  std::uint64_t num_partitions = 0;
-  std::uint64_t ring_capacity = 0;
-
-  // Result accumulators.
-  std::uint64_t warmup_instructions = 0;
-  std::uint64_t corrected_instructions = 0;
-  std::uint64_t retries = 0;
-  double backoff_us = 0.0;
-  RunningStats::State occupancy;
-
-  // End-of-previous-partition snapshot driving post-error correction.
-  std::uint64_t prev_clock = 0;
-  std::uint64_t prev_oldest = 0;
-  std::vector<std::uint64_t> prev_ring;  // empty = no snapshot yet
-
-  // Per-partition accounting (full length; entries >= next_partition are 0).
-  std::vector<std::uint64_t> partition_cycles;
-  std::vector<std::uint64_t> partition_steps;
-  std::vector<std::uint64_t> partition_wasted;
-  std::vector<std::uint32_t> final_attempt;
-
-  // Fault-recovery bookkeeping.
-  std::vector<std::uint64_t> failed_partitions;
-  std::vector<std::uint64_t> degraded_partitions;
-  std::vector<std::uint8_t> gpu_lost;  // one flag per modeled GPU
-
-  // Recorded outputs for the completed prefix (present only when the run
-  // records them; 3 values per instruction for predictions).
-  std::vector<std::uint32_t> predictions;
-  std::vector<std::uint16_t> context_counts;
+  CorrectionSnapshot snapshot;
+  ShardOutcome ledger;  // partitions [0, next partition to run)
 };
 
 /// Serialize atomically to `path`. Throws IoError on filesystem failure.
 void save_checkpoint(const std::filesystem::path& path,
-                     const ParallelCheckpoint& ck);
+                     const RunCheckpoint& ck);
 
 /// Load `path` into `ck`. Returns false if the file does not exist; throws
-/// CheckError if it exists but is truncated, corrupt, or checksum-mismatched.
-bool load_checkpoint(const std::filesystem::path& path, ParallelCheckpoint& ck);
+/// CheckError if it exists but is truncated, corrupt, checksum-mismatched,
+/// or not in this layout. ShardEngine::resume checks the contents against
+/// the run.
+bool load_checkpoint(const std::filesystem::path& path, RunCheckpoint& ck);
 
 struct SuiteCheckpointJob {
   std::string name;

@@ -14,9 +14,6 @@ namespace mlsim::core {
 ParallelSimulator::ParallelSimulator(LatencyPredictor& predictor,
                                      ParallelSimOptions opts)
     : predictor_(predictor), opts_(std::move(opts)) {
-  check(opts_.num_subtraces > 0, "need at least one sub-trace");
-  check(opts_.num_gpus > 0, "need at least one GPU");
-  check(opts_.context_length > 0, "context length must be positive");
   check(opts_.retry_backoff_us >= 0.0, "retry backoff must be non-negative");
   check(!opts_.resume || !opts_.checkpoint_path.empty(),
         "resume requires a checkpoint path");
@@ -86,173 +83,56 @@ double model_parallel_time_us(const ParallelSimOptions& opts,
 }
 
 ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
-  ParallelSimResult res;
-  const std::size_t n = trace.size();
-  res.instructions = n;
-  if (n == 0) return res;
+  if (trace.size() == 0) return {};
 
   MLSIM_TRACE_SPAN("parallel_sim/run");
 
-  const ShardPlan plan = ShardPlan::make(n, opts_);
-  const std::size_t P = plan.parts;
-  const std::size_t G = plan.gpus;
-  const std::size_t cap = opts_.context_length;  // retire-ring capacity
-  res.boundaries = plan.boundaries;
-
+  const ShardPlan plan = ShardPlan::make(trace.size(), opts_);
   ShardEngine engine(predictor_, trace, opts_, plan);
-  std::size_t start_p = 0;
-
-  const std::uint64_t fp = run_fingerprint(trace, opts_, P);
+  const std::uint64_t fp = run_fingerprint(trace, opts_, plan.parts);
   const bool checkpointing = !opts_.checkpoint_path.empty();
+  std::size_t start_p = 0;
+  std::string resume_error;
 
-  // ---- resume ---------------------------------------------------------------
+  // Resume is load, validate, absorb: a checkpoint that fails any check
+  // leaves the engine untouched, so lenient mode starts clean.
   if (checkpointing && opts_.resume) {
-    ParallelCheckpoint ck;
-    bool have_checkpoint = false;
     try {
-      have_checkpoint = load_checkpoint(opts_.checkpoint_path, ck);
-      if (have_checkpoint) {
-        // Validate everything before restoring any state, so lenient mode
-        // can fall back to a pristine clean start.
+      RunCheckpoint ck;
+      if (load_checkpoint(opts_.checkpoint_path, ck)) {
         check(ck.fingerprint == fp,
               "checkpoint was written by a different trace/options: " +
                   opts_.checkpoint_path.string());
-        check(ck.num_partitions == P && ck.ring_capacity == cap &&
-                  ck.gpu_lost.size() == G,
-              "checkpoint shape mismatch: " + opts_.checkpoint_path.string());
-        const std::size_t prefix = res.boundaries[ck.next_partition];
-        if (opts_.record_predictions) {
-          check(ck.predictions.size() == 3 * prefix,
-                "checkpoint prediction prefix mismatch: " +
-                    opts_.checkpoint_path.string());
-        }
-        if (opts_.record_context_counts) {
-          check(ck.context_counts.size() == prefix,
-                "checkpoint context-count prefix mismatch: " +
-                    opts_.checkpoint_path.string());
-        }
+        engine.resume(ck.snapshot, ck.ledger);
+        start_p = ck.ledger.part_hi;
       }
     } catch (const CheckError& e) {
       if (!opts_.resume_lenient) throw;
-      res.resume_error = e.what();
-      have_checkpoint = false;
-    }
-    if (have_checkpoint) {
-      start_p = ck.next_partition;
-      engine.warmup_instructions = ck.warmup_instructions;
-      engine.corrected_instructions = ck.corrected_instructions;
-      engine.retries = ck.retries;
-      engine.backoff_us = ck.backoff_us;
-      engine.occupancy = RunningStats::restore(ck.occupancy);
-      engine.prev_clock = ck.prev_clock;
-      engine.prev_oldest = ck.prev_oldest;
-      engine.prev_ring = ck.prev_ring;
-      std::copy(ck.partition_cycles.begin(), ck.partition_cycles.end(),
-                engine.partition_cycles.begin());
-      for (std::size_t p = 0; p < P; ++p) {
-        engine.partition_steps[p] = ck.partition_steps[p];
-        engine.partition_wasted[p] = ck.partition_wasted[p];
-        engine.final_attempt[p] = ck.final_attempt[p];
-      }
-      for (const std::uint64_t p : ck.failed_partitions) {
-        engine.failed[p] = 1;
-        engine.failed_list.push_back(p);
-      }
-      for (const std::uint64_t p : ck.degraded_partitions) {
-        engine.degraded[p] = 1;
-        engine.degraded_list.push_back(p);
-      }
-      engine.gpu_lost = ck.gpu_lost;
-      const std::size_t prefix = res.boundaries[start_p];
-      if (opts_.record_predictions) {
-        for (std::size_t i = 0; i < prefix; ++i) {
-          engine.predictions[i] = {ck.predictions[3 * i],
-                                   ck.predictions[3 * i + 1],
-                                   ck.predictions[3 * i + 2]};
-        }
-      }
-      if (opts_.record_context_counts) {
-        std::copy(ck.context_counts.begin(), ck.context_counts.end(),
-                  engine.context_counts.begin());
-      }
-      res.resumed = true;
+      resume_error = e.what();
     }
   }
-
-  auto write_checkpoint = [&](std::size_t next_p) {
-    ParallelCheckpoint ck;
-    ck.fingerprint = fp;
-    ck.next_partition = next_p;
-    ck.num_partitions = P;
-    ck.ring_capacity = cap;
-    ck.warmup_instructions = engine.warmup_instructions;
-    ck.corrected_instructions = engine.corrected_instructions;
-    ck.retries = engine.retries;
-    ck.backoff_us = engine.backoff_us;
-    ck.occupancy = engine.occupancy.state();
-    ck.prev_clock = engine.prev_clock;
-    ck.prev_oldest = engine.prev_oldest;
-    ck.prev_ring = engine.prev_ring;
-    ck.partition_cycles = engine.partition_cycles;
-    ck.partition_steps.assign(engine.partition_steps.begin(),
-                              engine.partition_steps.end());
-    ck.partition_wasted.assign(engine.partition_wasted.begin(),
-                               engine.partition_wasted.end());
-    ck.final_attempt = engine.final_attempt;
-    ck.failed_partitions.assign(engine.failed_list.begin(),
-                                engine.failed_list.end());
-    ck.degraded_partitions.assign(engine.degraded_list.begin(),
-                                  engine.degraded_list.end());
-    ck.gpu_lost = engine.gpu_lost;
-    const std::size_t prefix = res.boundaries[next_p];
-    if (opts_.record_predictions) {
-      ck.predictions.reserve(3 * prefix);
-      for (std::size_t i = 0; i < prefix; ++i) {
-        ck.predictions.push_back(engine.predictions[i].fetch);
-        ck.predictions.push_back(engine.predictions[i].exec);
-        ck.predictions.push_back(engine.predictions[i].store);
-      }
-    }
-    if (opts_.record_context_counts) {
-      ck.context_counts.assign(engine.context_counts.begin(),
-                               engine.context_counts.begin() +
-                                   static_cast<std::ptrdiff_t>(prefix));
-    }
-    save_checkpoint(opts_.checkpoint_path, ck);
-    MLSIM_COUNTER_ADD(obs::names::kParSimCheckpointWrites, 1);
-  };
 
   const device::FaultInjector* faults =
       (opts_.faults != nullptr && opts_.faults->enabled()) ? opts_.faults
                                                            : nullptr;
-  for (std::size_t p = start_p; p < P; ++p) {
+  for (std::size_t p = start_p; p < plan.parts; ++p) {
     engine.run_partition(p);
-    const std::size_t done = p + 1;
-    if (checkpointing &&
-        (done == P ||
-         done % std::max<std::size_t>(1, opts_.checkpoint_interval) == 0)) {
-      write_checkpoint(done);
+    if (checkpointing) {
+      save_checkpoint(opts_.checkpoint_path,
+                      {fp, engine.snapshot(), engine.block_outcome(0, p + 1)});
+      MLSIM_COUNTER_ADD(obs::names::kParSimCheckpointWrites, 1);
     }
-    if (faults != nullptr && faults->dies_after(done)) {
+    if (faults != nullptr && faults->dies_after(p + 1)) {
       throw device::InjectedCrash("injected process death after partition " +
                                   std::to_string(p));
     }
   }
 
-  res.warmup_instructions = engine.warmup_instructions;
-  res.corrected_instructions = engine.corrected_instructions;
-  res.retries = engine.retries;
-  res.failed_partitions = engine.failed_list;
-  res.degraded_partitions = engine.degraded_list;
-  res.predictions = std::move(engine.predictions);
-  res.context_counts = std::move(engine.context_counts);
-
-  finalize_parallel_result(opts_, plan, engine.partition_cycles,
-                           engine.partition_steps, engine.partition_wasted,
-                           engine.final_attempt, engine.gpu_lost,
-                           engine.backoff_us, engine.occupancy,
-                           predictor_.flops_per_window(opts_.context_length + 1),
-                           res);
+  ParallelSimResult res =
+      finalize(opts_, plan, engine.ledger(),
+               predictor_.flops_per_window(opts_.context_length + 1));
+  res.resumed = start_p > 0;
+  res.resume_error = std::move(resume_error);
 
   // The run completed: a stale checkpoint must not hijack a future run.
   if (checkpointing) {

@@ -22,7 +22,7 @@
 // re-warmup under a retry budget with exponential backoff in modeled time),
 // stragglers (modeled slowdown), and corrupted inference outputs (per-batch
 // anomaly guard with graceful degradation to a fallback predictor). With
-// periodic checkpointing enabled, a killed run resumes bit-identically.
+// checkpointing enabled, a killed run resumes bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +77,8 @@ struct ParallelSimOptions {
   double retry_backoff_us = 50.0;
 
   // ---- Checkpoint/restart --------------------------------------------------
-  /// When non-empty, per-partition progress is periodically serialized here
-  /// (atomic rename + checksum); removed once the run completes.
+  /// When non-empty, the run's progress is serialized here after every
+  /// partition (atomic rename + checksum); removed once the run completes.
   std::filesystem::path checkpoint_path;
   /// Resume from checkpoint_path if a valid checkpoint exists (fresh run
   /// otherwise). The checkpoint fingerprint must match this trace + options.
@@ -89,8 +89,6 @@ struct ParallelSimOptions {
   /// — the mode for unattended services where a torn checkpoint must never
   /// wedge the run.
   bool resume_lenient = false;
-  /// Completed partitions between checkpoint writes.
-  std::size_t checkpoint_interval = 1;
 
   /// Cooperative cancellation: polled once per instruction; a cancelled or
   /// past-deadline run throws CancelledError. nullptr = never cancelled.

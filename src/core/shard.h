@@ -4,29 +4,32 @@
 // modeled GPU — the natural unit of distribution, because the paper's
 // post-error correction never crosses a GPU boundary (zero inter-GPU
 // communication), so a shard is simulatable with no state from any other
-// shard. This header extracts the partition-execution body out of
-// ParallelSimulator::run into pieces reused by both executors:
+// shard. Every executor of a partitioned run is built from these pieces:
 //
 //   ShardPlan    — partition boundaries + the block layout (who owns what);
-//   ShardEngine  — runs partitions in ascending order, carrying the
-//                  cross-partition state (retire ring, end-of-partition
-//                  snapshot) and all accumulators. The in-process
-//                  ParallelSimulator drives one engine over every partition
-//                  (and checkpoints its public state); a distributed worker
-//                  drives one over just its block;
-//   ShardOutcome — the serializable result of one block, merged by
-//                  ShardMerger. Every CPI-bearing field is an integer, so
-//                  the merge is associative and the distributed result is
-//                  bit-identical to the single-process engine on the same
-//                  trace and seed (sim_time_us may differ in final bits:
-//                  occupancy statistics merge with different float rounding
-//                  than sequential accumulation).
+//   ShardOutcome — the run ledger over a partition range: per-partition
+//                  accounting, fault bookkeeping, occupancy counts, and the
+//                  recorded outputs. It is the only record of a partitioned
+//                  run. The engine keeps its state in a full-plan ledger, a
+//                  distributed worker ships a slice of it in its Result
+//                  frame, the in-process checkpoint stores its completed
+//                  prefix (both through put_outcome/get_outcome), and
+//                  absorb() merges slices back. Every field but the backoff
+//                  sum is an integer, and the backoff terms are whole
+//                  microseconds at the default settings, so every merge is
+//                  exact: the distributed and resumed results are
+//                  bit-identical to one uninterrupted in-process run;
+//   ShardEngine  — runs partitions in ascending order into its ledger,
+//                  carrying the retire ring and the end-of-partition
+//                  correction snapshot across calls;
+//   finalize     — the one tail of every partitioned run, turning a
+//                  full-plan ledger into a ParallelSimResult.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
+#include "common/wire.h"
 #include "core/parallel_sim.h"
 
 namespace mlsim::core {
@@ -42,6 +45,8 @@ struct ShardPlan {
   std::size_t per_gpu = 0;              // ceil(P / G): block size
   std::size_t num_shards = 0;           // ceil(P / per_gpu) <= G
 
+  /// Throws CheckError unless n, num_subtraces, num_gpus and context_length
+  /// are all at least 1 — the one gate every executor passes through.
   static ShardPlan make(std::size_t n, const ParallelSimOptions& opts);
 
   std::size_t gpu_of(std::size_t p) const { return p / per_gpu; }
@@ -53,41 +58,65 @@ struct ShardPlan {
   }
 };
 
-/// Serializable outcome of one shard — everything the merge needs to
-/// reconstruct the block's contribution to a ParallelSimResult.
+/// The run ledger over partitions [part_lo, part_hi) of a plan.
 struct ShardOutcome {
   std::uint64_t part_lo = 0;
   std::uint64_t part_hi = 0;
 
   // Per-partition accounting, size part_hi - part_lo.
   std::vector<std::uint64_t> partition_cycles;
-  std::vector<std::uint64_t> partition_steps;
-  std::vector<std::uint64_t> partition_wasted;
-  std::vector<std::uint32_t> final_attempt;
+  std::vector<std::uint64_t> partition_steps;   // incl. warmup + corrections
+  std::vector<std::uint64_t> partition_wasted;  // burnt by failed attempts
+  std::vector<std::uint32_t> final_attempt;     // successful attempt index
 
-  // Fault-recovery bookkeeping (absolute partition indices).
-  std::vector<std::uint64_t> failed_partitions;
-  std::vector<std::uint64_t> degraded_partitions;
+  // Fault-recovery bookkeeping (absolute partition indices, completion
+  // order). A GPU slot is lost exactly when one of its partitions failed.
+  std::vector<std::uint64_t> failed_partitions;    // hit by a device kill
+  std::vector<std::uint64_t> degraded_partitions;  // finished on the fallback
   std::uint64_t warmup_instructions = 0;
   std::uint64_t corrected_instructions = 0;
   std::uint64_t retries = 0;
   double backoff_us = 0.0;
-  std::uint8_t gpu_lost = 0;
 
-  /// Context-occupancy samples drawn inside this block.
-  RunningStats::State occupancy;
+  /// Context occupancy, sampled every 64th simulated instruction: the
+  /// number of samples and the sum of their context counts.
+  std::uint64_t occupancy_samples = 0;
+  std::uint64_t occupancy_sum = 0;
 
   /// Recorded outputs for instruction range [boundaries[lo], boundaries[hi])
   /// (present only when the run records them).
   std::vector<LatencyPrediction> predictions;
   std::vector<std::uint16_t> context_counts;
+
+  /// Zeroed ledger over every partition of `plan`, with the recorded-output
+  /// arrays `opts` asks for.
+  static ShardOutcome full(const ShardPlan& plan,
+                           const ParallelSimOptions& opts);
+
+  /// Merge `o`, a ledger over a sub-range of this one, into this ledger:
+  /// per-partition entries and recorded outputs are copied into place, fault
+  /// lists appended, counters summed. Throws CheckError, leaving this ledger
+  /// untouched, unless `o` lies inside this range and is shaped for it.
+  void absorb(const ShardPlan& plan, const ShardOutcome& o);
 };
 
-/// Executes partitions of a partitioned run in ascending order, carrying
-/// the retire ring and the end-of-previous-partition snapshot across calls.
-/// All state is public: the in-process ParallelSimulator checkpoints and
-/// restores it; distributed workers serialize a block of it via
-/// block_outcome(). `predictor`, `trace`, `opts`, and `plan` must outlive
+/// The ledger's codec, shared by the dist Result frame and the checkpoint.
+/// get_outcome reads every field, bounding each count by the bytes left; it
+/// checks no shape (absorb does).
+void put_outcome(wire::Writer& w, const ShardOutcome& o);
+ShardOutcome get_outcome(wire::Reader& r);
+
+/// End state of the last completed partition: the retire ring, Clock, and
+/// oldest in-window instruction that post-error correction of the next
+/// partition starts from. `prev_ring` is empty before the first snapshot.
+struct CorrectionSnapshot {
+  std::uint64_t prev_clock = 0;
+  std::uint64_t prev_oldest = 0;
+  std::vector<std::uint64_t> prev_ring;
+};
+
+/// Executes partitions of a partitioned run in ascending order into a
+/// full-plan ledger. `predictor`, `trace`, `opts`, and `plan` must outlive
 /// the engine.
 class ShardEngine {
  public:
@@ -101,36 +130,18 @@ class ShardEngine {
   /// independent), skipping within a block is not.
   void run_partition(std::size_t p);
 
-  /// Extract the outcome of block [part_lo, part_hi). Meaningful when the
-  /// engine ran exactly that block (distributed worker) — accumulator
-  /// totals are engine-wide.
+  /// Continue a run whose partitions [0, prefix.part_hi) completed earlier.
+  /// Validates the snapshot and the prefix before touching the engine
+  /// (CheckError otherwise); call on a fresh engine.
+  void resume(const CorrectionSnapshot& snapshot, const ShardOutcome& prefix);
+
+  const ShardOutcome& ledger() const { return ledger_; }
+  const CorrectionSnapshot& snapshot() const { return snapshot_; }
+
+  /// Slice [part_lo, part_hi) of the ledger. Counters and fault lists are
+  /// engine-wide, so the slice is exact when the engine ran (or resumed)
+  /// exactly that range: a worker's block, or a checkpoint's prefix.
   ShardOutcome block_outcome(std::size_t part_lo, std::size_t part_hi) const;
-
-  // ---- cross-partition state (checkpointed by ParallelSimulator) -----------
-  std::vector<std::uint64_t> partition_cycles;
-  std::vector<std::size_t> partition_steps;   // incl. warmup + corrections
-  std::vector<std::size_t> partition_wasted;  // burnt by failed attempts
-  std::vector<std::uint32_t> final_attempt;   // successful attempt index
-  std::vector<std::uint8_t> degraded;         // running on the fallback
-  std::vector<std::uint8_t> failed;           // hit by a device kill
-  std::vector<std::uint8_t> gpu_lost;         // slots killed mid-run (size G)
-  std::vector<std::uint64_t> prev_ring;  // end-of-previous-partition snapshot
-  std::uint64_t prev_clock = 0;
-  std::size_t prev_oldest = 0;
-
-  RunningStats occupancy;  // sampled context occupancy (drives the cost model)
-  double backoff_us = 0.0;
-  std::size_t warmup_instructions = 0;
-  std::size_t corrected_instructions = 0;
-  std::size_t retries = 0;
-  /// Partitions hit by a kill / finished degraded, in completion order.
-  std::vector<std::size_t> failed_list;
-  std::vector<std::size_t> degraded_list;
-
-  /// Recorded per-instruction outputs (full trace length when recording;
-  /// a block worker fills only its range).
-  std::vector<LatencyPrediction> predictions;
-  std::vector<std::uint16_t> context_counts;
 
  private:
   void charge_retry(std::size_t part, std::size_t& attempt, const char* why);
@@ -141,49 +152,13 @@ class ShardEngine {
   const ShardPlan& plan_;
   const device::FaultInjector* faults_;  // null when disabled
 
+  ShardOutcome ledger_;
+  CorrectionSnapshot snapshot_;
+
   std::vector<std::uint32_t> fetch_lat_;
   std::vector<std::vector<std::uint16_t>> head_counts_;
   std::vector<std::uint64_t> ring_;
   std::vector<std::int32_t> sink_window_;  // materialised window for batch_sink
-};
-
-/// Merges shard outcomes (added in ascending part_lo order) back into full
-/// per-partition arrays and a ParallelSimResult. Integer merges are plain
-/// sums/copies, so CPI, cycle totals, predictions, and every counter are
-/// bit-identical to an in-process run over the same plan.
-class ShardMerger {
- public:
-  explicit ShardMerger(const ShardPlan& plan, bool record_predictions,
-                       bool record_context_counts);
-
-  /// Throws CheckError if the outcome's shape does not match the plan.
-  void add(const ShardOutcome& o);
-
-  /// True once every partition in the plan has been covered.
-  bool complete() const { return covered_ == plan_.parts; }
-
-  /// Finalize into `res` (boundaries, counters, cycles, modeled time).
-  /// `predictor_flops` feeds the time model exactly as the in-process
-  /// engine's predictor would.
-  ParallelSimResult finish(const ParallelSimOptions& opts,
-                           std::size_t predictor_flops) const;
-
- private:
-  const ShardPlan& plan_;
-  std::size_t covered_ = 0;
-
-  std::vector<std::uint64_t> partition_cycles_;
-  std::vector<std::size_t> partition_steps_;
-  std::vector<std::size_t> partition_wasted_;
-  std::vector<std::uint32_t> final_attempt_;
-  std::vector<std::uint8_t> gpu_lost_;
-  std::vector<std::size_t> failed_;
-  std::vector<std::size_t> degraded_;
-  std::size_t warmup_ = 0, corrected_ = 0, retries_ = 0;
-  double backoff_us_ = 0.0;
-  RunningStats occupancy_;
-  std::vector<LatencyPrediction> predictions_;
-  std::vector<std::uint16_t> context_counts_;
 };
 
 /// Identity of a (trace, options) pair: checkpoints may only resume into —
@@ -193,20 +168,13 @@ class ShardMerger {
 std::uint64_t run_fingerprint(const trace::EncodedTrace& tr,
                               const ParallelSimOptions& o, std::size_t parts);
 
-/// Shared tail of a partitioned run: sums per-partition cycles, applies the
-/// straggler/penalty terms, and computes the modeled simulated time. Fills
-/// total_cycles, sim_time_us, lost_devices, and retry_backoff_us of `res`
-/// (whose instruction/recovery counters are already set) and emits the
-/// engine-level obs gauges.
-void finalize_parallel_result(const ParallelSimOptions& opts,
-                              const ShardPlan& plan,
-                              const std::vector<std::uint64_t>& partition_cycles,
-                              const std::vector<std::size_t>& partition_steps,
-                              const std::vector<std::size_t>& partition_wasted,
-                              const std::vector<std::uint32_t>& final_attempt,
-                              const std::vector<std::uint8_t>& gpu_lost,
-                              double backoff_us, const RunningStats& occupancy,
-                              std::size_t predictor_flops,
-                              ParallelSimResult& res);
+/// Shared tail of every partitioned run, in-process or merged from shards:
+/// sums per-partition cycles, derives the lost devices from the failed
+/// partitions, computes the modeled simulated time from the ledger, and
+/// emits the engine-level obs gauges. `ledger` must cover the whole plan;
+/// `predictor_flops` feeds the time model (0 = opts' assumed FLOPs).
+ParallelSimResult finalize(const ParallelSimOptions& opts,
+                           const ShardPlan& plan, const ShardOutcome& ledger,
+                           std::size_t predictor_flops);
 
 }  // namespace mlsim::core

@@ -650,10 +650,9 @@ core::ParallelSimResult DistCoordinator::run(
     refresh_health(&rs);
   }
 
-  core::ShardMerger merger(plan, opts.record_predictions,
-                           opts.record_context_counts);
-  for (const Shard& s : rs.shards) merger.add(s.outcome);
-  res = merger.finish(opts, /*predictor_flops=*/0);
+  core::ShardOutcome ledger = core::ShardOutcome::full(plan, opts);
+  for (const Shard& s : rs.shards) ledger.absorb(plan, s.outcome);
+  res = core::finalize(opts, plan, ledger, /*predictor_flops=*/0);
   if (journal_.enabled()) {
     journal_.run_close(session_, RunJournal::kStatusComplete);
   }

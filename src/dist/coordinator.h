@@ -5,9 +5,10 @@
 // in-process engine), Welcomes each worker with the run config + trace,
 // dispatches shard descriptors, tracks heartbeats, reassigns shards whose
 // worker dies or goes silent, drops duplicate/late results idempotently,
-// and merges the per-shard outcomes through ShardMerger — so the
-// distributed CPI is bit-identical to a single-process ParallelSimulator
-// run over the same trace, options, and seed.
+// absorbs the per-shard ledgers into one, and finalizes it with the same
+// core::finalize the in-process engine ends in — so the distributed result
+// is bit-identical to a single-process ParallelSimulator run over the same
+// trace, options, and seed.
 //
 // The cluster is elastic (docs/DISTRIBUTED.md "Elasticity & churn"):
 // workers join mid-run through the normal Hello/Welcome handshake and are

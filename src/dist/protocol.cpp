@@ -29,46 +29,6 @@ void expect_type(Reader& r, MsgType want, const std::string& context) {
         "unexpected message type " + std::to_string(got) + " from " + context);
 }
 
-void put_outcome(Writer& w, const core::ShardOutcome& o) {
-  w.pod(o.part_lo);
-  w.pod(o.part_hi);
-  w.vec(o.partition_cycles);
-  w.vec(o.partition_steps);
-  w.vec(o.partition_wasted);
-  w.vec(o.final_attempt);
-  w.vec(o.failed_partitions);
-  w.vec(o.degraded_partitions);
-  w.pod(o.warmup_instructions);
-  w.pod(o.corrected_instructions);
-  w.pod(o.retries);
-  w.pod(o.backoff_us);
-  w.pod(o.gpu_lost);
-  w.pod(o.occupancy);
-  w.vec(o.predictions);
-  w.vec(o.context_counts);
-}
-
-core::ShardOutcome get_outcome(Reader& r) {
-  core::ShardOutcome o;
-  o.part_lo = r.pod<std::uint64_t>();
-  o.part_hi = r.pod<std::uint64_t>();
-  o.partition_cycles = r.vec<std::uint64_t>();
-  o.partition_steps = r.vec<std::uint64_t>();
-  o.partition_wasted = r.vec<std::uint64_t>();
-  o.final_attempt = r.vec<std::uint32_t>();
-  o.failed_partitions = r.vec<std::uint64_t>();
-  o.degraded_partitions = r.vec<std::uint64_t>();
-  o.warmup_instructions = r.pod<std::uint64_t>();
-  o.corrected_instructions = r.pod<std::uint64_t>();
-  o.retries = r.pod<std::uint64_t>();
-  o.backoff_us = r.pod<double>();
-  o.gpu_lost = r.pod<std::uint8_t>();
-  o.occupancy = r.pod<RunningStats::State>();
-  o.predictions = r.vec<core::LatencyPrediction>();
-  o.context_counts = r.vec<std::uint16_t>();
-  return o;
-}
-
 }  // namespace
 
 void put_run_config(Writer& w, const RunConfig& c) {
@@ -242,7 +202,7 @@ std::string encode_result(const ResultHeader& h, const core::ShardOutcome& o,
   w.pod(h.session);
   w.pod(h.shard);
   w.pod(h.attempt);
-  put_outcome(w, o);
+  core::put_outcome(w, o);
   w.pod(trace_id);
   w.pod(static_cast<std::uint64_t>(spans.size()));
   for (const obs::SpanRecord& s : spans) {
@@ -371,7 +331,7 @@ ResultDecoded decode_result(std::string_view payload,
   d.header.session = r.pod<std::uint64_t>();
   d.header.shard = r.pod<std::uint64_t>();
   d.header.attempt = r.pod<std::uint32_t>();
-  d.outcome = get_outcome(r);
+  d.outcome = core::get_outcome(r);
   d.trace_id = r.pod<std::uint64_t>();
   const auto n = r.count(kMinSpanBytes);
   d.spans.reserve(n);

@@ -10,7 +10,7 @@
 //               <-  Reject           (version mismatch: reason, then close)
 //               <-  Assign           shard + partition range + attempt
 //   Heartbeat   ->                   liveness while computing / idle
-//   Result      ->                   serialized ShardOutcome
+//   Result      ->                   the shard's ledger (core::put_outcome)
 //   WorkerError ->                   typed failure (transport vs content)
 //   Goodbye     ->                   planned departure: requeue my shard now
 //               <-  Shutdown         run over, drain and exit
@@ -38,7 +38,7 @@ namespace mlsim::dist {
 /// ship from one build, so the handshake is an exact match: a Hello or
 /// Rejoin carrying any other version is Rejected. Every message has one
 /// layout, and its decoder reads every field and rejects trailing bytes.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,

@@ -185,30 +185,6 @@ TEST(RunningStats, MeanVarianceMinMax) {
   EXPECT_DOUBLE_EQ(s.sum(), 10.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  Rng r(23);
-  for (int i = 0; i < 500; ++i) {
-    const double v = r.normal();
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStats, MergeEmptySides) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  RunningStats e2;
-  e2.merge(a);
-  EXPECT_DOUBLE_EQ(e2.mean(), 3.0);
-}
-
 TEST(Stats, PercentErrorSigns) {
   EXPECT_DOUBLE_EQ(signed_percent_error(10.0, 8.0), 20.0);
   EXPECT_DOUBLE_EQ(signed_percent_error(10.0, 12.0), -20.0);

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <optional>
@@ -202,6 +203,167 @@ TEST(Dist, FourWorkersManyShardsBitIdentical) {
 
   coord.reset();
   for (auto& w : ws) w.join();
+}
+
+// ---- one ledger through every entry path -----------------------------------
+
+/// Everything a partitioned run reports, compared exactly; the doubles by
+/// their bytes.
+void expect_same_run(const core::ParallelSimResult& a,
+                     const core::ParallelSimResult& b) {
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_TRUE(a.predictions == b.predictions);
+  EXPECT_TRUE(a.context_counts == b.context_counts);
+  EXPECT_EQ(a.warmup_instructions, b.warmup_instructions);
+  EXPECT_EQ(a.corrected_instructions, b.corrected_instructions);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.failed_partitions, b.failed_partitions);
+  EXPECT_EQ(a.degraded_partitions, b.degraded_partitions);
+  EXPECT_EQ(a.lost_devices, b.lost_devices);
+  EXPECT_EQ(std::memcmp(&a.retry_backoff_us, &b.retry_backoff_us,
+                        sizeof(double)),
+            0)
+      << a.retry_backoff_us << " vs " << b.retry_backoff_us;
+  EXPECT_EQ(std::memcmp(&a.sim_time_us, &b.sim_time_us, sizeof(double)), 0)
+      << a.sim_time_us << " vs " << b.sim_time_us;
+}
+
+class OneLedger : public ::testing::TestWithParam<std::size_t> {};
+
+// Device kills and corrupted outputs on, the analytic fallback attached,
+// predictions and context counts recorded: the in-process engine, per-shard
+// engines merged as the coordinator merges them, a real two-worker cluster,
+// and a checkpointed run killed mid-block and resumed all produce one ledger.
+TEST_P(OneLedger, EveryEntryPathAgreesBitForBit) {
+  const auto tr = make_trace("mcf", 6000);
+  device::FaultOptions fo;
+  fo.seed = 1;
+  fo.device_kill_rate = 0.3;
+  fo.output_corrupt_rate = 0.02;
+  const device::FaultInjector faults(fo);
+  core::AnalyticPredictor pred, fallback;
+  auto opts = base_options(12, GetParam());
+  opts.record_context_counts = true;
+  opts.faults = &faults;
+  opts.fallback = &fallback;
+  opts.max_retries_per_partition = 8;
+
+  const auto local = core::ParallelSimulator(pred, opts).run(tr);
+  ASSERT_GT(local.retries, 0u);
+  ASSERT_FALSE(local.failed_partitions.empty());
+  ASSERT_FALSE(local.degraded_partitions.empty());
+
+  const core::ShardPlan plan = core::ShardPlan::make(tr.size(), opts);
+  core::ShardOutcome ledger = core::ShardOutcome::full(plan, opts);
+  for (std::size_t s = 0; s < plan.num_shards; ++s) {
+    core::ShardEngine engine(pred, tr, opts, plan);
+    for (std::size_t p = plan.shard_lo(s); p < plan.shard_hi(s); ++p) {
+      engine.run_partition(p);
+    }
+    ledger.absorb(plan,
+                  engine.block_outcome(plan.shard_lo(s), plan.shard_hi(s)));
+  }
+  const auto merged = core::finalize(opts, plan, ledger, 0);
+
+  CoordinatorOptions co;
+  co.min_workers = 2;
+  co.heartbeat_timeout_ms = 30000;  // no staleness in this scenario
+  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
+  std::thread w1 = worker_thread(coord->port());
+  std::thread w2 = worker_thread(coord->port());
+  const auto cluster = coord->run(tr, opts);
+  coord.reset();
+  w1.join();
+  w2.join();
+
+  device::FaultOptions dying_fo = fo;
+  dying_fo.die_after_partition = 5;  // mid-block for every G here
+  const device::FaultInjector dying(dying_fo);
+  auto ck = opts;
+  ck.faults = &dying;
+  ck.checkpoint_path =
+      std::filesystem::temp_directory_path() /
+      ("mlsim_one_ledger_" + std::to_string(::getpid()) + ".ckpt");
+  std::filesystem::remove(ck.checkpoint_path);
+  EXPECT_THROW(core::ParallelSimulator(pred, ck).run(tr),
+               device::InjectedCrash);
+  ck.resume = true;
+  const auto resumed = core::ParallelSimulator(pred, ck).run(tr);
+  EXPECT_TRUE(resumed.resumed);
+
+  const std::pair<const char*, const core::ParallelSimResult*> paths[] = {
+      {"merged shards", &merged},
+      {"coordinator", &cluster},
+      {"checkpoint resume", &resumed}};
+  for (const auto& [name, got] : paths) {
+    SCOPED_TRACE(name);
+    expect_same_run(local, *got);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Gpus, OneLedger, ::testing::Values(1, 2, 3),
+                         [](const auto& tp) {
+                           return "G" + std::to_string(tp.param);
+                         });
+
+// ---- plan validation -------------------------------------------------------
+
+using PlanOption = std::size_t core::ParallelSimOptions::*;
+constexpr PlanOption kPlanOptions[] = {
+    &core::ParallelSimOptions::num_subtraces,
+    &core::ParallelSimOptions::num_gpus,
+    &core::ParallelSimOptions::context_length};
+
+TEST(ShardPlan, RejectsZeroOptionsAndAnEmptyTrace) {
+  EXPECT_THROW(core::ShardPlan::make(0, base_options(4, 2)), CheckError);
+  for (const PlanOption opt : kPlanOptions) {
+    auto o = base_options(4, 2);
+    o.*opt = 0;
+    EXPECT_THROW(core::ShardPlan::make(100, o), CheckError);
+  }
+}
+
+TEST(Dist, ZeroPlanOptionThrowsBeforeAnyWelcome) {
+  const auto tr = make_trace("xz", 2000);
+  auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
+  // A peer waiting to join: a run that got past its checks would admit it
+  // and send it a Welcome.
+  net::TcpConn peer = net::TcpConn::connect("127.0.0.1", coord->port());
+  net::send_frame(peer, encode_hello(kProtocolVersion));
+  for (const PlanOption opt : kPlanOptions) {
+    auto o = base_options(4, 2);
+    o.*opt = 0;
+    EXPECT_THROW(coord->run(tr, o), CheckError);
+  }
+  EXPECT_FALSE(peer.readable(200)) << "a frame reached the waiting peer";
+  EXPECT_EQ(coord->stats().workers_joined, 0u);
+  EXPECT_EQ(coord->stats().shards_dispatched, 0u);
+}
+
+TEST(Dist, WorkerRejectsWelcomeWithZeroPlanOption) {
+  // A Welcome whose run config would divide by zero in the plan fails the
+  // worker with a typed CheckError instead.
+  net::TcpListener fake_coord = net::TcpListener::bind(0);
+  std::thread welcoming([&fake_coord] {
+    auto conn = fake_coord.accept(5000);
+    ASSERT_TRUE(conn.has_value());
+    std::string payload;
+    ASSERT_TRUE(net::recv_frame(*conn, payload));
+    RunConfig cfg = RunConfig::from_options(base_options(4, 2));
+    cfg.num_gpus = 0;
+    net::send_frame(*conn, encode_welcome(1, 2, cfg, make_trace("xz", 64), 3));
+    // Hold the connection until the worker drops it.
+    try {
+      while (net::recv_frame(*conn, payload)) {
+      }
+    } catch (const IoError&) {
+    }
+  });
+  WorkerConfig cfg;
+  cfg.port = fake_coord.port();
+  EXPECT_THROW(run_worker(cfg), CheckError);
+  welcoming.join();
 }
 
 // ---- in-flight recovery ----------------------------------------------------
@@ -491,7 +653,7 @@ TEST(Dist, ProtocolVersionMismatchIsRejected) {
   const auto tr = make_trace("xz", 6000);
   const auto opts = base_options(2, 1);
   const auto local = local_reference(tr, opts);
-  const std::uint32_t versions[] = {1, 2, 3, kProtocolVersion + 1};
+  const std::uint32_t versions[] = {1, 2, 3, 4, kProtocolVersion + 1};
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0));
   std::thread peers([port = coord->port(), &versions] {
     for (const std::uint32_t v : versions) {
@@ -1530,6 +1692,14 @@ TEST(Dist, ServiceRoutesParallelRequestsToRemoteCluster) {
     so.hang_timeout = std::chrono::milliseconds{30000};
     so.remote = coord.get();
     service::SimulationService svc(primary, fallback, so);
+    // A zero plan option fails typed on the coordinator; the service keeps
+    // serving.
+    service::Request bad = rq;
+    bad.num_gpus = 0;
+    auto tb = svc.submit(bad);
+    const auto bad_rsp = tb.future.get();
+    EXPECT_EQ(bad_rsp.status, service::ResponseStatus::kFailed)
+        << bad_rsp.error;
     auto t = svc.submit(rq);
     rsp = t.future.get();
     svc.shutdown();

@@ -448,6 +448,170 @@ TEST(Checkpoint, LenientResumeFallsBackToCleanStart) {
   EXPECT_FALSE(fs::exists(ck.checkpoint_path));
 }
 
+// ---- checkpoint decoder -----------------------------------------------------
+
+/// A run with live faults (so the fingerprint covers them) and the same run
+/// set to die after five partitions; die_after_partition is outside the
+/// fingerprint, so both runs may resume each other's checkpoints.
+struct CrashedRun {
+  trace::EncodedTrace tr = make_trace("mcf", 600);
+  AnalyticPredictor pred;
+  device::FaultInjector live, dying;
+  ParallelSimOptions opts = base_options(12, 2);
+
+  explicit CrashedRun(const std::string& file) {
+    device::FaultOptions fo;
+    fo.seed = 3;
+    fo.straggler_rate = 0.3;
+    live = device::FaultInjector(fo);
+    fo.die_after_partition = 5;
+    dying = device::FaultInjector(fo);
+    opts.record_context_counts = true;
+    opts.faults = &dying;
+    opts.checkpoint_path = temp_file(file);
+    EXPECT_THROW(ParallelSimulator(pred, opts).run(tr), device::InjectedCrash);
+    opts.faults = &live;
+    opts.resume = true;
+  }
+  ~CrashedRun() { fs::remove(opts.checkpoint_path); }
+
+  ParallelSimResult resume(bool lenient) {
+    ParallelSimOptions o = opts;
+    o.resume_lenient = lenient;
+    return ParallelSimulator(pred, o).run(tr);
+  }
+  ParallelSimResult uninterrupted() {
+    ParallelSimOptions o = opts;
+    o.checkpoint_path.clear();
+    o.resume = false;
+    return ParallelSimulator(pred, o).run(tr);
+  }
+};
+
+std::string read_file(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+TEST(Checkpoint, EveryPrefixAndTrailingByteIsRejected) {
+  CrashedRun run("mlsim_fault_test_prefixes.ckpt");
+  const std::string payload(wire::unseal(
+      kRunCheckpointMagic, read_file(run.opts.checkpoint_path), "test"));
+  // Each candidate is sealed in a valid envelope, so only the payload
+  // decoder stands between it and the engine.
+  const auto resume_from = [&run](std::string_view p) {
+    wire::write_envelope_file(run.opts.checkpoint_path, kRunCheckpointMagic, p);
+    return run.resume(/*lenient=*/false);
+  };
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_THROW(resume_from(std::string_view(payload).substr(0, len)),
+                 CheckError)
+        << "prefix of " << len << " bytes";
+  }
+  EXPECT_THROW(resume_from(payload + '\0'), CheckError);
+  // The intact payload resumes.
+  const auto got = resume_from(payload);
+  EXPECT_TRUE(got.resumed);
+  expect_identical(run.uninterrupted(), got);
+}
+
+TEST(Checkpoint, LedgerThatDoesNotFitTheRunIsRejected) {
+  CrashedRun run("mlsim_fault_test_misfit.ckpt");
+  RunCheckpoint good;
+  ASSERT_TRUE(load_checkpoint(run.opts.checkpoint_path, good));
+  ASSERT_EQ(good.ledger.part_hi, 5u);
+  const auto want = run.uninterrupted();
+
+  struct Case {
+    const char* name;
+    void (*mutate)(RunCheckpoint&);
+  };
+  const Case cases[] = {
+      {"unchanged", [](RunCheckpoint&) {}},
+      {"range beyond the plan",
+       [](RunCheckpoint& ck) {
+         ck.ledger.part_hi = 13;
+         for (auto* v : {&ck.ledger.partition_cycles,
+                         &ck.ledger.partition_steps,
+                         &ck.ledger.partition_wasted}) {
+           v->resize(13);
+         }
+         ck.ledger.final_attempt.resize(13);
+       }},
+      {"not a prefix", [](RunCheckpoint& ck) { ck.ledger.part_lo = 1; }},
+      {"per-partition array size",
+       [](RunCheckpoint& ck) { ck.ledger.partition_steps.pop_back(); }},
+      {"prediction array size",
+       [](RunCheckpoint& ck) { ck.ledger.predictions.pop_back(); }},
+      {"context-count array size",
+       [](RunCheckpoint& ck) { ck.ledger.context_counts.push_back(0); }},
+      {"fault list outside the range",
+       [](RunCheckpoint& ck) { ck.ledger.failed_partitions = {9}; }},
+      {"prev_ring size",
+       [](RunCheckpoint& ck) { ck.snapshot.prev_ring.resize(3); }},
+      {"another run's fingerprint",
+       [](RunCheckpoint& ck) { ck.fingerprint ^= 1; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RunCheckpoint ck = good;
+    c.mutate(ck);
+    const bool valid = std::string(c.name) == "unchanged";
+    save_checkpoint(run.opts.checkpoint_path, ck);
+    if (!valid) {
+      EXPECT_THROW(run.resume(/*lenient=*/false), CheckError);
+    }
+    save_checkpoint(run.opts.checkpoint_path, ck);
+    const auto got = run.resume(/*lenient=*/true);
+    EXPECT_EQ(got.resumed, valid);
+    EXPECT_EQ(got.resume_error.empty(), valid) << got.resume_error;
+    expect_identical(want, got);
+    EXPECT_DOUBLE_EQ(got.sim_time_us, want.sim_time_us);
+    EXPECT_EQ(got.context_counts, want.context_counts);
+  }
+}
+
+TEST(Checkpoint, OlderMlckLayoutIsRejectedOnItsMagic) {
+  // The checkpoint layout before the run ledger ("MLCK"): the same
+  // fingerprint up front, so without a new magic it could be misparsed.
+  CrashedRun run("mlsim_fault_test_mlck.ckpt");
+  const std::size_t parts = 12, next = 5, ring = 16, done = 250;
+  wire::Writer w;
+  w.pod(run_fingerprint(run.tr, run.opts, parts));
+  w.pod<std::uint64_t>(next);
+  w.pod<std::uint64_t>(parts);
+  w.pod<std::uint64_t>(ring);
+  w.pod<std::uint64_t>(0);  // warmup instructions
+  w.pod<std::uint64_t>(0);  // corrected instructions
+  w.pod<std::uint64_t>(0);  // retries
+  w.pod(0.0);               // backoff
+  w.pod<std::uint64_t>(0);  // occupancy: n, mean, m2, min, max
+  for (int i = 0; i < 4; ++i) w.pod(0.0);
+  w.pod<std::uint64_t>(0);  // prev_clock
+  w.pod<std::uint64_t>(0);  // prev_oldest
+  w.vec(std::vector<std::uint64_t>(ring));
+  for (int i = 0; i < 3; ++i) w.vec(std::vector<std::uint64_t>(parts));
+  w.vec(std::vector<std::uint32_t>(parts));      // final attempts
+  w.vec(std::vector<std::uint64_t>{});           // failed partitions
+  w.vec(std::vector<std::uint64_t>{});           // degraded partitions
+  w.vec(std::vector<std::uint8_t>(2));           // per-GPU lost flags
+  w.vec(std::vector<std::uint32_t>(3 * done));   // predictions
+  w.vec(std::vector<std::uint16_t>(done));       // context counts
+  const std::uint32_t kMlck = 0x4d4c434b;
+  ASSERT_NE(kMlck, kRunCheckpointMagic);
+  for (const bool lenient : {false, true}) {
+    wire::write_envelope_file(run.opts.checkpoint_path, kMlck, w.bytes());
+    std::string error;
+    try {
+      error = run.resume(lenient).resume_error;
+    } catch (const CheckError& e) {
+      error = e.what();
+      EXPECT_FALSE(lenient);
+    }
+    EXPECT_NE(error.find("magic"), std::string::npos) << error;
+  }
+}
+
 // ---- predictor output guard -------------------------------------------------
 
 TEST(CnnPredictor, DecodeGuardsNonFiniteOutputs) {

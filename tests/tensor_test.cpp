@@ -535,8 +535,12 @@ class ModelFile : public ::testing::Test {
         .write(bytes_.data(), static_cast<std::streamsize>(n));
   }
 
+  // One file per test: ctest runs the cases as parallel processes.
   const std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "mlsim_model_file_test.bin";
+      std::filesystem::temp_directory_path() /
+      (std::string("mlsim_model_file_test_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+       ".bin");
   std::string bytes_;
 };
 
