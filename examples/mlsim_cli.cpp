@@ -1001,7 +1001,8 @@ int cmd_serve(int argc, char** argv) {
       batching = true;
     } else if (s.rfind("--batch=", 0) == 0) {
       batching = true;
-      batch_max = parse_size("--batch", s.substr(8));
+      batch_max =
+          static_cast<std::size_t>(parse_positive("--batch", s.substr(8)));
     } else if (s.rfind("--batch-wait-us=", 0) == 0) {
       batching = true;
       batch_wait_us = parse_u64("--batch-wait-us", s.substr(16));
@@ -1139,12 +1140,18 @@ int cmd_serve(int argc, char** argv) {
               static_cast<unsigned long long>(svc.breaker_trips()));
   if (const auto* b = svc.batcher()) {
     const auto bs = b->stats();
-    std::printf("batcher: %llu windows in %llu flushes (max batch %zu) | "
-                "modeled inference %.1f us batched vs %.1f us unbatched\n",
+    std::printf("batcher: %llu windows in %llu flushes (max batch %zu; "
+                "size %llu / all-waiting %llu / deadline %llu / shutdown "
+                "%llu) | modeled inference %.1f us batched vs %.1f us "
+                "unbatched\n",
                 static_cast<unsigned long long>(bs.items_predicted),
                 static_cast<unsigned long long>(bs.flushes),
-                bs.max_batch_observed, bs.modeled_batched_us,
-                bs.modeled_unbatched_us);
+                bs.max_batch_observed,
+                static_cast<unsigned long long>(bs.flush_size),
+                static_cast<unsigned long long>(bs.flush_all_waiting),
+                static_cast<unsigned long long>(bs.flush_deadline),
+                static_cast<unsigned long long>(bs.flush_shutdown),
+                bs.modeled_batched_us, bs.modeled_unbatched_us);
   }
   std::printf("health: %s\n", svc.health_json().c_str());
   svc.shutdown();

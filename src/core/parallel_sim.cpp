@@ -89,8 +89,10 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
 
   const ShardPlan plan = ShardPlan::make(trace.size(), opts_);
   ShardEngine engine(predictor_, trace, opts_, plan);
-  const std::uint64_t fp = run_fingerprint(trace, opts_, plan.parts);
   const bool checkpointing = !opts_.checkpoint_path.empty();
+  // The fingerprint keys the checkpoint only; it costs a pass over the trace.
+  const std::uint64_t fp =
+      checkpointing ? run_fingerprint(trace, opts_, plan.parts) : 0;
   std::size_t start_p = 0;
   std::string resume_error;
 

@@ -96,10 +96,11 @@ inline constexpr const char* kBatchDroppedCancelled = "batcher.dropped_cancelled
 inline constexpr const char* kBatchQueueDepth = "batcher.queue_depth";
 inline constexpr const char* kBatchSize = "batcher.batch_size";
 // Flush triggers: the batch hit max_batch / max_wait_us expired / drain at
-// shutdown.
+// shutdown / every open channel had an item queued.
 inline constexpr const char* kBatchFlushSize = "batcher.flush_size";
 inline constexpr const char* kBatchFlushDeadline = "batcher.flush_deadline";
 inline constexpr const char* kBatchFlushShutdown = "batcher.flush_shutdown";
+inline constexpr const char* kBatchFlushAllWaiting = "batcher.flush_all_waiting";
 
 // -- net (RPC framing over TCP, src/net/; docs/DISTRIBUTED.md) ---------------
 inline constexpr const char* kNetBytesSent = "net.bytes_sent";
@@ -270,6 +271,7 @@ inline constexpr BuiltinMetric kBuiltinMetrics[] = {
     {kBatchFlushSize, MetricKind::kCounter},
     {kBatchFlushDeadline, MetricKind::kCounter},
     {kBatchFlushShutdown, MetricKind::kCounter},
+    {kBatchFlushAllWaiting, MetricKind::kCounter},
     {kNetBytesSent, MetricKind::kCounter},
     {kNetBytesReceived, MetricKind::kCounter},
     {kNetFramesSent, MetricKind::kCounter},

@@ -1,6 +1,8 @@
 #include "service/batcher.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -26,6 +28,10 @@ struct BatchScheduler::ChannelState {
   std::unordered_map<std::uint64_t, core::LatencyPrediction> done;
   std::unordered_map<std::uint64_t, std::string> failed;
   std::uint64_t next_seq = 0;  // engine side only (one submitter per request)
+
+  // Guarded by the scheduler's mu_, not by `mu`.
+  std::size_t queued = 0;  // this request's items in queue_
+  bool open = true;        // false once the Channel is released
 };
 
 BatchScheduler::BatchScheduler(std::vector<core::LatencyPredictor*> instances,
@@ -43,7 +49,17 @@ BatchScheduler::BatchScheduler(std::vector<core::LatencyPredictor*> instances,
   }
 }
 
-BatchScheduler::~BatchScheduler() { shutdown(); }
+BatchScheduler::~BatchScheduler() {
+  shutdown();
+  std::lock_guard lk(mu_);
+  if (open_channels_ != 0) {
+    // A channel released later would lock this destroyed mutex.
+    std::fprintf(stderr,
+                 "BatchScheduler destroyed with %zu channel(s) still open\n",
+                 open_channels_);
+    std::abort();
+  }
+}
 
 void BatchScheduler::shutdown() {
   {
@@ -86,6 +102,8 @@ std::vector<BatchScheduler::Item> BatchScheduler::take_batch_locked() {
     Item item = std::move(queue_.front());
     queue_.pop_front();
     if (item.rows == rows) {
+      ChannelState& owner = *item.owner;
+      if (--owner.queued == 0 && owner.open) --waiting_channels_;
       batch.push_back(std::move(item));
     } else {
       rest.push_back(std::move(item));
@@ -109,20 +127,27 @@ void BatchScheduler::scheduler_loop(std::size_t instance) {
       if (stopping_) return;  // drained
       continue;
     }
-    // Deadline-bounded accumulation: hold the first item at most max_wait
-    // hoping for companions, flush immediately once max_batch are queued.
+    // Hold the first item at most max_wait hoping for companions. Flush at
+    // once when max_batch are queued, or when every open channel has an
+    // item queued: a channel waits on its one outstanding item, so no
+    // further window can arrive before this flush.
+    const auto all_waiting = [&] {
+      return waiting_channels_ == open_channels_;
+    };
     if (!stopping_ && opts_.max_wait.count() > 0 &&
         queue_.size() < opts_.max_batch) {
       cv_.wait_until(lk, Clock::now() + opts_.max_wait, [&] {
-        return stopping_ || queue_.size() >= opts_.max_batch;
+        return stopping_ || queue_.size() >= opts_.max_batch || all_waiting();
       });
     }
     if (queue_.empty()) continue;  // another instance drained it meanwhile
+    const bool complete = all_waiting();
     std::vector<Item> batch = take_batch_locked();
     const char* reason = batch.size() >= opts_.max_batch
                              ? obs::names::kBatchFlushSize
-                             : (stopping_ ? obs::names::kBatchFlushShutdown
-                                          : obs::names::kBatchFlushDeadline);
+                         : stopping_ ? obs::names::kBatchFlushShutdown
+                         : complete  ? obs::names::kBatchFlushAllWaiting
+                                     : obs::names::kBatchFlushDeadline;
     lk.unlock();
     flush(predictor, std::move(batch), reason);
     lk.lock();
@@ -208,6 +233,9 @@ void BatchScheduler::flush(core::LatencyPredictor& predictor,
   if (reason_counter == obs::names::kBatchFlushSize) ++stats_.flush_size;
   if (reason_counter == obs::names::kBatchFlushDeadline) ++stats_.flush_deadline;
   if (reason_counter == obs::names::kBatchFlushShutdown) ++stats_.flush_shutdown;
+  if (reason_counter == obs::names::kBatchFlushAllWaiting) {
+    ++stats_.flush_all_waiting;
+  }
   stats_.items_predicted += live.size();
   stats_.items_dropped_cancelled += dropped;
   stats_.max_batch_observed = std::max(stats_.max_batch_observed, live.size());
@@ -240,12 +268,33 @@ std::uint64_t BatchScheduler::Channel::submit(const std::int32_t* window,
                            std::to_string(s.opts_.queue_capacity) + " items)");
     }
     s.queue_.push_back(std::move(item));
+    if (state_->queued++ == 0) ++s.waiting_channels_;
     ++s.stats_.items_submitted;
     MLSIM_GAUGE_SET(obs::names::kBatchQueueDepth,
                     static_cast<double>(s.queue_.size()));
   }
   s.cv_.notify_one();
   return state_->next_seq++;
+}
+
+BatchScheduler::Channel::Channel(BatchScheduler* scheduler,
+                                 std::shared_ptr<ChannelState> state)
+    : scheduler_(scheduler), state_(std::move(state)) {
+  std::lock_guard lk(scheduler_->mu_);
+  ++scheduler_->open_channels_;
+}
+
+BatchScheduler::Channel::~Channel() {
+  BatchScheduler& s = *scheduler_;
+  {
+    std::lock_guard lk(s.mu_);
+    --s.open_channels_;
+    // Items it left queued no longer count: they stay in queue_ until a
+    // flush takes them, but this channel will never submit again.
+    if (state_->queued > 0) --s.waiting_channels_;
+    state_->open = false;
+  }
+  s.cv_.notify_all();
 }
 
 core::LatencyPrediction BatchScheduler::Channel::wait(std::uint64_t seq) {

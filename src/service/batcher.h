@@ -12,12 +12,19 @@
 //        │ Channel::submit(window)           │
 //        ▼                                   ▼
 //   bounded shared work-item queue ──► coalesce up to max_batch items
-//        │                             (flush early after max_wait_us)
+//        │                             (flush once every open channel has
+//        │                              an item queued, or after max_wait)
 //        │                                   │ one predict_batch() per
 //        │                                   │ rows-group
 //        ▼                                   ▼
 //   Channel::wait(seq) ◄── per-request completion slots, results keyed
 //                          by sequence number
+//
+// Flush rule: each request has at most one window outstanding (the engines
+// call predict_via = wait(submit(...))), so once every open channel has an
+// item queued no further window can arrive before the flush, and the
+// scheduler flushes at once. max_wait only bounds the wait for a request
+// that is busy between windows.
 //
 // Ordering / bit-identity: every submission gets a per-request sequence
 // number in submission order; results are delivered into the request's
@@ -58,9 +65,10 @@ struct BatcherOptions {
   /// Items coalesced into one inference call at most. Flushing also splits
   /// on window rows: a batch only carries windows of one shape.
   std::size_t max_batch = 64;
-  /// How long a non-full batch may wait for more items before flushing.
-  /// 0 flushes immediately with whatever is queued (pure opportunistic
-  /// batching — lowest latency, smallest batches).
+  /// How long a non-full batch may wait for more items while some open
+  /// channel has nothing queued (see the flush rule above). 0 flushes
+  /// immediately with whatever is queued (pure opportunistic batching —
+  /// lowest latency, smallest batches).
   std::chrono::microseconds max_wait{100};
   /// Bound of the shared work-item queue; submit() throws QueueFullError at
   /// capacity. Size it >= the service's max_outstanding: each in-flight
@@ -86,6 +94,8 @@ class BatchScheduler {
   /// the scheduler.
   explicit BatchScheduler(std::vector<core::LatencyPredictor*> instances,
                           BatcherOptions opts = {});
+  /// Every channel must be released first: destroying the scheduler with a
+  /// channel still open aborts the program.
   ~BatchScheduler();
 
   BatchScheduler(const BatchScheduler&) = delete;
@@ -95,8 +105,10 @@ class BatchScheduler {
 
   /// Open a per-request submission channel. `token` governs every item
   /// submitted through it: once cancelled, queued items are dropped and
-  /// waiters throw CancelledError. The channel may outlive the scheduler
-  /// (shared state); submissions after shutdown() fail as cancelled.
+  /// waiters throw CancelledError. Submissions after shutdown() fail as
+  /// cancelled. An open channel holds every flush until it submits, is
+  /// released or max_wait expires, so open one only for a request that
+  /// submits through it.
   std::shared_ptr<Channel> open(std::uint64_t request_id, CancelToken token);
 
   /// Drain the queue (flushing remaining live items) and join the
@@ -108,9 +120,12 @@ class BatchScheduler {
     std::uint64_t items_predicted = 0;
     std::uint64_t items_dropped_cancelled = 0;
     std::uint64_t flushes = 0;
-    std::uint64_t flush_size = 0;      // batch hit max_batch
-    std::uint64_t flush_deadline = 0;  // max_wait expired
-    std::uint64_t flush_shutdown = 0;  // drained at shutdown
+    // Each flush counts under one reason; precedence size, shutdown,
+    // all-waiting, deadline.
+    std::uint64_t flush_size = 0;         // batch hit max_batch
+    std::uint64_t flush_deadline = 0;     // max_wait expired
+    std::uint64_t flush_shutdown = 0;     // drained at shutdown
+    std::uint64_t flush_all_waiting = 0;  // every open channel had an item
     std::size_t max_batch_observed = 0;
     /// Modeled inference time actually charged (batched) and what the same
     /// windows would have cost one by one (batch = 1).
@@ -145,6 +160,8 @@ class BatchScheduler {
   std::condition_variable cv_;  // scheduler threads wait here
   std::deque<Item> queue_;
   bool stopping_ = false;
+  std::size_t open_channels_ = 0;
+  std::size_t waiting_channels_ = 0;  // open channels with an item in queue_
   Stats stats_;
 
   std::vector<std::thread> threads_;
@@ -155,14 +172,18 @@ class BatchScheduler {
 /// scheduler delivers results concurrently from its own threads.
 class BatchScheduler::Channel final : public core::PredictSink {
  public:
+  ~Channel() override;
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
+
   std::uint64_t submit(const std::int32_t* window, std::size_t rows,
                        std::uint64_t global_index) override;
   core::LatencyPrediction wait(std::uint64_t seq) override;
 
  private:
   friend class BatchScheduler;
-  Channel(BatchScheduler* scheduler, std::shared_ptr<ChannelState> state)
-      : scheduler_(scheduler), state_(std::move(state)) {}
+  /// Counts the channel as open until its destructor runs.
+  Channel(BatchScheduler* scheduler, std::shared_ptr<ChannelState> state);
 
   BatchScheduler* scheduler_;
   std::shared_ptr<ChannelState> state_;

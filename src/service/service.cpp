@@ -538,9 +538,15 @@ void SimulationService::run_request(const RequestState& st,
 
   // Continuous batching covers the primary path only: while the breaker is
   // open (or a partition is degraded) the engines call the analytic fallback
-  // directly, so a sick primary model can never stall batched peers.
+  // directly, so a sick primary model can never stall batched peers. A
+  // request routed to the cluster submits no window, and an idle open
+  // channel would hold every peer's flush to max_wait, so it opens none.
+  const bool remote =
+      req.engine == EngineKind::kParallel && opts_.remote != nullptr;
   std::shared_ptr<BatchScheduler::Channel> chan;
-  if (use_primary && batcher_ != nullptr) chan = batcher_->open(st.id, token);
+  if (use_primary && batcher_ != nullptr && !remote) {
+    chan = batcher_->open(st.id, token);
+  }
   core::PredictSink* const sink = chan.get();
 
   try {
@@ -558,7 +564,7 @@ void SimulationService::run_request(const RequestState& st,
         po.max_retries_per_partition = opts_.max_retries_per_partition;
         po.cancel = &token;
         core::ParallelSimResult r;
-        if (opts_.remote != nullptr) {
+        if (remote) {
           // Route to the cluster. The coordinator polls the same cancel
           // token, so deadlines and the hang watchdog keep working; shard
           // contents are bit-identical to the in-process engine.
