@@ -87,7 +87,9 @@
 //       service metrics. With --fault-* the run doubles as a chaos drill:
 //       device kills and corrupted outputs go through the parallel engine's
 //       recovery, and straggler attempts really stall workers for
-//       --stall-ms so the hang watchdog fires. SIGTERM/SIGINT drains: the
+//       --stall-ms so the hang watchdog fires. --deadline-ms and --stall-ms
+//       take at most 9223372036854 (the nanosecond clock's range); a
+//       deadline the clock cannot reach is none. SIGTERM/SIGINT drains: the
 //       service stops admitting, in-flight requests get --drain-timeout-ms
 //       (default 5000) to finish, and the process exits 6 (a second signal
 //       force-exits 7).
@@ -211,6 +213,19 @@ std::size_t parse_size(const char* what, const std::string& text) {
     throw UsageError(std::string(what) + ": '" + text + "' is too large");
   }
   return static_cast<std::size_t>(v);
+}
+
+/// A millisecond duration flag that must fit the nanosecond steady clock:
+/// at most 9223372036854 ms (about 292 years).
+std::uint64_t parse_ms(const char* what, const std::string& text) {
+  const std::uint64_t v = parse_u64(what, text);
+  constexpr auto kMax = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::nanoseconds::max());
+  if (v > static_cast<std::uint64_t>(kMax.count())) {
+    throw UsageError(std::string(what) + ": '" + text + "' exceeds " +
+                     std::to_string(kMax.count()) + " ms");
+  }
+  return v;
 }
 
 /// A count/interval flag that must be at least 1.
@@ -989,12 +1004,12 @@ int cmd_serve(int argc, char** argv) {
       parallel = static_cast<std::size_t>(
           parse_positive("--parallel", s.substr(11)));
     } else if (s.rfind("--deadline-ms=", 0) == 0) {
-      deadline_ms = parse_u64("--deadline-ms", s.substr(14));
+      deadline_ms = parse_ms("--deadline-ms", s.substr(14));
     } else if (s.rfind("--tenant-quota=", 0) == 0) {
       tenant_quota = static_cast<std::size_t>(
           parse_positive("--tenant-quota", s.substr(15)));
     } else if (s.rfind("--stall-ms=", 0) == 0) {
-      stall_ms = parse_u64("--stall-ms", s.substr(11));
+      stall_ms = parse_ms("--stall-ms", s.substr(11));
     } else if (s.rfind("--drain-timeout-ms=", 0) == 0) {
       drain_timeout_ms = parse_positive("--drain-timeout-ms", s.substr(19));
     } else if (s == "--batch") {

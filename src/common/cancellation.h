@@ -90,10 +90,14 @@ class CancelSource {
  public:
   CancelSource() : state_(std::make_shared<detail::CancelState>()) {}
 
-  /// Set an absolute deadline `after` from now. Must be called before the
-  /// token is handed to another thread.
+  /// Set an absolute deadline `after` from now; one beyond the clock's
+  /// range never expires. Must be called before the token is handed to
+  /// another thread.
   void set_deadline_after(std::chrono::nanoseconds after) {
-    state_->deadline = std::chrono::steady_clock::now() + after;
+    using TimePoint = std::chrono::steady_clock::time_point;
+    const TimePoint now = std::chrono::steady_clock::now();
+    state_->deadline =
+        after < TimePoint::max() - now ? now + after : TimePoint::max();
     state_->has_deadline = true;
   }
 

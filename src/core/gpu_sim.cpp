@@ -137,9 +137,7 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
 
     // Functional prediction — real computation, identical across all cost
     // toggles (the toggles change only where/so-how-fast steps run).
-    p = opts_.batch_sink != nullptr
-            ? opts_.batch_sink->predict_via(window.data(), rows, cur)
-            : predictor_.predict(WindowView{window.data(), rows}, cur);
+    p = predictor_.predict(WindowView{window.data(), rows}, cur);
     }
     queue.apply_prediction(p);
     if (opts_.record_predictions) out.predictions.push_back(p);

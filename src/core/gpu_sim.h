@@ -18,7 +18,6 @@
 
 #include "common/cancellation.h"
 #include "core/cost_model.h"
-#include "core/predict_sink.h"
 #include "core/predictor.h"
 #include "core/sim_output.h"
 #include "core/sliding_window.h"
@@ -41,10 +40,6 @@ struct GpuSimOptions {
   /// Cooperative cancellation: polled once per instruction; a cancelled or
   /// past-deadline run throws CancelledError. nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
-  /// Cross-request continuous batching (docs/BATCHING.md): when set, windows
-  /// are submitted to this sink instead of predicted synchronously. The
-  /// simulated-time cost model is unaffected; predictions are bit-identical.
-  PredictSink* batch_sink = nullptr;
 };
 
 class GpuSimulator {

@@ -32,7 +32,6 @@
 
 #include "common/cancellation.h"
 #include "core/cost_model.h"
-#include "core/predict_sink.h"
 #include "core/predictor.h"
 #include "core/sim_output.h"
 #include "device/fault.h"
@@ -93,12 +92,6 @@ struct ParallelSimOptions {
   /// Cooperative cancellation: polled once per instruction; a cancelled or
   /// past-deadline run throws CancelledError. nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
-  /// Cross-request continuous batching (docs/BATCHING.md): when set, primary
-  /// predictions are submitted to this sink instead of invoked in-loop.
-  /// Degraded partitions (anomaly fallback) always bypass the sink and call
-  /// the fallback predictor directly. Excluded from the run fingerprint:
-  /// batching never changes results, only where inference executes.
-  PredictSink* batch_sink = nullptr;
 };
 
 struct ParallelSimResult {

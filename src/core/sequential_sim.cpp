@@ -44,9 +44,7 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
     acc.inference +=
         cm.inference_us(opts_.engine, flops, 1, /*custom_conv=*/false, 1.0);
     const LatencyPrediction p =
-        opts_.batch_sink != nullptr
-            ? opts_.batch_sink->predict_via(window.data(), rows, i)
-            : predictor_.predict(WindowView{window.data(), rows}, i);
+        predictor_.predict(WindowView{window.data(), rows}, i);
     // Update + retire (host in the baseline flow).
     queue.apply_prediction(p);
     acc.update_retire += cm.host_update_retire_us;

@@ -18,7 +18,6 @@
 #include "common/cancellation.h"
 #include "core/cost_model.h"
 #include "core/instruction_queue.h"
-#include "core/predict_sink.h"
 #include "core/predictor.h"
 #include "core/sim_output.h"
 #include "trace/trace.h"
@@ -35,11 +34,6 @@ struct SequentialSimOptions {
   /// Cooperative cancellation: polled once per instruction; a cancelled or
   /// past-deadline run throws CancelledError. nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
-  /// Cross-request continuous batching (docs/BATCHING.md): when set, each
-  /// window is submitted to this sink and the loop blocks on its sequence
-  /// number instead of invoking the predictor synchronously. Predictions are
-  /// bit-identical either way; only where inference runs changes.
-  PredictSink* batch_sink = nullptr;
 };
 
 class SequentialSimulator {

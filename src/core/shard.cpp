@@ -284,15 +284,7 @@ void ShardEngine::run_partition(std::size_t p) {
         }
       }
 
-      // Degraded partitions run on the fallback predictor and must bypass
-      // the batching sink, which only fronts the primary.
-      LatencyPrediction pr;
-      if (opts_.batch_sink != nullptr && !degraded) {
-        lw.materialize(sink_window_);
-        pr = opts_.batch_sink->predict_via(sink_window_.data(), rows, i);
-      } else {
-        pr = active.predict_lazy(lw);
-      }
+      LatencyPrediction pr = active.predict_lazy(lw);
       if (corrupting && faults_->corrupts(p, attempt, i)) {
         const device::CorruptLatencies g =
             faults_->corrupt_latencies(p, attempt, i);
@@ -348,13 +340,7 @@ void ShardEngine::run_partition(std::size_t p) {
                           cap, cclock, rows);
       const std::size_t cnt = lw.context_count();
       if (cnt == head_counts_[p][j]) break;  // contexts converged
-      LatencyPrediction pr;
-      if (opts_.batch_sink != nullptr && !degraded) {
-        lw.materialize(sink_window_);
-        pr = opts_.batch_sink->predict_via(sink_window_.data(), rows, i);
-      } else {
-        pr = corr_pred.predict_lazy(lw);
-      }
+      const LatencyPrediction pr = corr_pred.predict_lazy(lw);
       // Replace the head prediction; keep the partition totals consistent.
       ledger_.partition_cycles[p] += pr.fetch;
       ledger_.partition_cycles[p] -= fetch_lat_[i];

@@ -158,7 +158,6 @@ class ShardEngine {
   std::vector<std::uint32_t> fetch_lat_;
   std::vector<std::vector<std::uint16_t>> head_counts_;
   std::vector<std::uint64_t> ring_;
-  std::vector<std::int32_t> sink_window_;  // materialised window for batch_sink
 };
 
 /// Identity of a (trace, options) pair: checkpoints may only resume into —

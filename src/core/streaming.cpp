@@ -12,8 +12,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
                                 std::uint64_t total_instructions,
                                 std::size_t context_length,
                                 std::size_t chunk_size,
-                                const CancelToken* cancel,
-                                PredictSink* batch_sink) {
+                                const CancelToken* cancel) {
   check(context_length > 0, "context length must be positive");
   check(chunk_size > 0, "chunk size must be positive");
   StreamingResult res;
@@ -26,7 +25,6 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
 
   trace::EncodedTrace buf(stream.benchmark());
   std::size_t local = 0;  // next buffer row to simulate
-  std::vector<std::int32_t> sink_window;  // materialised window for the sink
 
   MLSIM_TRACE_SPAN("stream/run");
   while (res.instructions < total_instructions) {
@@ -47,14 +45,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
         if (cancel != nullptr) cancel->check();
         const LazyWindow lw(buf, local, /*oldest=*/0, ring.data(), cap, clock,
                             rows);
-        LatencyPrediction p;
-        if (batch_sink != nullptr) {
-          lw.materialize(sink_window);
-          p = batch_sink->predict_via(sink_window.data(), rows,
-                                      res.instructions);
-        } else {
-          p = predictor.predict_lazy(lw);
-        }
+        const LatencyPrediction p = predictor.predict_lazy(lw);
         ring[local % cap] = clock + p.fetch + p.exec + p.store;
         clock += p.fetch;
         res.predicted_cycles += p.fetch;

@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "common/cancellation.h"
-#include "core/predict_sink.h"
 #include "core/predictor.h"
 #include "core/window.h"
 #include "trace/stream.h"
@@ -35,15 +34,12 @@ struct StreamingResult {
 /// most `chunk_size` + context_length trace rows in memory at any time and
 /// produces exactly the same predictions as materialising the whole trace.
 /// `cancel` (optional) is polled once per instruction; a cancelled or
-/// past-deadline run throws CancelledError. `batch_sink` (optional) routes
-/// each window through a cross-request batching scheduler instead of the
-/// in-loop predictor call (docs/BATCHING.md); predictions are bit-identical.
+/// past-deadline run throws CancelledError.
 StreamingResult simulate_stream(LatencyPredictor& predictor,
                                 trace::LabeledTraceStream& stream,
                                 std::uint64_t total_instructions,
                                 std::size_t context_length,
                                 std::size_t chunk_size = 1 << 16,
-                                const CancelToken* cancel = nullptr,
-                                PredictSink* batch_sink = nullptr);
+                                const CancelToken* cancel = nullptr);
 
 }  // namespace mlsim::core

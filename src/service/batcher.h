@@ -7,41 +7,43 @@
 // This scheduler applies LLM-serving-style continuous batching across
 // requests:
 //
-//   engine loops (any request)          scheduler threads (one per
-//        │                              predictor instance)
-//        │ Channel::submit(window)           │
+//   engine loops (any request)          scheduler thread
+//        │                                   │
+//        │ Channel::predict(window)          │
 //        ▼                                   ▼
-//   bounded shared work-item queue ──► coalesce up to max_batch items
+//   bounded shared queue of channels ──► coalesce up to max_batch windows
 //        │                             (flush once every open channel has
-//        │                              an item queued, or after max_wait)
+//        │                              its window queued, or after
+//        │                              max_wait)
 //        │                                   │ one predict_batch() per
 //        │                                   │ rows-group
 //        ▼                                   ▼
-//   Channel::wait(seq) ◄── per-request completion slots, results keyed
-//                          by sequence number
+//   predict() returns ◄──────────── the channel's one result slot
 //
-// Flush rule: each request has at most one window outstanding (the engines
-// call predict_via = wait(submit(...))), so once every open channel has an
-// item queued no further window can arrive before the flush, and the
-// scheduler flushes at once. max_wait only bounds the wait for a request
-// that is busy between windows.
+// A Channel is the request's LatencyPredictor: the service hands it to the
+// engine in place of the primary predictor. predict() queues the window and
+// blocks until its result arrives, so a channel holds at most one window by
+// construction.
 //
-// Ordering / bit-identity: every submission gets a per-request sequence
-// number in submission order; results are delivered into the request's
-// completion slot keyed by that number, so the consumer reads them in
-// stable sequence order no matter how the scheduler interleaved requests
-// into batches. A window's prediction depends only on the window itself
-// (predict_batch computes samples independently), so a single request's
-// output is byte-identical to an unbatched run regardless of interleave —
-// asserted by the interleave fuzz test.
+// Flush rule: since no open channel can queue a second window, once every
+// open channel has its window queued no further window can arrive before
+// the flush, and the scheduler flushes at once. max_wait only bounds the
+// wait for a request that is busy between windows.
 //
-// Backpressure: the shared queue is bounded; submit() throws QueueFullError
-// (common/thread_pool.h) instead of blocking the engine thread, and the
-// service maps that to the typed kRejectedQueueFull response.
+// Bit-identity: a window's prediction depends only on the window itself
+// (predict_batch computes samples independently), and each result goes
+// back to the channel that queued the window, so a request's output is
+// byte-identical to an unbatched run regardless of interleave — asserted by
+// the interleave fuzz test.
 //
-// Cancellation: queued items of a cancelled request (deadline, manual,
-// shutdown) are dropped at flush time, never predicted; a waiter blocked in
-// wait() observes its CancelToken and throws CancelledError.
+// Backpressure: the shared queue is bounded; predict() throws
+// QueueFullError (common/thread_pool.h) instead of blocking the engine
+// thread, and the service maps that to the typed kRejectedQueueFull
+// response.
+//
+// Cancellation: queued windows of a cancelled request (deadline, manual,
+// shutdown) are dropped at flush time, never predicted; a caller blocked in
+// predict() observes its CancelToken and throws CancelledError.
 #pragma once
 
 #include <chrono>
@@ -51,48 +53,34 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancellation.h"
-#include "core/cost_model.h"
-#include "core/predict_sink.h"
 #include "core/predictor.h"
 
 namespace mlsim::service {
 
 struct BatcherOptions {
-  /// Items coalesced into one inference call at most. Flushing also splits
-  /// on window rows: a batch only carries windows of one shape.
+  /// Windows coalesced into one inference call at most. Flushing also
+  /// splits on window rows: a batch only carries windows of one shape.
   std::size_t max_batch = 64;
-  /// How long a non-full batch may wait for more items while some open
+  /// How long a non-full batch may wait for more windows while some open
   /// channel has nothing queued (see the flush rule above). 0 flushes
   /// immediately with whatever is queued (pure opportunistic batching —
   /// lowest latency, smallest batches).
   std::chrono::microseconds max_wait{100};
-  /// Bound of the shared work-item queue; submit() throws QueueFullError at
+  /// Bound of the shared queue; predict() throws QueueFullError at
   /// capacity. Size it >= the service's max_outstanding: each in-flight
-  /// request keeps at most one item queued, so a correctly sized queue
-  /// never rejects (see docs/BATCHING.md).
+  /// request queues at most one window, so a correctly sized queue never
+  /// rejects (see docs/BATCHING.md).
   std::size_t queue_capacity = 512;
-
-  /// Simulated-time accounting of the inference the scheduler issues (the
-  /// same cost model the engines charge): each flush of n windows costs one
-  /// inference_us(engine, flops, n) against `engine`. Stats expose the
-  /// batched total alongside the per-window unbatched equivalent, which is
-  /// what fig_batch_throughput reports as aggregate MIPS.
-  core::CostModel costs;
-  device::Engine engine = device::Engine::kTensorRTSparse;
 };
 
 class BatchScheduler {
  public:
-  /// One scheduler thread per predictor instance, all draining the shared
-  /// queue — "N predictor instances" is simply a longer vector (model
-  /// replicas, or the same weights loaded per device). Instances must be
-  /// non-null, safe to call from the scheduler's own thread, and outlive
-  /// the scheduler.
-  explicit BatchScheduler(std::vector<core::LatencyPredictor*> instances,
+  /// One scheduler thread serves every batch on `predictor`, which must be
+  /// safe to call from that thread and outlive the scheduler.
+  explicit BatchScheduler(core::LatencyPredictor& predictor,
                           BatcherOptions opts = {});
   /// Every channel must be released first: destroying the scheduler with a
   /// channel still open aborts the program.
@@ -103,16 +91,16 @@ class BatchScheduler {
 
   class Channel;
 
-  /// Open a per-request submission channel. `token` governs every item
-  /// submitted through it: once cancelled, queued items are dropped and
-  /// waiters throw CancelledError. Submissions after shutdown() fail as
-  /// cancelled. An open channel holds every flush until it submits, is
-  /// released or max_wait expires, so open one only for a request that
-  /// submits through it.
+  /// Open a per-request channel. `token` governs every window predicted
+  /// through it: once cancelled, its queued window is dropped and predict()
+  /// throws CancelledError. Predictions after shutdown() fail as
+  /// cancelled. An open channel holds every flush until it queues a window,
+  /// is released or max_wait expires, so open one only for a request that
+  /// predicts through it.
   std::shared_ptr<Channel> open(std::uint64_t request_id, CancelToken token);
 
-  /// Drain the queue (flushing remaining live items) and join the
-  /// scheduler threads. Idempotent; also called by the destructor.
+  /// Drain the queue (flushing remaining live windows) and join the
+  /// scheduler thread. Idempotent; also called by the destructor.
   void shutdown();
 
   struct Stats {
@@ -125,10 +113,11 @@ class BatchScheduler {
     std::uint64_t flush_size = 0;         // batch hit max_batch
     std::uint64_t flush_deadline = 0;     // max_wait expired
     std::uint64_t flush_shutdown = 0;     // drained at shutdown
-    std::uint64_t flush_all_waiting = 0;  // every open channel had an item
+    std::uint64_t flush_all_waiting = 0;  // every open channel had a window
     std::size_t max_batch_observed = 0;
     /// Modeled inference time actually charged (batched) and what the same
-    /// windows would have cost one by one (batch = 1).
+    /// windows would have cost one by one (batch = 1), both on the
+    /// TensorRT+fp16+2:4 engine of the default cost model.
     double modeled_batched_us = 0.0;
     double modeled_unbatched_us = 0.0;
   };
@@ -137,53 +126,57 @@ class BatchScheduler {
 
  private:
   struct ChannelState;
+  using Batch = std::vector<std::shared_ptr<ChannelState>>;
 
-  struct Item {
-    std::shared_ptr<ChannelState> owner;
-    std::uint64_t seq = 0;
-    std::uint64_t global_index = 0;
-    std::uint32_t rows = 0;
-    std::vector<std::int32_t> window;  // rows * kNumFeatures, owned copy
-  };
+  void scheduler_loop();
+  /// Take up to max_batch queued windows sharing the front window's shape
+  /// (FIFO otherwise). Caller holds mu_.
+  Batch take_batch_locked();
+  void flush(Batch batch, const char* reason_counter);
 
-  void scheduler_loop(std::size_t instance);
-  /// Take up to max_batch queued items sharing the front item's window
-  /// shape (FIFO otherwise). Caller holds mu_.
-  std::vector<Item> take_batch_locked();
-  void flush(core::LatencyPredictor& predictor, std::vector<Item> batch,
-             const char* reason_counter);
-
-  std::vector<core::LatencyPredictor*> instances_;
+  core::LatencyPredictor& predictor_;
   BatcherOptions opts_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  // scheduler threads wait here
-  std::deque<Item> queue_;
+  std::condition_variable cv_;  // the scheduler thread waits here
+  std::deque<std::shared_ptr<ChannelState>> queue_;
   bool stopping_ = false;
   std::size_t open_channels_ = 0;
-  std::size_t waiting_channels_ = 0;  // open channels with an item in queue_
+  std::size_t waiting_channels_ = 0;  // open channels with a window queued
   Stats stats_;
 
-  std::vector<std::thread> threads_;
+  std::thread thread_;
 };
 
-/// Per-request PredictSink handed to the engine loops. Thread-compatible
-/// with the engines' use (one submitting/waiting thread per request); the
-/// scheduler delivers results concurrently from its own threads.
-class BatchScheduler::Channel final : public core::PredictSink {
+/// Per-request predictor handed to the engine loops in place of the
+/// scheduler's predictor. Thread-compatible with the engines' use (one
+/// predicting thread per request); the scheduler delivers results from its
+/// own thread.
+class BatchScheduler::Channel final : public core::LatencyPredictor {
  public:
   ~Channel() override;
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  std::uint64_t submit(const std::int32_t* window, std::size_t rows,
-                       std::uint64_t global_index) override;
-  core::LatencyPrediction wait(std::uint64_t seq) override;
+  /// Queue the window for the next flush and block until its result
+  /// arrives. Throws QueueFullError when the shared queue is at capacity,
+  /// CancelledError once the request is cancelled, and CheckError when the
+  /// batch's inference failed.
+  core::LatencyPrediction predict(const core::WindowView& window,
+                                  std::uint64_t global_index) override;
+  /// Same, building the window straight into the queued slot.
+  core::LatencyPrediction predict_lazy(const core::LazyWindow& window) override;
+
+  std::size_t flops_per_window(std::size_t rows) const override;
+  device::Engine engine() const override;
 
  private:
   friend class BatchScheduler;
   /// Counts the channel as open until its destructor runs.
   Channel(BatchScheduler* scheduler, std::shared_ptr<ChannelState> state);
+
+  /// Queue the window already written to the slot and wait for its result.
+  core::LatencyPrediction submit_and_wait();
 
   BatchScheduler* scheduler_;
   std::shared_ptr<ChannelState> state_;

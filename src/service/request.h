@@ -49,9 +49,10 @@ struct Request {
   /// (queued + running) requests are bounded, and the queue drains
   /// fair-share across tenants within a priority (docs/SERVICE.md).
   std::string tenant;
-  /// Budget from submission to completion; 0 = none. A request that is
-  /// already past its deadline when a worker picks it up is failed without
-  /// burning any simulation work.
+  /// Budget from submission to completion; 0 = none, and so is a budget
+  /// beyond the steady clock's range. A request that is already past its
+  /// deadline when a worker picks it up is failed without burning any
+  /// simulation work.
   std::chrono::nanoseconds deadline{0};
 
   // ---- engine configuration ------------------------------------------------

@@ -66,8 +66,10 @@ void injected_stall(const Request& req, std::uint64_t id, std::size_t attempt,
       1.0) {
     return;
   }
-  const auto until = Clock::now() + req.straggler_stall;
-  while (Clock::now() < until) {
+  // Elapsed time is compared in milliseconds, so no stall length overflows.
+  const auto start = Clock::now();
+  while (std::chrono::duration_cast<std::chrono::milliseconds>(
+             Clock::now() - start) < req.straggler_stall) {
     if (source.cancelled()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -94,11 +96,7 @@ SimulationService::SimulationService(core::LatencyPredictor& primary,
   shed_limit_ = shed < opts_.queue_capacity ? shed : opts_.queue_capacity;
 
   if (opts_.batching) {
-    std::vector<core::LatencyPredictor*> instances;
-    instances.push_back(&primary_);
-    for (auto* p : opts_.extra_predictors) instances.push_back(p);
-    batcher_ = std::make_unique<BatchScheduler>(std::move(instances),
-                                                opts_.batcher);
+    batcher_ = std::make_unique<BatchScheduler>(primary_, opts_.batcher);
   }
 
   slots_.resize(opts_.num_workers);
@@ -278,7 +276,11 @@ SimulationService::Ticket SimulationService::submit(Request req) {
   auto st = std::make_shared<RequestState>();
   st->req = std::move(req);
   st->submitted = Clock::now();
-  if (st->req.deadline.count() > 0) st->deadline = st->submitted + st->req.deadline;
+  // A budget beyond the clock's range means no deadline.
+  if (st->req.deadline.count() > 0 &&
+      st->req.deadline < Clock::time_point::max() - st->submitted) {
+    st->deadline = st->submitted + st->req.deadline;
+  }
 
   Ticket ticket;
   std::lock_guard lk(mu_);
@@ -533,21 +535,23 @@ void SimulationService::run_request(const RequestState& st,
   if (!use_primary) {
     obs::flight::record(st.id, obs::flight::Event::kBreakerBypassed);
   }
-  core::LatencyPredictor& pred = use_primary ? primary_ : fallback_;
   bool primary_failed = false;
 
-  // Continuous batching covers the primary path only: while the breaker is
-  // open (or a partition is degraded) the engines call the analytic fallback
-  // directly, so a sick primary model can never stall batched peers. A
-  // request routed to the cluster submits no window, and an idle open
-  // channel would hold every peer's flush to max_wait, so it opens none.
+  // Continuous batching covers the primary path only: the request's channel
+  // stands in for the primary predictor. While the breaker is open (or a
+  // partition is degraded) the engines call the analytic fallback directly,
+  // so a sick primary model can never stall batched peers. A request routed
+  // to the cluster predicts nothing here, and an idle open channel would
+  // hold every peer's flush to max_wait, so it opens none.
   const bool remote =
       req.engine == EngineKind::kParallel && opts_.remote != nullptr;
   std::shared_ptr<BatchScheduler::Channel> chan;
   if (use_primary && batcher_ != nullptr && !remote) {
     chan = batcher_->open(st.id, token);
   }
-  core::PredictSink* const sink = chan.get();
+  core::LatencyPredictor& pred = chan != nullptr ? *chan
+                                 : use_primary   ? primary_
+                                                 : fallback_;
 
   try {
     switch (req.engine) {
@@ -570,7 +574,6 @@ void SimulationService::run_request(const RequestState& st,
           // contents are bit-identical to the in-process engine.
           r = opts_.remote->run_remote(*req.trace, po);
         } else {
-          po.batch_sink = sink;
           core::ParallelSimulator sim(pred, po);
           r = sim.run(*req.trace);
         }
@@ -589,7 +592,6 @@ void SimulationService::run_request(const RequestState& st,
         core::GpuSimOptions go;
         go.context_length = req.context_length;
         go.cancel = &token;
-        go.batch_sink = sink;
         core::GpuSimulator sim(pred, dev, go);
         const auto out = sim.run(*req.trace);
         rsp.total_cycles = out.cycles;
@@ -602,7 +604,6 @@ void SimulationService::run_request(const RequestState& st,
         core::SequentialSimOptions so;
         so.context_length = req.context_length;
         so.cancel = &token;
-        so.batch_sink = sink;
         core::SequentialSimulator sim(pred, so);
         const auto out = sim.run(*req.trace);
         rsp.total_cycles = out.cycles;
@@ -618,8 +619,7 @@ void SimulationService::run_request(const RequestState& st,
         const auto r = core::simulate_stream(pred, stream,
                                              req.stream_instructions,
                                              req.context_length,
-                                             std::size_t{1} << 14, &token,
-                                             sink);
+                                             std::size_t{1} << 14, &token);
         rsp.total_cycles = r.predicted_cycles;
         rsp.instructions = static_cast<std::size_t>(r.instructions);
         rsp.cpi = r.cpi();

@@ -80,18 +80,15 @@ struct ServiceOptions {
 
   CircuitBreakerOptions breaker;
 
-  /// Cross-request continuous batching (docs/BATCHING.md): when true, the
-  /// primary-predictor path of every in-process engine submits its windows
-  /// to a shared BatchScheduler, which coalesces windows from concurrent
-  /// requests into large inference batches. Per-request results stay
-  /// bit-identical to batching-off. The circuit-breaker fallback path and
-  /// remote execution always bypass the batcher.
+  /// Cross-request continuous batching (docs/BATCHING.md): when true, every
+  /// in-process engine on the primary path predicts through its request's
+  /// channel of a shared BatchScheduler, which coalesces windows from
+  /// concurrent requests into large inference batches on the primary.
+  /// Per-request results stay bit-identical to batching-off. The
+  /// circuit-breaker fallback path and remote execution always bypass the
+  /// batcher.
   bool batching = false;
   BatcherOptions batcher;
-  /// Additional primary-model replicas the scheduler may dispatch batches
-  /// to (one scheduler thread each, on top of the primary). Must behave
-  /// identically to the primary and outlive the service.
-  std::vector<core::LatencyPredictor*> extra_predictors;
 };
 
 class SimulationService {

@@ -23,6 +23,16 @@ Priority priority_from_wire(std::uint8_t v) {
   return static_cast<Priority>(v);
 }
 
+/// A per-point deadline becomes a Request's nanosecond budget, so it must
+/// be non-negative and fit in nanoseconds.
+void check_deadline(std::chrono::milliseconds d) {
+  check(d.count() >= 0 &&
+            d <= std::chrono::duration_cast<std::chrono::milliseconds>(
+                     std::chrono::nanoseconds::max()),
+        "sweep request: deadline of " + std::to_string(d.count()) +
+            " ms is negative or beyond the clock's range");
+}
+
 }  // namespace
 
 std::string SweepRequest::encode() const {
@@ -70,6 +80,7 @@ SweepRequest SweepRequest::decode(std::string_view enveloped) {
   req.tenant = r.str();
   req.deadline = std::chrono::milliseconds(r.pod<std::int64_t>());
   r.finish();
+  check_deadline(req.deadline);
   sweep::validate_spec(req.spec);
   return req;
 }
@@ -80,6 +91,7 @@ SimulationService::SweepTicket SimulationService::submit_sweep(
   // outcomes are deferred to the ticket.
   sweep::validate_spec(req.spec);
   trace::find_workload(req.spec.benchmark);
+  check_deadline(req.deadline);
   check(req.num_subtraces > 0, "sweep request needs num_subtraces > 0");
   check(req.context_length > 0, "sweep request needs context_length > 0");
 

@@ -33,7 +33,8 @@ struct SweepRequest {
   // Service scheduling, applied to every point request.
   Priority priority = Priority::kNormal;
   std::string tenant;
-  /// Budget per point (not for the whole sweep); 0 = none.
+  /// Budget per point (not for the whole sweep); 0 = none. Must be
+  /// non-negative and fit in nanoseconds (CheckError otherwise).
   std::chrono::milliseconds deadline{0};
 
   /// Sealed wire form (magic | version | checksum | size | payload) — what a

@@ -225,10 +225,17 @@ void validate_spec(const SweepSpec& spec) {
   check(spec.instructions > 0, "sweep spec needs instructions > 0");
   std::set<std::string> seen;
   uarch::MachineConfig probe;
+  // The lattice must fit one vector of points, so points() cannot wrap.
+  const std::size_t max_points = std::vector<SweepPoint>().max_size();
+  std::size_t points = 1;
   for (const auto& ax : spec.axes) {
     check(seen.insert(ax.key).second,
           "duplicate sweep axis '" + ax.key + "'");
     check(!ax.values.empty(), "sweep axis '" + ax.key + "' has no values");
+    check(points <= max_points / ax.values.size(),
+          "sweep lattice too large: more than " + std::to_string(max_points) +
+              " points at axis '" + ax.key + "'");
+    points *= ax.values.size();
     for (const auto& v : ax.values) apply_axis(probe, ax.key, v);
   }
 }

@@ -61,8 +61,9 @@ void apply_axis(uarch::MachineConfig& m, const std::string& key,
                 const std::string& value);
 
 /// Structural validation: non-empty benchmark and instruction budget, no
-/// duplicate axis keys, every key known, every value applicable. Throws
-/// CheckError with a message naming the offending axis.
+/// duplicate axis keys, every key known, every value applicable, and a
+/// lattice size that fits one std::vector<SweepPoint>. Throws CheckError
+/// with a message naming the offending axis.
 void validate_spec(const SweepSpec& spec);
 
 /// Cartesian-product expansion over `base`. Validates the spec first.

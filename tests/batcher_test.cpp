@@ -1,14 +1,16 @@
 // Cross-request continuous-batching scheduler (docs/BATCHING.md).
 //
 // The contract under test: batching changes *where* inference runs, never
-// what it returns. Per-request predictions are bit-identical to an unbatched
-// run across arbitrary interleavings (fuzzed over flush configurations and
-// thread start jitter); a full bounded queue rejects with the typed
-// QueueFullError instead of blocking the engine; queued items of a request
-// whose deadline expires are dropped and the waiter gets the typed deadline
-// error; a batch flushes as soon as every open channel has a window queued,
-// and only an idle open channel holds it to max_wait; the circuit-breaker
-// fallback path and remote-routed requests never touch the batcher.
+// what it returns. Every engine predicting through a channel is
+// bit-identical to its unbatched run, across arbitrary interleavings (fuzzed
+// over flush configurations and thread start jitter) and with degraded
+// parallel partitions on the fallback; a full bounded queue rejects with the
+// typed QueueFullError instead of blocking the engine; the queued window of
+// a request whose deadline expires is dropped and the caller gets the typed
+// deadline error; a batch flushes as soon as every open channel has a window
+// queued, and only an idle open channel holds it to max_wait; the
+// circuit-breaker fallback path and remote-routed requests never touch the
+// batcher.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,13 +24,17 @@
 
 #include "common/thread_pool.h"
 #include "core/analytic_predictor.h"
+#include "core/gpu_sim.h"
 #include "core/parallel_sim.h"
 #include "core/sequential_sim.h"
+#include "core/streaming.h"
+#include "device/device.h"
 #include "device/fault.h"
 #include "service/batcher.h"
 #include "service/remote.h"
 #include "service/service.h"
 #include "trace/encoder.h"
+#include "trace/stream.h"
 #include "trace/trace.h"
 #include "uarch/ground_truth.h"
 
@@ -39,6 +45,19 @@ using namespace std::chrono_literals;
 
 trace::EncodedTrace make_trace(const std::string& abbr, std::size_t n) {
   return uarch::make_encoded_trace(trace::find_workload(abbr), n, {}, 1);
+}
+
+/// An all-zero 17-row window, as the scheduler-level cases predict.
+const std::int32_t kWindow[17 * trace::kNumFeatures] = {};
+const core::WindowView kView{kWindow, 17};
+
+/// Spin until `cond` holds (bounded, so a regression fails instead of
+/// hanging the suite).
+template <typename F>
+void await(F&& cond) {
+  for (int i = 0; i < 10000 && !cond(); ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
 }
 
 /// One-shot rendezvous between a call the test wants to pin and the test
@@ -148,7 +167,7 @@ TEST(Batcher, InterleaveFuzzBitIdentity) {
     BatcherOptions bo;
     bo.max_batch = cfg.max_batch;
     bo.max_wait = cfg.max_wait;
-    BatchScheduler sched({&pred}, bo);
+    BatchScheduler sched(pred, bo);
 
     std::vector<std::vector<core::LatencyPrediction>> got(std::size(contexts));
     std::vector<std::thread> threads;
@@ -162,8 +181,7 @@ TEST(Batcher, InterleaveFuzzBitIdentity) {
         core::SequentialSimOptions so;
         so.context_length = contexts[r];
         so.record_predictions = true;
-        so.batch_sink = chan.get();
-        got[r] = core::SequentialSimulator(pred, so).run(tr).predictions;
+        got[r] = core::SequentialSimulator(*chan, so).run(tr).predictions;
       });
     }
     for (auto& t : threads) t.join();
@@ -173,11 +191,113 @@ TEST(Batcher, InterleaveFuzzBitIdentity) {
           << "request " << r << " diverged at max_batch=" << cfg.max_batch
           << " max_wait=" << cfg.max_wait.count() << "us";
     }
-    sched.shutdown();  // join scheduler threads so the stats are final
+    sched.shutdown();  // join the scheduler thread so the stats are final
     const auto st = sched.stats();
     EXPECT_EQ(st.items_predicted, std::size(contexts) * 2000u);
     EXPECT_EQ(st.items_dropped_cancelled, 0u);
     EXPECT_LE(st.max_batch_observed, cfg.max_batch);
+  }
+}
+
+// Concurrent requests of every in-process engine predict through channels
+// of one scheduler and must match their unbatched runs byte for byte. The
+// parallel request runs warmup and correction, and corrupted outputs degrade
+// some of its partitions to a fallback (the oracle) that predicts
+// differently from the primary: those partitions must be predicted by the
+// fallback, never through the channel.
+TEST(Batcher, EveryEngineMatchesUnbatchedOverOneScheduler) {
+  constexpr std::size_t kN = 2000, kCtx = 16;
+  const trace::EncodedTrace tr = make_trace("mcf", kN);
+  core::AnalyticPredictor primary;
+  core::OraclePredictor fallback(tr);
+  device::FaultOptions fo;
+  // Degrades partitions 1 and 6; neither is first on its GPU, so their
+  // heads are corrected too.
+  fo.seed = 1;
+  fo.output_corrupt_rate = 0.001;
+  const device::FaultInjector faults(fo);
+
+  core::ParallelSimOptions po;
+  po.num_subtraces = 8;
+  po.num_gpus = 2;
+  po.context_length = kCtx;
+  po.warmup = kCtx;
+  po.post_error_correction = true;
+  po.record_predictions = true;
+  po.faults = &faults;
+  po.fallback = &fallback;
+
+  struct Run {
+    std::uint64_t cycles = 0;
+    std::vector<core::LatencyPrediction> predictions;
+    std::vector<std::size_t> degraded;
+  };
+  enum Kind { kSequential, kGpu, kParallel, kStreaming, kKinds };
+  const auto run = [&](int kind, core::LatencyPredictor& pred) {
+    Run out;
+    if (kind == kSequential) {
+      core::SequentialSimOptions so;
+      so.context_length = kCtx;
+      so.record_predictions = true;
+      auto r = core::SequentialSimulator(pred, so).run(tr);
+      out.cycles = r.cycles;
+      out.predictions = std::move(r.predictions);
+    } else if (kind == kGpu) {
+      device::Device dev;
+      core::GpuSimOptions go;
+      go.context_length = kCtx;
+      go.record_predictions = true;
+      auto r = core::GpuSimulator(pred, dev, go).run(tr);
+      out.cycles = r.cycles;
+      out.predictions = std::move(r.predictions);
+    } else if (kind == kParallel) {
+      auto r = core::ParallelSimulator(pred, po).run(tr);
+      out.cycles = r.total_cycles;
+      out.predictions = std::move(r.predictions);
+      out.degraded = std::move(r.degraded_partitions);
+    } else {
+      trace::LabeledTraceStream stream(trace::find_workload("mcf"));
+      out.cycles =
+          core::simulate_stream(pred, stream, kN, kCtx, 512).predicted_cycles;
+    }
+    return out;
+  };
+
+  std::vector<Run> base;
+  for (int k = 0; k < kKinds; ++k) base.push_back(run(k, primary));
+
+  BatchScheduler sched(primary);
+  CancelSource src;
+  std::vector<std::shared_ptr<BatchScheduler::Channel>> chans;
+  for (int k = 0; k < kKinds; ++k) {
+    chans.push_back(sched.open(k + 1, src.token()));
+  }
+  std::vector<Run> got(kKinds);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kKinds; ++k) {
+    threads.emplace_back([&, k] {
+      got[k] = run(k, *chans[k]);
+      chans[k].reset();  // a finished request must not hold its peers
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (int k = 0; k < kKinds; ++k) {
+    EXPECT_EQ(got[k].cycles, base[k].cycles) << "engine " << k;
+    EXPECT_EQ(got[k].predictions, base[k].predictions) << "engine " << k;
+    EXPECT_EQ(got[k].degraded, base[k].degraded) << "engine " << k;
+  }
+  const Run& par = got[kParallel];
+  ASSERT_FALSE(par.degraded.empty());
+  ASSERT_LT(par.degraded.size(), po.num_subtraces);
+  const auto bounds = core::partition_boundaries(kN, po.num_subtraces);
+  for (const std::size_t p : par.degraded) {
+    for (std::size_t i = bounds[p]; i < bounds[p + 1]; ++i) {
+      const auto t = tr.targets(i);
+      const core::LatencyPrediction label{t[0], t[1], t[2]};
+      ASSERT_EQ(par.predictions[i], label)
+          << "degraded partition " << p << ", instruction " << i;
+    }
   }
 }
 
@@ -188,14 +308,13 @@ TEST(Batcher, InterleaveFuzzBitIdentity) {
 TEST(Batcher, StatsAccountForEveryItem) {
   const trace::EncodedTrace tr = make_trace("gcc", 500);
   core::AnalyticPredictor pred;
-  BatchScheduler sched({&pred});
+  BatchScheduler sched(pred);
   CancelSource src;
   const auto chan = sched.open(7, src.token());
   core::SequentialSimOptions so;
   so.context_length = 16;
-  so.batch_sink = chan.get();
-  core::SequentialSimulator(pred, so).run(tr);
-  sched.shutdown();  // join scheduler threads so the stats are final
+  core::SequentialSimulator(*chan, so).run(tr);
+  sched.shutdown();  // join the scheduler thread so the stats are final
   const auto st = sched.stats();
   EXPECT_EQ(st.items_submitted, 500u);
   EXPECT_EQ(st.items_predicted, 500u);
@@ -224,7 +343,7 @@ TEST(Batcher, FlushesWhenEveryOpenChannelWaits) {
 
   BatcherOptions bo;
   bo.max_wait = 10s;
-  BatchScheduler sched({&pred}, bo);
+  BatchScheduler sched(pred, bo);
   constexpr std::size_t kRequests = 3;
   // The deadline bounds a run that waits out max_wait on every window.
   std::vector<CancelSource> sources(kRequests);
@@ -239,17 +358,16 @@ TEST(Batcher, FlushesWhenEveryOpenChannelWaits) {
   std::vector<std::thread> threads;
   for (std::size_t r = 0; r < kRequests; ++r) {
     threads.emplace_back([&, r] {
-      core::SequentialSimOptions so = plain;
-      so.batch_sink = chans[r].get();
       try {
-        got[r] = core::SequentialSimulator(pred, so).run(tr).predictions;
+        got[r] =
+            core::SequentialSimulator(*chans[r], plain).run(tr).predictions;
       } catch (const std::exception& e) {
         errors[r] = e.what();
       }
     });
   }
   for (auto& t : threads) t.join();
-  sched.shutdown();  // join scheduler threads so the stats are final
+  sched.shutdown();  // join the scheduler thread so the stats are final
 
   for (std::size_t r = 0; r < kRequests; ++r) {
     EXPECT_EQ(errors[r], "") << "request " << r;
@@ -266,14 +384,13 @@ TEST(Batcher, IdleOpenChannelHoldsFlushToDeadline) {
   core::AnalyticPredictor pred;
   BatcherOptions bo;
   bo.max_wait = 20ms;
-  BatchScheduler sched({&pred}, bo);
+  BatchScheduler sched(pred, bo);
   CancelSource src;
   const auto idle = sched.open(1, src.token());
   const auto busy = sched.open(2, src.token());
 
-  const std::int32_t window[17 * trace::kNumFeatures] = {};
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_NO_THROW(busy->wait(busy->submit(window, 17, 0)));
+  EXPECT_NO_THROW(busy->predict(kView, 0));
   EXPECT_GE(std::chrono::steady_clock::now() - t0, bo.max_wait);
 
   sched.shutdown();
@@ -287,18 +404,22 @@ TEST(Batcher, ReleasingIdleChannelFlushesPeers) {
   core::AnalyticPredictor pred;
   BatcherOptions bo;
   bo.max_wait = 10s;
-  BatchScheduler sched({&pred}, bo);
+  BatchScheduler sched(pred, bo);
   CancelSource src;
   auto idle = sched.open(1, src.token());
   const auto busy = sched.open(2, src.token());
 
-  const std::int32_t window[17 * trace::kNumFeatures] = {};
-  const std::uint64_t seq = busy->submit(window, 17, 0);
-  ASSERT_EQ(sched.queue_depth(), 1u);  // held for the idle channel
+  std::chrono::steady_clock::time_point done;
+  std::thread caller([&] {
+    EXPECT_NO_THROW(busy->predict(kView, 0));
+    done = std::chrono::steady_clock::now();
+  });
+  await([&] { return sched.queue_depth() == 1; });
+  EXPECT_EQ(sched.queue_depth(), 1u);  // held for the idle channel
   const auto t0 = std::chrono::steady_clock::now();
   idle.reset();
-  EXPECT_NO_THROW(busy->wait(seq));
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, bo.max_wait / 2);
+  caller.join();
+  EXPECT_LT(done - t0, bo.max_wait / 2);
 
   sched.shutdown();
   const auto st = sched.stats();
@@ -307,37 +428,45 @@ TEST(Batcher, ReleasingIdleChannelFlushesPeers) {
   EXPECT_EQ(st.flush_deadline, 0u);
 }
 
-// A channel released with an item still queued stops counting at once, and
-// its item is not uncounted a second time when a flush takes it.
+// A channel released with a window still queued stops counting at once, and
+// its window is not uncounted a second time when a flush takes it. A
+// blocking predict() leaves a window queued only once its request is
+// cancelled, so that window is dropped, not predicted.
 TEST(Batcher, ReleasedChannelWithQueuedItemCountsOnce) {
   core::AnalyticPredictor pred;
   BatcherOptions bo;
   bo.max_wait = 10s;
-  BatchScheduler sched({&pred}, bo);
-  CancelSource src;
-  auto gone = sched.open(1, src.token());
+  BatchScheduler sched(pred, bo);
+  CancelSource src, gone_src;
+  auto gone = sched.open(1, gone_src.token());
   const auto b = sched.open(2, src.token());
   const auto c = sched.open(3, src.token());
 
-  const std::int32_t window[17 * trace::kNumFeatures] = {};
-  gone->submit(window, 17, 0);
+  std::thread gone_caller([&] {
+    EXPECT_THROW(gone->predict(kView, 0), CancelledError);
+  });
+  await([&] { return sched.queue_depth() == 1; });
+  gone_src.cancel();
+  gone_caller.join();
   gone.reset();
-  const std::uint64_t b0 = b->submit(window, 17, 0);
+
+  std::thread b_caller([&] {
+    EXPECT_NO_THROW(b->predict(kView, 0));
+    EXPECT_NO_THROW(b->predict(kView, 1));
+  });
+  await([&] { return sched.queue_depth() == 2; });
   std::this_thread::sleep_for(50ms);
   EXPECT_EQ(sched.queue_depth(), 2u) << "held for the idle channel c";
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t c0 = c->submit(window, 17, 0);
-  EXPECT_NO_THROW(b->wait(b0));
-  EXPECT_NO_THROW(c->wait(c0));
-  const std::uint64_t b1 = b->submit(window, 17, 1);
-  const std::uint64_t c1 = c->submit(window, 17, 1);
-  EXPECT_NO_THROW(b->wait(b1));
-  EXPECT_NO_THROW(c->wait(c1));
+  EXPECT_NO_THROW(c->predict(kView, 0));
+  EXPECT_NO_THROW(c->predict(kView, 1));
+  b_caller.join();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, bo.max_wait / 2);
 
   sched.shutdown();
   const auto st = sched.stats();
-  EXPECT_EQ(st.items_predicted, 5u);
+  EXPECT_EQ(st.items_predicted + st.items_dropped_cancelled, 5u);
+  EXPECT_EQ(st.items_dropped_cancelled, 1u);
   EXPECT_EQ(st.flushes, 2u);
   EXPECT_EQ(st.flush_all_waiting, 2u);
 }
@@ -348,7 +477,7 @@ TEST(BatcherDeathTest, DestroyingWithAnOpenChannelAborts) {
       {
         core::AnalyticPredictor pred;
         std::shared_ptr<BatchScheduler::Channel> chan;
-        BatchScheduler sched({&pred});
+        BatchScheduler sched(pred);
         CancelSource src;
         chan = sched.open(1, src.token());
       },
@@ -365,31 +494,40 @@ TEST(Batcher, FullQueueThrowsTypedQueueFullError) {
   bo.max_batch = 1;
   bo.max_wait = 0us;
   bo.queue_capacity = 2;
-  BatchScheduler sched({&gate}, bo);
+  BatchScheduler sched(gate, bo);
 
+  // Each channel holds one window, so filling the queue takes one channel
+  // per window, each predicting on its own thread.
   CancelSource src;
-  const auto chan = sched.open(1, src.token());
-  const std::int32_t window[17 * trace::kNumFeatures] = {};
+  std::vector<std::shared_ptr<BatchScheduler::Channel>> chans;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    chans.push_back(sched.open(id, src.token()));
+  }
+  std::vector<std::thread> callers;
+  const auto predict_on = [&](std::size_t r) {
+    callers.emplace_back([&, r] {
+      EXPECT_NO_THROW(chans[r]->predict(kView, r));
+    });
+  };
 
-  // First item is taken by the scheduler thread, which then blocks inside
-  // predict_batch — the queue behind it is all ours.
-  const std::uint64_t s0 = chan->submit(window, 17, 0);
+  // The first window is taken by the scheduler thread, which then blocks
+  // inside predict_batch — the queue behind it is all ours.
+  predict_on(0);
   gate.wait_until_entered();
-  const std::uint64_t s1 = chan->submit(window, 17, 1);
-  const std::uint64_t s2 = chan->submit(window, 17, 2);
+  predict_on(1);
+  predict_on(2);
+  await([&] { return sched.queue_depth() == 2; });
   EXPECT_EQ(sched.queue_depth(), 2u);
-  EXPECT_THROW(chan->submit(window, 17, 3), QueueFullError);
+  EXPECT_THROW(chans[3]->predict(kView, 3), QueueFullError);
 
-  // The rejection burns nothing: releasing the gate drains the queued items
-  // and every accepted submission still resolves.
+  // The rejection burns nothing: releasing the gate drains the queued
+  // windows and every accepted prediction still resolves.
   gate.release();
-  EXPECT_NO_THROW(chan->wait(s0));
-  EXPECT_NO_THROW(chan->wait(s1));
-  EXPECT_NO_THROW(chan->wait(s2));
+  for (auto& t : callers) t.join();
 }
 
 // ---------------------------------------------------------------------------
-// Cancellation: queued items of a dead request are dropped, typed
+// Cancellation: the queued window of a dead request is dropped, typed
 // ---------------------------------------------------------------------------
 
 TEST(Batcher, DeadlineExpiryDropsQueuedItemsTyped) {
@@ -397,7 +535,7 @@ TEST(Batcher, DeadlineExpiryDropsQueuedItemsTyped) {
   BatcherOptions bo;
   bo.max_batch = 1;
   bo.max_wait = 0us;
-  BatchScheduler sched({&gate}, bo);
+  BatchScheduler sched(gate, bo);
 
   CancelSource live_src;
   const auto live = sched.open(1, live_src.token());
@@ -405,22 +543,20 @@ TEST(Batcher, DeadlineExpiryDropsQueuedItemsTyped) {
   dying_src.set_deadline_after(30ms);
   const auto dying = sched.open(2, dying_src.token());
 
-  const std::int32_t window[17 * trace::kNumFeatures] = {};
-  const std::uint64_t live_seq = live->submit(window, 17, 0);
-  gate.wait_until_entered();  // scheduler pinned; next items stay queued
-  const std::uint64_t dead_seq = dying->submit(window, 17, 0);
+  std::thread live_caller([&] { EXPECT_NO_THROW(live->predict(kView, 0)); });
+  gate.wait_until_entered();  // scheduler pinned; the next window stays queued
 
-  // The waiter observes the deadline while its item is still queued.
+  // The caller observes the deadline while its window is still queued.
   try {
-    dying->wait(dead_seq);
-    FAIL() << "wait() must throw once the deadline expires";
+    dying->predict(kView, 0);
+    ADD_FAILURE() << "predict() must throw once the deadline expires";
   } catch (const CancelledError& e) {
     EXPECT_EQ(e.reason(), CancelReason::kDeadline);
   }
 
-  // Unpinning the scheduler flushes the live item and *drops* the dead one.
+  // Unpinning the scheduler flushes the live window and *drops* the dead one.
   gate.release();
-  EXPECT_NO_THROW(live->wait(live_seq));
+  live_caller.join();
   for (int i = 0; i < 200 && sched.stats().items_dropped_cancelled == 0; ++i) {
     std::this_thread::sleep_for(1ms);
   }
@@ -428,8 +564,8 @@ TEST(Batcher, DeadlineExpiryDropsQueuedItemsTyped) {
   EXPECT_EQ(st.items_dropped_cancelled, 1u);
   EXPECT_EQ(st.items_predicted, 1u);
 
-  // Submissions on the dead channel are refused up front.
-  EXPECT_THROW(dying->submit(window, 17, 1), CancelledError);
+  // Predictions on the dead channel are refused up front.
+  EXPECT_THROW(dying->predict(kView, 1), CancelledError);
 }
 
 // ---------------------------------------------------------------------------

@@ -744,7 +744,10 @@ TEST(HardenedIo, TraceLoadRejectsMissingTruncatedAndBitFlipped) {
 class ArtifactDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "mlsim_fault_test_artifacts";
+    // One directory per test: ctest runs the cases as parallel processes.
+    dir_ = fs::temp_directory_path() /
+           (std::string("mlsim_fault_test_artifacts_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     const char* old = std::getenv("MLSIM_ARTIFACT_DIR");

@@ -144,6 +144,16 @@ TEST(Cancellation, CancelledLatchesExpiredDeadline) {
   EXPECT_EQ(t.reason(), CancelReason::kDeadline);
 }
 
+// The worker re-arms a request's remaining budget at pickup; a budget the
+// clock cannot represent from now never expires instead of wrapping.
+TEST(Cancellation, DeadlineBeyondClockRangeNeverExpires) {
+  CancelSource src;
+  src.set_deadline_after(std::chrono::nanoseconds::max());
+  const CancelToken t = src.token();
+  EXPECT_FALSE(t.cancelled());
+  EXPECT_NO_THROW(t.check());
+}
+
 TEST(Cancellation, HeartbeatCountsPolls) {
   CancelSource src;
   const CancelToken t = src.token();
@@ -591,6 +601,18 @@ TEST(Service, DeadlineFiresMidRun) {
   auto t = svc.submit(std::move(rq));
   const Response r = t.future.get();
   EXPECT_EQ(r.status, ResponseStatus::kDeadlineExceeded);
+}
+
+// A budget beyond the steady clock's range is no deadline, not an overflow.
+TEST(Service, DeadlineBeyondClockRangeMeansNone) {
+  const trace::EncodedTrace tr = make_trace("mcf", 500);
+  core::AnalyticPredictor primary, fallback;
+  SimulationService svc(primary, fallback, tiny_service(1, 8));
+  Request rq = parallel_request(tr);
+  rq.deadline = std::chrono::nanoseconds::max();
+  const Response r = svc.submit(std::move(rq)).future.get();
+  EXPECT_EQ(r.status, ResponseStatus::kCompleted) << r.error;
+  EXPECT_EQ(r.total_cycles, reference_run(primary, tr).total_cycles);
 }
 
 TEST(Service, CancelQueuedAndRunningRequests) {

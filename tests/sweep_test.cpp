@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -84,6 +85,49 @@ TEST(Lattice, BadAxisValueRejected) {
   SweepSpec spec = two_axis_spec();
   spec.axes[0].values.push_back("-3");
   EXPECT_THROW(validate_spec(spec), CheckError);
+}
+
+/// Axis `key` with `values` appended to `spec`, for the lattice-size cases.
+void add_axes(SweepSpec& spec, const std::vector<std::string>& keys,
+              const std::vector<std::string>& values) {
+  for (const auto& k : keys) spec.axes.push_back({k, values});
+}
+
+const std::vector<std::string> kSixteenNumericAxes = {
+    "tlb.l1_entries",   "tlb.l2_entries",   "bp.btb_entries",
+    "bp.mispredict_penalty", "bp.history_bits", "core.fetch_width",
+    "core.issue_width", "core.commit_width", "core.iq_entries",
+    "core.rob_entries", "core.lq_entries",  "core.sq_entries",
+    "memory_latency",   "l1i.latency",      "l1d.latency",
+    "l2.latency"};
+
+// 16 axes of 16 values: 16^16 = 2^64 points wrap std::size_t to 0.
+TEST(Lattice, PointCountOverflowingSizeTRejected) {
+  SweepSpec spec = two_axis_spec();
+  spec.axes.clear();
+  std::vector<std::string> values;
+  for (int v = 1; v <= 16; ++v) values.push_back(std::to_string(v));
+  add_axes(spec, kSixteenNumericAxes, values);
+  EXPECT_THROW(validate_spec(spec), CheckError);
+  EXPECT_THROW(expand_lattice(spec), CheckError);
+}
+
+// 28 axes of 4 values: 4^28 = 2^56 points fit std::size_t but not one
+// vector of points.
+TEST(Lattice, PointCountBeyondVectorMaxSizeRejected) {
+  ASSERT_LT(std::vector<SweepPoint>().max_size(), std::size_t{1} << 56);
+  SweepSpec spec = two_axis_spec();
+  spec.axes.clear();
+  add_axes(spec, kSixteenNumericAxes, {"1", "2", "3", "4"});
+  add_axes(spec,
+           {"l1i.size_kb", "l1d.size_kb", "l2.size_kb", "l1i.assoc",
+            "l1d.assoc", "l2.assoc", "l1i.mshrs", "l1d.mshrs", "l2.mshrs"},
+           {"1", "2", "3", "4"});
+  add_axes(spec, {"l1i.line_bytes", "l1d.line_bytes", "l2.line_bytes"},
+           {"16", "32", "64", "128"});
+  ASSERT_EQ(spec.axes.size(), 28u);
+  EXPECT_THROW(validate_spec(spec), CheckError);
+  EXPECT_THROW(expand_lattice(spec), CheckError);
 }
 
 TEST(Lattice, ReplacementAxisCoversEveryPolicy) {
@@ -343,6 +387,26 @@ TEST(WireSweep, CorruptionAndTruncationAreTyped) {
   EXPECT_THROW(
       service::SweepRequest::decode(std::string_view(enc).substr(0, 12)),
       CheckError);
+}
+
+// A deadline arrives as raw int64 milliseconds: a negative one, or one that
+// overflows the nanoseconds a point request carries, is a typed error.
+TEST(WireSweep, NegativeDeadlineIsTyped) {
+  service::SweepRequest req;
+  req.spec = two_axis_spec();
+  req.deadline = std::chrono::milliseconds(-5);
+  EXPECT_THROW(service::SweepRequest::decode(req.encode()), CheckError);
+}
+
+TEST(WireSweep, DeadlineBeyondNanosecondsIsTyped) {
+  service::SweepRequest req;
+  req.spec = two_axis_spec();
+  req.deadline = std::chrono::milliseconds(
+      std::numeric_limits<std::int64_t>::max() / 2);
+  EXPECT_THROW(service::SweepRequest::decode(req.encode()), CheckError);
+  core::AnalyticPredictor primary, fallback;
+  service::SimulationService svc(primary, fallback, {});
+  EXPECT_THROW(svc.submit_sweep(req), CheckError);
 }
 
 }  // namespace
