@@ -25,6 +25,11 @@ struct DenseCtx {
     return r == 0 || r >= w.rows ? 0 : w.row(r)[kCtxLatFeature];
   }
   std::span<const std::int32_t> features(std::size_t r) const { return w.row(r); }
+  std::size_t context_count() const {
+    std::size_t n = 0;
+    for (std::size_t r = 1; r < w.rows; ++r) n += remaining(r) > 0;
+    return n;
+  }
 };
 
 struct LazyCtx {
@@ -34,6 +39,7 @@ struct LazyCtx {
   std::span<const std::int32_t> features(std::size_t r) const {
     return w.features(r);
   }
+  std::size_t context_count() const { return w.context_count(); }
 };
 
 template <typename Ctx>
@@ -42,16 +48,8 @@ LatencyPrediction evaluate(const uarch::MachineConfig& cfg, const Ctx& ctx) {
   const std::size_t rows = ctx.rows();
 
   // Context rows are program-order indexed; a row is in flight iff its
-  // remaining-latency entry is positive. Track the in-flight population and
-  // the oldest in-flight row (for ROB backpressure).
-  std::size_t in_flight = 0;
-  std::size_t oldest_row = 0;
-  for (std::size_t r = 1; r < rows; ++r) {
-    if (ctx.remaining(r) > 0) {
-      ++in_flight;
-      oldest_row = r;
-    }
-  }
+  // remaining-latency entry is positive.
+  const std::size_t in_flight = ctx.context_count();
 
   const auto data_level = static_cast<HitLevel>(cur[Feat::kDataLevel]);
   const auto dtlb = static_cast<TlbLevel>(cur[Feat::kDtlb]);
@@ -136,7 +134,6 @@ LatencyPrediction evaluate(const uarch::MachineConfig& cfg, const Ctx& ctx) {
                                 ctx.remaining(static_cast<std::size_t>(dist))));
     }
   }
-  (void)oldest_row;
 
   std::uint32_t mem_lat = 0;
   if (cur[Feat::kIsLoad] != 0) {

@@ -9,25 +9,19 @@ namespace mlsim::core {
 LazyWindow::LazyWindow(const trace::EncodedTrace& tr, std::uint64_t current,
                        std::uint64_t oldest, const std::uint64_t* retire_ring,
                        std::size_t ring_capacity, std::uint64_t clock,
-                       std::size_t rows)
+                       std::size_t rows, std::uint64_t first_index)
     : trace_(tr),
       current_(current),
-      oldest_(oldest),
+      first_index_(first_index),
       ring_(retire_ring),
       ring_cap_(ring_capacity),
+      slot_(ring_capacity != 0 ? current % ring_capacity : 0),
+      history_(std::min<std::uint64_t>(rows - 1,
+                                       current > oldest ? current - oldest : 0)),
       clock_(clock),
       rows_(rows) {
   check(ring_capacity >= rows - 1, "retire ring smaller than context length");
   check(current < tr.size(), "current index out of trace bounds");
-}
-
-std::int32_t LazyWindow::remaining(std::size_t r) const {
-  if (r == 0 || r >= rows_) return 0;
-  if (current_ < oldest_ + r) return 0;  // beyond available history: padding
-  const std::uint64_t retire = ring_[(current_ - r) % ring_cap_];
-  if (retire <= clock_) return 0;  // retired
-  return static_cast<std::int32_t>(
-      std::min<std::uint64_t>(retire - clock_, kMaxLatencyEntry));
 }
 
 void LazyWindow::materialize(std::vector<std::int32_t>& out) const {
@@ -51,8 +45,17 @@ void LazyWindow::materialize_to(std::int32_t* out) const {
 }
 
 std::size_t LazyWindow::context_count() const {
+  // Rows 1..history_ sit at ring slots slot_-1 down to slot_-history_: the
+  // `low` rows above slot 0, then the rest at the top of the ring.
+  const std::size_t low = std::min(history_, slot_);
   std::size_t n = 0;
-  for (std::size_t r = 1; r < rows_; ++r) n += remaining(r) > 0;
+  for (const std::uint64_t* p = ring_ + slot_ - low; p != ring_ + slot_; ++p) {
+    n += *p > clock_;
+  }
+  for (const std::uint64_t* p = ring_ + ring_cap_ - (history_ - low);
+       p != ring_ + ring_cap_; ++p) {
+    n += *p > clock_;
+  }
   return n;
 }
 

@@ -11,6 +11,7 @@
 //     exactly zero error with it).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -28,17 +29,36 @@ namespace mlsim::core {
 /// history (>= oldest). materialize() produces exactly the window
 /// InstructionQueue::push_and_build builds, so predictors without a lazy
 /// fast path see identical inputs.
+///
+/// The constructor resolves instruction i's ring slot once; a row lookup is
+/// then an inline compare and subtraction (docs/INTERNALS.md, "Window
+/// semantics").
 class LazyWindow {
  public:
+  /// `first_index` is the trace-global index of `tr`'s row 0: nonzero only
+  /// for a buffer that has dropped rows from its front (streaming).
   LazyWindow(const trace::EncodedTrace& tr, std::uint64_t current,
              std::uint64_t oldest, const std::uint64_t* retire_ring,
-             std::size_t ring_capacity, std::uint64_t clock, std::size_t rows);
+             std::size_t ring_capacity, std::uint64_t clock, std::size_t rows,
+             std::uint64_t first_index = 0);
 
   std::size_t rows() const { return rows_; }
-  std::uint64_t current_index() const { return current_; }
+  /// Trace-global index of the current instruction.
+  std::uint64_t current_index() const { return first_index_ + current_; }
 
   /// Remaining latency of context row r (>=1); 0 if padding or retired.
-  std::int32_t remaining(std::size_t r) const;
+  std::int32_t remaining(std::size_t r) const {
+    // r - 1 wraps for r == 0, so one compare rejects row 0, rows past the
+    // window and rows past the history.
+    if (r - 1 >= history_) return 0;
+    // r <= history_ <= ring_cap_, so at most one wrap below slot 0.
+    std::size_t slot = slot_ - r;
+    if (slot >= ring_cap_) slot += ring_cap_;
+    const std::uint64_t retire = ring_[slot];
+    if (retire <= clock_) return 0;  // retired
+    return static_cast<std::int32_t>(
+        std::min<std::uint64_t>(retire - clock_, kMaxLatencyEntry));
+  }
 
   /// Static features of row r (r = 0 is the current instruction). Only
   /// valid for r == 0 or rows with remaining(r) > 0.
@@ -59,10 +79,12 @@ class LazyWindow {
 
  private:
   const trace::EncodedTrace& trace_;
-  std::uint64_t current_;
-  std::uint64_t oldest_;
+  std::uint64_t current_;      // row of `trace_` being predicted
+  std::uint64_t first_index_;
   const std::uint64_t* ring_;
   std::size_t ring_cap_;
+  std::size_t slot_;     // current_ % ring_cap_
+  std::size_t history_;  // context rows with history: min(rows-1, current-oldest)
   std::uint64_t clock_;
   std::size_t rows_;
 };

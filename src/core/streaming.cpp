@@ -24,7 +24,8 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
   std::uint64_t clock = 0;
 
   trace::EncodedTrace buf(stream.benchmark());
-  std::size_t local = 0;  // next buffer row to simulate
+  std::size_t local = 0;      // next buffer row to simulate
+  std::uint64_t dropped = 0;  // rows compacted away: buffer row 0's index
 
   MLSIM_TRACE_SPAN("stream/run");
   while (res.instructions < total_instructions) {
@@ -44,7 +45,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
       for (; local < buf.size(); ++local) {
         if (cancel != nullptr) cancel->check();
         const LazyWindow lw(buf, local, /*oldest=*/0, ring.data(), cap, clock,
-                            rows);
+                            rows, dropped);
         const LatencyPrediction p = predictor.predict_lazy(lw);
         ring[local % cap] = clock + p.fetch + p.exec + p.store;
         clock += p.fetch;
@@ -63,6 +64,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
       if (drop > 0) {
         buf = buf.slice(drop, buf.size());
         local -= drop;
+        dropped += drop;
         MLSIM_GAUGE_SET(obs::names::kStreamRowsResident,
                         static_cast<double>(buf.size()));
       }

@@ -4,6 +4,9 @@
 // the custom convolution layer against the dense reference convolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/rng.h"
 #include "core/analytic_predictor.h"
 #include "core/custom_conv.h"
@@ -163,6 +166,82 @@ TEST(LazyWindowEquivalence, MatchesReferenceQueueWindows) {
     ring[i % ring.size()] = clock + p.fetch + p.exec + p.store;
     clock += p.fetch;
     ASSERT_EQ(ref.clock(), clock);
+  }
+}
+
+// The per-row definition LazyWindow's scan must reproduce: row r is live iff
+// 0 < r < rows, trace row current - r is within the history (>= oldest) and
+// its retire clock, at ring slot (current - r) % cap, is past the clock.
+std::int32_t reference_remaining(std::uint64_t current, std::uint64_t oldest,
+                                 const std::vector<std::uint64_t>& ring,
+                                 std::uint64_t clock, std::size_t rows,
+                                 std::size_t r) {
+  if (r == 0 || r >= rows || current < oldest + r) return 0;
+  const std::uint64_t retire = ring[(current - r) % ring.size()];
+  if (retire <= clock) return 0;
+  return static_cast<std::int32_t>(
+      std::min<std::uint64_t>(retire - clock, kMaxLatencyEntry));
+}
+
+TEST(LazyWindowScan, MatchesModuloReference) {
+  const trace::EncodedTrace tr = small_trace("xz", 3200);
+  const std::size_t F = trace::kNumFeatures;
+  const std::uint64_t clock = 1'000'000;
+  // Retired, just retired, 1 cycle left, the 255 cap, just over it, far off.
+  const std::uint64_t retire_values[] = {clock - 1,   clock,
+                                         clock + 1,   clock + 255,
+                                         clock + 256, clock + 1'000'000};
+  Rng rng(18);
+  std::vector<std::uint64_t> ring;
+  std::vector<std::int32_t> got, want;
+  for (const std::size_t rows : {1u, 2u, 17u, 65u}) {
+    // rows - 1 is the smallest legal ring; the trainer passes a whole trace.
+    for (const std::size_t cap :
+         {std::max<std::size_t>(rows - 1, 1), rows + 5, std::size_t{1000}}) {
+      // Every index below rows, then both sides of three ring wraps.
+      std::set<std::uint64_t> currents;
+      for (std::uint64_t c = 0; c <= rows; ++c) currents.insert(c);
+      for (std::uint64_t k = 1; k <= 3; ++k) {
+        for (std::uint64_t c = k * cap - 1; c <= k * cap + rows; ++c) {
+          currents.insert(c);
+        }
+      }
+      for (const std::uint64_t current : currents) {
+        ring.resize(cap);
+        for (auto& v : ring) {
+          v = retire_values[rng.next_below(std::size(retire_values))];
+        }
+        std::vector<std::uint64_t> oldests{0, current};
+        for (std::size_t r = 1; r <= rows && r <= current; ++r) {
+          oldests.push_back(current - r);
+        }
+        for (const std::uint64_t oldest : oldests) {
+          SCOPED_TRACE(::testing::Message()
+                       << "rows " << rows << " cap " << cap << " current "
+                       << current << " oldest " << oldest);
+          const LazyWindow lw(tr, current, oldest, ring.data(), cap, clock,
+                              rows);
+          std::size_t count = 0;
+          want.assign(rows * F, 0);
+          std::copy_n(tr.features(current).data(), F, want.data());
+          for (std::size_t r = 0; r <= rows + 1; ++r) {
+            const std::int32_t rem =
+                reference_remaining(current, oldest, ring, clock, rows, r);
+            ASSERT_EQ(lw.remaining(r), rem) << "row " << r;
+            if (rem > 0) {
+              ++count;
+              std::copy_n(tr.features(current - r).data(), F,
+                          want.data() + r * F);
+              want[r * F + kCtxLatFeature] = rem;
+            }
+          }
+          ASSERT_EQ(lw.context_count(), count);
+          got.assign(rows * F, -1);
+          lw.materialize_to(got.data());
+          ASSERT_EQ(got, want);
+        }
+      }
+    }
   }
 }
 

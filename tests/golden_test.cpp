@@ -5,10 +5,15 @@
 // consciously in the same change that explains why.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/analytic_predictor.h"
+#include "core/lockstep_sim.h"
 #include "core/metrics.h"
 #include "core/parallel_sim.h"
 #include "core/simulator.h"
+#include "core/streaming.h"
+#include "trace/stream.h"
 
 namespace mlsim::core {
 namespace {
@@ -55,6 +60,102 @@ TEST(GoldenPredictions, AnalyticSimulationPinned) {
   } else {
     GTEST_SKIP() << "pin not yet generated";
   }
+}
+
+// ---- Partitioned analytic runs ---------------------------------------------
+// Warmup and post-error correction on, with every context count recorded.
+// `sim_time_us` is pinned by bit pattern: it carries the sampled context
+// occupancy, so it moves if LazyWindow::context_count does.
+
+struct PartitionedPin {
+  const char* abbr;
+  std::size_t parts;
+  std::size_t gpus;
+  std::uint64_t total_cycles;
+  std::size_t corrected;
+  std::uint64_t sim_time_bits;
+  std::uint64_t counts_hash;
+};
+
+void PrintTo(const PartitionedPin& g, std::ostream* os) {
+  *os << g.abbr << '_' << g.parts << "x" << g.gpus;
+}
+
+ParallelSimOptions partitioned_options(std::size_t parts, std::size_t gpus) {
+  ParallelSimOptions o;
+  o.num_subtraces = parts;
+  o.num_gpus = gpus;
+  o.context_length = 64;
+  o.warmup = 64;
+  o.post_error_correction = true;
+  o.record_context_counts = true;
+  return o;
+}
+
+// FNV-1a over the per-instruction context counts.
+std::uint64_t hash_counts(const std::vector<std::uint16_t>& counts) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint16_t c : counts) {
+    h = (h ^ c) * 1099511628211ull;
+  }
+  return h;
+}
+
+void expect_pinned(const ParallelSimResult& res, const PartitionedPin& g) {
+  EXPECT_EQ(res.total_cycles, g.total_cycles);
+  EXPECT_EQ(res.corrected_instructions, g.corrected);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(res.sim_time_us), g.sim_time_bits)
+      << res.sim_time_us;
+  EXPECT_EQ(hash_counts(res.context_counts), g.counts_hash);
+}
+
+class GoldenPartitioned : public ::testing::TestWithParam<PartitionedPin> {};
+
+TEST_P(GoldenPartitioned, AnalyticParallelPinned) {
+  const PartitionedPin g = GetParam();
+  const auto tr = labeled_trace(g.abbr, 10000, {}, 1, false);
+  AnalyticPredictor pred;
+  const auto res =
+      ParallelSimulator(pred, partitioned_options(g.parts, g.gpus)).run(tr);
+  expect_pinned(res, g);
+}
+
+// 10k instructions, seed 1, context 64, warmup 64, correction on.
+constexpr PartitionedPin kMcf8x2{"mcf", 8, 2, 36664, 121, 0x40a2d8a0fba07ab6,
+                                 0x08b821cf0093cb73};
+INSTANTIATE_TEST_SUITE_P(
+    Pins, GoldenPartitioned,
+    ::testing::Values(
+        PartitionedPin{"xz", 4, 1, 39818, 78, 0x40b1b83e960fe19c,
+                       0xabca00a6c68e81ee},
+        PartitionedPin{"xz", 8, 2, 39825, 32, 0x40a1e4a093cfd6f3,
+                       0x17f58b3f07a9331c},
+        PartitionedPin{"mcf", 4, 1, 36668, 17, 0x40b15a68d0ba6de0,
+                       0x2fa2874efae48586},
+        kMcf8x2,
+        PartitionedPin{"lbm", 4, 1, 60662, 20, 0x40b15663ea438e84,
+                       0x394b845096619190},
+        PartitionedPin{"lbm", 8, 2, 60693, 74, 0x40a22ab82de0877a,
+                       0x110dfd17404fb2da}));
+
+// The lockstep engine steps the same partitions in another order, so it
+// must land on the shard engine's pin.
+TEST(GoldenPredictions, LockstepPartitionedPinned) {
+  const auto tr = labeled_trace(kMcf8x2.abbr, 10000, {}, 1, false);
+  AnalyticPredictor pred;
+  const auto res = LockstepParallelSimulator(
+                       pred, partitioned_options(kMcf8x2.parts, kMcf8x2.gpus))
+                       .run(tr);
+  expect_pinned(res, kMcf8x2);
+}
+
+TEST(GoldenPredictions, StreamingPinned) {
+  trace::LabeledTraceStream stream(trace::find_workload("xz"), {}, 1);
+  AnalyticPredictor pred;
+  const auto res = simulate_stream(pred, stream, 10000, /*context_length=*/16,
+                                   /*chunk_size=*/1000);
+  EXPECT_EQ(res.predicted_cycles, 19601u);
+  EXPECT_EQ(res.truth_cycles, 47129u);  // GoldenCycles' xz pin
 }
 
 }  // namespace

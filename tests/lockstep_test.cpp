@@ -34,6 +34,13 @@ struct Config {
   bool correction;
 };
 
+// Without this gtest names each case after the raw bytes of Config, padding
+// included, so the names would change from build to build.
+void PrintTo(const Config& c, std::ostream* os) {
+  *os << c.parts << 'x' << c.gpus << "_warmup" << c.warmup
+      << (c.correction ? "_correction" : "");
+}
+
 class LockstepEquivalence : public ::testing::TestWithParam<Config> {};
 
 TEST_P(LockstepEquivalence, MatchesParallelSimulatorExactly) {

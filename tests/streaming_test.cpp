@@ -79,6 +79,20 @@ TEST(StreamingSim, ChunkSizeInvariant) {
   }
 }
 
+// The oracle replays labels by the window's trace-global index, so it only
+// reproduces the truth if that index survives the buffer's compactions.
+TEST(StreamingSim, OracleReplaysLabelsAcrossCompactions) {
+  const std::size_t n = 5000;
+  const auto labels = core::labeled_trace("xz", n, {}, 1, /*use_cache=*/false);
+  core::OraclePredictor oracle(labels);
+  for (const std::size_t chunk : {500u, 1000u, 5000u}) {
+    trace::LabeledTraceStream stream(trace::find_workload("xz"), {}, 1);
+    const auto res = core::simulate_stream(oracle, stream, n, 16, chunk);
+    EXPECT_EQ(res.truth_cycles, core::total_cycles_from_targets(labels));
+    EXPECT_EQ(res.predicted_cycles, res.truth_cycles) << "chunk " << chunk;
+  }
+}
+
 TEST(StreamingSim, ZeroInstructionsIsEmpty) {
   const auto& wl = trace::find_workload("xz");
   trace::LabeledTraceStream stream(wl);
