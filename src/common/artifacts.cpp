@@ -99,16 +99,6 @@ void artifact_commit(
   }
 }
 
-std::uint64_t fnv1a64(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::uint64_t file_checksum(const std::filesystem::path& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) {

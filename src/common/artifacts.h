@@ -40,9 +40,6 @@ void artifact_commit(
     const std::string& name,
     const std::function<void(const std::filesystem::path&)>& write);
 
-/// 64-bit FNV-1a over a byte buffer.
-std::uint64_t fnv1a64(const void* data, std::size_t size);
-
 /// FNV-1a of a whole file. Throws IoError if the file cannot be read.
 std::uint64_t file_checksum(const std::filesystem::path& path);
 

@@ -1,38 +1,116 @@
 #include "common/wire.h"
 
+#include <bit>
 #include <fstream>
 
 #include "common/artifacts.h"
 
 namespace mlsim::wire {
 
-std::string seal(std::uint32_t magic, std::string_view payload) {
+static_assert(std::endian::native == std::endian::little,
+              "the wire format is little-endian and read with memcpy");
+
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;  // odd: a bijection
+constexpr std::size_t kLanes = 4;
+
+/// One FNV-1a step: xor, then multiply by the odd prime. For a fixed state
+/// it is injective in `v`, and for a fixed `v` injective in the state.
+std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * kFnvPrime;
+}
+
+std::uint64_t load_word(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+/// The murmur3 fmix64 finalizer: a bijection that spreads every input bit
+/// over the whole sum.
+std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t checksum(std::string_view payload) {
+  const char* p = payload.data();
+  const std::size_t words = payload.size() / 8;
+  // Distinct lane seeds and an ordered fold (FNV-1a over the lanes) tell
+  // the lanes apart, so words swapped between lanes do not cancel out.
+  std::uint64_t lane[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) lane[j] = kFnvBasis + j;
+  std::size_t i = 0;
+  for (; i + kLanes <= words; i += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      lane[j] = fnv_step(lane[j], load_word(p + (i + j) * 8));
+    }
+  }
+  for (std::size_t j = 0; i < words; ++i, ++j) {
+    lane[j] = fnv_step(lane[j], load_word(p + i * 8));
+  }
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t l : lane) h = fnv_step(h, l);
+  for (std::size_t b = words * 8; b < payload.size(); ++b) {
+    h = fnv_step(h, static_cast<unsigned char>(p[b]));
+  }
+  return avalanche(fnv_step(h, payload.size()));
+}
+
+std::string seal_header(std::uint32_t magic, std::string_view payload) {
   Writer head;
   head.pod(magic);
   head.pod(kWireVersion);
-  head.pod(fnv1a64(payload.data(), payload.size()));
+  head.pod(checksum(payload));
   head.pod(static_cast<std::uint64_t>(payload.size()));
-  std::string out = head.take();
+  return head.take();
+}
+
+std::string seal(std::uint32_t magic, std::string_view payload) {
+  std::string out = seal_header(magic, payload);
   out.append(payload);
   return out;
 }
 
-std::string_view unseal(std::uint32_t magic, std::string_view enveloped,
-                        const std::string& context) {
-  check(enveloped.size() >= kEnvelopeBytes,
+Header open_header(std::uint32_t magic, std::string_view header,
+                   const std::string& context) {
+  check(header.size() >= kEnvelopeBytes,
         "envelope too small for its header: " + context);
-  Reader head(enveloped.data(), kEnvelopeBytes, context);
+  Reader head(header.data(), kEnvelopeBytes, context);
   check(head.pod<std::uint32_t>() == magic,
         "bad envelope magic (wrong file or corrupted): " + context);
-  check(head.pod<std::uint32_t>() == kWireVersion,
-        "unsupported envelope version: " + context);
-  const auto sum = head.pod<std::uint64_t>();
-  const auto payload_size = head.pod<std::uint64_t>();
-  check(payload_size == enveloped.size() - kEnvelopeBytes,
+  const auto version = head.pod<std::uint32_t>();
+  check(version == kWireVersion,
+        "unsupported envelope version " + std::to_string(version) +
+            " (this build reads " + std::to_string(kWireVersion) +
+            "): " + context);
+  Header h;
+  h.checksum = head.pod<std::uint64_t>();
+  h.payload_size = head.pod<std::uint64_t>();
+  return h;
+}
+
+void verify_payload(const Header& header, std::string_view payload,
+                    const std::string& context) {
+  check(header.payload_size == payload.size(),
         "envelope payload length mismatch (torn write?): " + context);
-  const std::string_view payload = enveloped.substr(kEnvelopeBytes);
-  check(fnv1a64(payload.data(), payload.size()) == sum,
+  check(checksum(payload) == header.checksum,
         "envelope checksum mismatch (corrupted): " + context);
+}
+
+std::string_view unseal(std::uint32_t magic, std::string_view enveloped,
+                        const std::string& context) {
+  const Header header = open_header(magic, enveloped, context);
+  const std::string_view payload = enveloped.substr(kEnvelopeBytes);
+  verify_payload(header, payload, context);
   return payload;
 }
 

@@ -1,8 +1,9 @@
 // Checkpoint/restart for long simulations (docs/RESILIENCE.md).
 //
-// Two checkpoint shapes, both written atomically (temp + rename) with an
-// FNV-1a payload checksum so a file torn by process death is detected and
-// rejected on load rather than silently resumed from:
+// Two checkpoint shapes, both written atomically (temp + rename) in the
+// sealed wire envelope (common/wire.h) so a file torn by process death is
+// detected by its length and checksum and rejected on load rather than
+// silently resumed from:
 //
 //   RunCheckpoint — resume point of a ParallelSimulator run, written after
 //       every partition: the run fingerprint, the correction snapshot, and

@@ -77,7 +77,10 @@ DistCoordinator::DistCoordinator(net::TcpListener listener,
       refresh_health(nullptr);
       resume_ = RunJournal::replay(opts_.journal_path, opts_.journal_strict);
     }
-    journal_.open(opts_.journal_path);
+    // A crash can tear the record it was writing; appending behind that
+    // tear would hide this run's records from the next replay.
+    journal_.open(opts_.journal_path,
+                  resume_.has_value() ? resume_->dropped_bytes : 0);
   }
   lifecycle_ = "serving";
   refresh_health(nullptr);
@@ -108,7 +111,7 @@ CoordinatorStats DistCoordinator::stats() const {
   return stats_snapshot_;
 }
 
-void DistCoordinator::accept_joiners(const std::string& welcome,
+void DistCoordinator::accept_joiners(const SealedWelcome& welcome,
                                      RunState& rs) {
   // Drain the backlog: accept until the listener would block.
   for (;;) {
@@ -139,7 +142,7 @@ void DistCoordinator::accept_joiners(const std::string& welcome,
                                  std::to_string(kProtocolVersion) + ")"));
         continue;
       }
-      net::send_frame(*conn, welcome);
+      net::send_frame(*conn, welcome.header, welcome.payload);
       auto w = std::make_unique<Worker>();
       w->conn = std::move(*conn);
       w->last_heard = Clock::now();
@@ -544,15 +547,17 @@ core::ParallelSimResult DistCoordinator::run(
   // Welcome (a copy of the trace) and broadcasting it to every worker would
   // otherwise make a zero-dispatch re-run scale with the fleet size.
   // Workers keep their stale session state; the next dispatching run
-  // re-welcomes them.
-  std::string welcome;
+  // re-welcomes them. The Welcome is sealed once per run: every worker and
+  // joiner gets the same header and payload bytes.
+  SealedWelcome welcome;
   if (rs.done < plan.num_shards) {
-    welcome = encode_welcome(session_, fp, cfg, trace, session_token_);
+    welcome.payload = encode_welcome(session_, fp, cfg, trace, session_token_);
+    welcome.header = net::frame_header(welcome.payload);
     // Re-welcome workers that joined in a previous run: their session state
     // is stale until they see this run's config and trace.
     for (auto& w : workers_) {
       try {
-        net::send_frame(w->conn, welcome);
+        net::send_frame(w->conn, welcome.header, welcome.payload);
       } catch (const IoError&) {
         drop_worker(*w, rs);
       }

@@ -215,9 +215,16 @@ class DistCoordinator final : public service::RemoteBackend {
     std::vector<double> latencies_us;
   };
 
+  /// The current run's Welcome payload and its frame header, computed once
+  /// and sent as-is to every worker and joiner of the run.
+  struct SealedWelcome {
+    std::string header;
+    std::string payload;
+  };
+
   /// Admit pending connections: a Hello or Rejoin of kProtocolVersion gets
-  /// `welcome` (the current run's Welcome frame), any other version a Reject.
-  void accept_joiners(const std::string& welcome, RunState& rs);
+  /// `welcome`, any other version a Reject.
+  void accept_joiners(const SealedWelcome& welcome, RunState& rs);
   void handle_frame(Worker& w, RunState& rs);
   void drop_worker(Worker& w, RunState& rs);
   /// Remove w from whichever side of its shard it holds: clears a spec slot,

@@ -1,6 +1,7 @@
 #include "dist/journal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -33,7 +34,8 @@ std::string journal_errno(const char* op, const std::filesystem::path& path) {
 
 RunJournal::~RunJournal() { close(); }
 
-void RunJournal::open(const std::filesystem::path& path) {
+void RunJournal::open(const std::filesystem::path& path,
+                      std::size_t torn_tail_bytes) {
   close();
   // O_APPEND keeps every record write atomic w.r.t. the file offset; there
   // is exactly one writer, but a crashed predecessor's tail may precede us.
@@ -45,6 +47,16 @@ void RunJournal::open(const std::filesystem::path& path) {
   if (fd < 0) throw IoError(journal_errno("open", path));
   fd_ = fd;
   path_ = path;
+  if (torn_tail_bytes > 0) {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0 ||
+        ::ftruncate(fd_, st.st_size - static_cast<off_t>(torn_tail_bytes)) !=
+            0) {
+      const std::string why = journal_errno("truncate", path);
+      close();
+      throw IoError(why);
+    }
+  }
 }
 
 void RunJournal::close() {
@@ -124,28 +136,20 @@ JournalReplay RunJournal::replay(const std::filesystem::path& path,
   std::size_t off = 0;
   std::string bad_tail;  // first corruption reason, empty while clean
   while (off < data.size() && bad_tail.empty()) {
-    // Envelope: magic(4) version(4) checksum(8) size(8) payload. The size
-    // field at offset 16 walks the concatenated records; unseal verifies
-    // magic + checksum over the full candidate slice.
-    if (data.size() - off < wire::kEnvelopeBytes) {
-      bad_tail = "torn envelope header";
-      break;
-    }
-    std::uint64_t size = 0;
-    std::memcpy(&size, data.data() + off + 16, sizeof(size));
-    if (size > kMaxJournalRecord) {
-      bad_tail = "implausible record size " + std::to_string(size);
-      break;
-    }
-    if (data.size() - off < wire::kEnvelopeBytes + size) {
-      bad_tail = "torn record payload";
-      break;
-    }
-    const std::string_view record(data.data() + off,
-                                  wire::kEnvelopeBytes + size);
+    const std::string_view rest = std::string_view(data).substr(off);
+    std::size_t record_bytes = 0;
     try {
+      // Each record is one envelope, checked as a received frame is: the
+      // header, its size against the bytes left, then the checksum.
+      const wire::Header h = wire::open_header(kJournalMagic, rest, context);
+      check(h.payload_size <= kMaxJournalRecord,
+            "implausible record size " + std::to_string(h.payload_size));
+      check(h.payload_size <= rest.size() - wire::kEnvelopeBytes,
+            "torn record payload");
       const std::string_view payload =
-          wire::unseal(kJournalMagic, record, context);
+          rest.substr(wire::kEnvelopeBytes, h.payload_size);
+      wire::verify_payload(h, payload, context);
+      record_bytes = wire::kEnvelopeBytes + payload.size();
       wire::Reader r(payload, context);
       const auto kind = r.pod<std::uint32_t>();
       switch (kind) {
@@ -205,7 +209,7 @@ JournalReplay RunJournal::replay(const std::filesystem::path& path,
     }
     out.found = true;
     ++out.records;
-    off += record.size();
+    off += record_bytes;
   }
 
   if (!bad_tail.empty()) {

@@ -80,9 +80,12 @@ class RunJournal {
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
 
-  /// Open (creating if absent) for append. Throws IoError on filesystem
-  /// failure.
-  void open(const std::filesystem::path& path);
+  /// Open (creating if absent) for append, first cutting `torn_tail_bytes`
+  /// off the end: the tail a lenient replay dropped (its dropped_bytes).
+  /// Left in place, a torn tail would sit between the intact records and
+  /// the ones appended now, and every later replay would stop at it.
+  /// Throws IoError on filesystem failure.
+  void open(const std::filesystem::path& path, std::size_t torn_tail_bytes = 0);
   bool enabled() const { return fd_ >= 0; }
   void close();
 

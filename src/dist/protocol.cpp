@@ -158,6 +158,12 @@ std::string encode_welcome(std::uint64_t session, std::uint64_t fingerprint,
   w.str(trace.benchmark());
   w.pod(static_cast<std::uint64_t>(trace.size()));
   w.pod(static_cast<std::uint8_t>(trace.labeled() ? 1 : 0));
+  // The rest is two length-prefixed arrays and the token: reserve the final
+  // size so the trace is copied into the payload once.
+  const std::size_t features = trace.raw_features().size();
+  const std::size_t targets = trace.raw_targets().size();
+  w.reserve(w.bytes().size() + 3 * sizeof(std::uint64_t) +
+            features * sizeof(std::int32_t) + targets * sizeof(std::uint32_t));
   w.vec(trace.raw_features());
   w.vec(trace.raw_targets());
   w.pod(token);
@@ -270,32 +276,21 @@ WelcomeDecoded decode_welcome(std::string_view payload,
   d.session = r.pod<std::uint64_t>();
   d.fingerprint = r.pod<std::uint64_t>();
   d.config = get_run_config(r);
-  const std::string benchmark = r.str();
+  std::string benchmark = r.str();
   // Each instruction ships at least its feature row.
   const auto n = r.count(trace::kNumFeatures * sizeof(std::int32_t));
   const auto labeled = r.pod<std::uint8_t>();
-  const auto features = r.vec<std::int32_t>();
-  const auto targets = r.vec<std::uint32_t>();
+  auto features = r.vec<std::int32_t>();
+  auto targets = r.vec<std::uint32_t>();
   d.token = r.pod<std::uint64_t>();
   r.finish();
   check(features.size() == n * trace::kNumFeatures,
         "welcome trace feature matrix shape mismatch from " + context);
-  check(!labeled || targets.size() == n * trace::kNumTargets,
-        "welcome trace target matrix shape mismatch from " + context);
-  d.trace = trace::EncodedTrace(benchmark);
-  d.trace.reserve(n);
-  trace::FeatureVector row;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::copy_n(features.begin() +
-                    static_cast<std::ptrdiff_t>(i * trace::kNumFeatures),
-                trace::kNumFeatures, row.begin());
-    if (labeled) {
-      const std::size_t t = i * trace::kNumTargets;
-      d.trace.append(row, targets[t], targets[t + 1], targets[t + 2]);
-    } else {
-      d.trace.append(row);
-    }
-  }
+  // An unlabeled trace carries no targets, whatever the array holds. The
+  // constructor checks the target shape and derives labeled() from them.
+  if (labeled == 0) std::fill(targets.begin(), targets.end(), 0u);
+  d.trace = trace::EncodedTrace(std::move(benchmark), std::move(features),
+                                std::move(targets));
   return d;
 }
 

@@ -69,10 +69,11 @@ struct Session {
   std::uint64_t fingerprint = 0;
 };
 
-std::unique_ptr<Session> open_session(const WelcomeDecoded& w) {
+/// Takes the Welcome's trace (w.trace is left empty); the other fields stay.
+std::unique_ptr<Session> open_session(WelcomeDecoded& w) {
   auto s = std::make_unique<Session>();
   s->id = w.session;
-  s->trace = w.trace;
+  s->trace = std::move(w.trace);
   s->injector = device::FaultInjector(w.config.fault_options());
   s->opts = w.config.to_options(
       w.config.faults_enabled ? &s->injector : nullptr);
@@ -110,6 +111,24 @@ net::TcpConn connect_with_retry(const WorkerConfig& cfg) {
       std::this_thread::sleep_for(backoff_delay(cfg, a));
     }
   }
+}
+
+/// True when the frames the coordinator sent before `conn` broke, still
+/// unread, include a Shutdown. A coordinator that finishes its run closes
+/// every connection right after its Shutdown frame; a worker still
+/// computing a duplicate shard then fails its next send, with the Shutdown
+/// waiting unread behind the frames it has read.
+bool shutdown_unread(net::TcpConn& conn) {
+  std::string payload;
+  try {
+    while (conn.readable(0)) {
+      if (!net::recv_frame(conn, payload)) return false;
+      if (peek_type(payload, conn.peer()) == MsgType::kShutdown) return true;
+    }
+  } catch (const IoError&) {
+  } catch (const CheckError&) {
+  }
+  return false;
 }
 
 }  // namespace
@@ -168,7 +187,7 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
             throw CheckError("coordinator rejected worker: " +
                              decode_reject(payload, conn.peer()));
           case MsgType::kWelcome: {
-            const WelcomeDecoded w = decode_welcome(payload, conn.peer());
+            WelcomeDecoded w = decode_welcome(payload, conn.peer());
             session = open_session(w);
             ++stats.sessions;
             if (session->fingerprint != w.fingerprint) {
@@ -300,6 +319,10 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
       // propagate (this also passes through the typed budget-exhaustion
       // error from connect_with_retry, which throws outside this block).
       if (token == 0) throw;
+      // The run may be over: a Shutdown that arrived before the connection
+      // broke ends the worker instead of a reconnect loop against a
+      // coordinator that is gone, which would last the whole budget.
+      if (shutdown_unread(conn)) return stats;
     }
   }
 }

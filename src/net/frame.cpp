@@ -7,40 +7,36 @@
 
 namespace mlsim::net {
 
-void send_frame(TcpConn& conn, std::string_view payload) {
-  const std::string enveloped = wire::seal(kFrameMagic, payload);
-  conn.send_all(enveloped.data(), enveloped.size());
+std::string frame_header(std::string_view payload) {
+  return wire::seal_header(kFrameMagic, payload);
+}
+
+void send_frame(TcpConn& conn, std::string_view header,
+                std::string_view payload) {
+  conn.send_all({header, payload});
   MLSIM_COUNTER_ADD(obs::names::kNetFramesSent, 1);
+}
+
+void send_frame(TcpConn& conn, std::string_view payload) {
+  send_frame(conn, frame_header(payload), payload);
 }
 
 bool recv_frame(TcpConn& conn, std::string& payload) {
   MLSIM_HIST_TIMER(obs::names::kNetFrameRecvNs);
-  std::string enveloped(wire::kEnvelopeBytes, '\0');
-  if (!conn.recv_all(enveloped.data(), wire::kEnvelopeBytes, /*eof_ok=*/true)) {
-    return false;
-  }
-  // Pre-validate the header before trusting the size field with an
-  // allocation; full checksum validation happens in unseal() below.
-  wire::Reader head(enveloped.data(), wire::kEnvelopeBytes, conn.peer());
-  const auto magic = head.pod<std::uint32_t>();
-  const auto version = head.pod<std::uint32_t>();
-  head.pod<std::uint64_t>();  // checksum, validated by unseal
-  const auto payload_size = head.pod<std::uint64_t>();
-  if (magic != kFrameMagic) {
-    throw IoError("bad frame magic from " + conn.peer());
-  }
-  if (version != wire::kWireVersion) {
-    throw IoError("unsupported frame version " + std::to_string(version) +
-                  " from " + conn.peer());
-  }
-  if (payload_size > kMaxFramePayload) {
-    throw IoError("oversized frame (" + std::to_string(payload_size) +
-                  " bytes) from " + conn.peer());
-  }
-  enveloped.resize(wire::kEnvelopeBytes + payload_size);
-  conn.recv_all(enveloped.data() + wire::kEnvelopeBytes, payload_size);
+  char header[wire::kEnvelopeBytes];
+  if (!conn.recv_all(header, sizeof(header), /*eof_ok=*/true)) return false;
   try {
-    payload = std::string(wire::unseal(kFrameMagic, enveloped, conn.peer()));
+    // The header is checked before its size field is trusted with an
+    // allocation, and the payload is checksummed where it landed.
+    const wire::Header h = wire::open_header(
+        kFrameMagic, std::string_view(header, sizeof(header)), conn.peer());
+    if (h.payload_size > kMaxFramePayload) {
+      throw IoError("oversized frame (" + std::to_string(h.payload_size) +
+                    " bytes) from " + conn.peer());
+    }
+    payload.resize(h.payload_size);
+    conn.recv_all(payload.data(), payload.size());
+    wire::verify_payload(h, payload, conn.peer());
   } catch (const CheckError& e) {
     // On a socket, corruption is a transport fault: the peer (or the path)
     // mangled bytes in flight, so it maps to the transport error type.

@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -88,19 +89,41 @@ TcpConn TcpConn::connect(const std::string& host, std::uint16_t port) {
 }
 
 void TcpConn::send_all(const void* data, std::size_t size) {
+  send_all({std::string_view(static_cast<const char*>(data), size)});
+}
+
+void TcpConn::send_all(std::initializer_list<std::string_view> parts) {
   check(valid(), "send on a closed connection");
-  const char* p = static_cast<const char*>(data);
-  std::size_t left = size;
-  while (left > 0) {
-    const ssize_t n = ::send(fd_, p, left, MSG_NOSIGNAL);
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  std::size_t total = 0;
+  for (const std::string_view part : parts) {
+    if (part.empty()) continue;
+    iov.push_back({const_cast<char*>(part.data()), part.size()});
+    total += part.size();
+  }
+  std::size_t next = 0;  // first iovec with bytes left to send
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + next;
+    msg.msg_iovlen = iov.size() - next;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw IoError("send to " + peer_ + ": " + errno_text());
     }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+    // Skip the fully sent iovecs and advance into a partly sent one.
+    auto sent = static_cast<std::size_t>(n);
+    while (next < iov.size() && sent >= iov[next].iov_len) {
+      sent -= iov[next].iov_len;
+      ++next;
+    }
+    if (next < iov.size()) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + sent;
+      iov[next].iov_len -= sent;
+    }
   }
-  MLSIM_COUNTER_ADD(obs::names::kNetBytesSent, size);
+  MLSIM_COUNTER_ADD(obs::names::kNetBytesSent, total);
 }
 
 bool TcpConn::recv_all(void* data, std::size_t size, bool eof_ok) {

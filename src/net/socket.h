@@ -10,8 +10,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mlsim::net {
@@ -48,6 +50,10 @@ class TcpConn {
 
   /// Write exactly `size` bytes. Throws IoError on any failure.
   void send_all(const void* data, std::size_t size);
+  /// Write every byte of `parts`, in order, with gather writes (sendmsg):
+  /// a header and a payload held apart leave as one stream without being
+  /// copied together first. Throws IoError on any failure.
+  void send_all(std::initializer_list<std::string_view> parts);
   /// Read exactly `size` bytes. Throws IoError on failure or EOF mid-read.
   /// Returns false (reads nothing) on clean EOF at a message boundary when
   /// `eof_ok`; EOF with partial data is always an IoError.

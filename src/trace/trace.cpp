@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -68,6 +69,21 @@ T read_pod(std::ifstream& is) {
   return v;
 }
 }  // namespace
+
+EncodedTrace::EncodedTrace(std::string benchmark,
+                           std::vector<std::int32_t> features,
+                           std::vector<std::uint32_t> targets)
+    : benchmark_(std::move(benchmark)),
+      n_(features.size() / kNumFeatures),
+      features_(std::move(features)),
+      targets_(std::move(targets)) {
+  check(features_.size() == n_ * kNumFeatures,
+        "trace feature array is not a whole number of rows");
+  check(targets_.size() == n_ * kNumTargets,
+        "trace target array does not match its feature rows");
+  labeled_ = std::any_of(targets_.begin(), targets_.end(),
+                         [](std::uint32_t t) { return t != 0; });
+}
 
 void EncodedTrace::reserve(std::size_t n) {
   features_.reserve(n * kNumFeatures);

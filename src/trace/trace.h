@@ -20,6 +20,12 @@ class EncodedTrace {
  public:
   EncodedTrace() = default;
   explicit EncodedTrace(std::string benchmark) : benchmark_(std::move(benchmark)) {}
+  /// Adopt flat row-major arrays without copying: `features` holds n rows
+  /// of kNumFeatures, `targets` n rows of kNumTargets. labeled() comes out
+  /// as appending the rows one by one would leave it: true when any target
+  /// is nonzero. Throws CheckError when the shapes disagree.
+  EncodedTrace(std::string benchmark, std::vector<std::int32_t> features,
+               std::vector<std::uint32_t> targets);
 
   void reserve(std::size_t n);
 

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -802,6 +803,32 @@ TEST(DistProtocol, WelcomeTokenIsTrailingOptional) {
   EXPECT_EQ(d.session, 11u);
   EXPECT_EQ(d.fingerprint, 0xabcdULL);
   EXPECT_EQ(d.token, 0x5eedULL);
+}
+
+TEST(DistProtocol, WelcomeRoundTripsLabeledAndUnlabeledTraces) {
+  RunConfig cfg;
+  cfg.num_subtraces = 4;
+  cfg.num_gpus = 2;
+  const trace::EncodedTrace labeled = make_trace("mcf", 1500);
+  ASSERT_TRUE(labeled.labeled());
+  // The same feature rows without targets.
+  trace::EncodedTrace unlabeled("mcf");
+  for (std::size_t i = 0; i < labeled.size(); ++i) {
+    trace::FeatureVector row;
+    std::copy_n(labeled.features(i).begin(), trace::kNumFeatures, row.begin());
+    unlabeled.append(row);
+  }
+  ASSERT_FALSE(unlabeled.labeled());
+  for (const trace::EncodedTrace* tr :
+       {&labeled, const_cast<const trace::EncodedTrace*>(&unlabeled)}) {
+    const WelcomeDecoded d =
+        decode_welcome(encode_welcome(3, 0x77ULL, cfg, *tr, 9), "test");
+    EXPECT_EQ(d.trace.size(), tr->size());
+    EXPECT_EQ(d.trace.benchmark(), tr->benchmark());
+    EXPECT_EQ(d.trace.raw_features(), tr->raw_features());
+    EXPECT_EQ(d.trace.raw_targets(), tr->raw_targets());
+    EXPECT_EQ(d.trace.labeled(), tr->labeled());
+  }
 }
 
 TEST(DistProtocol, RejoinRoundTrips) {

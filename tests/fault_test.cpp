@@ -612,6 +612,35 @@ TEST(Checkpoint, OlderMlckLayoutIsRejectedOnItsMagic) {
   }
 }
 
+TEST(Checkpoint, OlderEnvelopeVersionIsRejectedByVersion) {
+  // A checkpoint an older build wrote: same magic and payload, envelope
+  // version 1 (the byte-serial checksum). Strict resume names the version;
+  // lenient resume records it and starts clean, bit-identically.
+  CrashedRun run("mlsim_fault_test_v1.ckpt");
+  const std::string current = read_file(run.opts.checkpoint_path);
+  std::string v1 = current;
+  const std::uint32_t version = 1;
+  v1.replace(4, 4, reinterpret_cast<const char*>(&version), 4);
+  const auto stamp = [&](const std::string& bytes) {
+    std::ofstream(run.opts.checkpoint_path, std::ios::binary | std::ios::trunc)
+        << bytes;
+  };
+  stamp(v1);
+  try {
+    (void)run.resume(/*lenient=*/false);
+    FAIL() << "strict resume accepted a version-1 checkpoint";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+  stamp(v1);
+  const auto got = run.resume(/*lenient=*/true);
+  EXPECT_FALSE(got.resumed);
+  EXPECT_NE(got.resume_error.find("version 1"), std::string::npos)
+      << got.resume_error;
+  expect_identical(run.uninterrupted(), got);
+}
+
 // ---- predictor output guard -------------------------------------------------
 
 TEST(CnnPredictor, DecodeGuardsNonFiniteOutputs) {

@@ -17,14 +17,17 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/wire.h"
 #include "core/analytic_predictor.h"
 #include "core/parallel_sim.h"
 #include "core/shard.h"
@@ -213,6 +216,35 @@ TEST(RunJournal, TruncatedTailIsDroppedLenientlyAndFatalStrictly) {
   fs::remove(path);
 }
 
+TEST(RunJournal, ResumeCutsTheTornTailBeforeAppending) {
+  const fs::path path = scratch_journal("torn_append");
+  {
+    RunJournal j;
+    j.open(path);
+    j.run_open(6, 0x5ULL, 4, RunConfig{});
+    j.result(6, result_frame(6, 0, 0));
+    j.result(6, result_frame(6, 1, 0));
+  }
+  // A coordinator killed mid-write leaves a torn last record; the restarted
+  // one replays leniently and appends. Its records must stay reachable.
+  fs::resize_file(path, fs::file_size(path) - 7);
+  const JournalReplay torn = RunJournal::replay(path, /*strict=*/false);
+  ASSERT_GT(torn.dropped_bytes, 0u);
+  {
+    RunJournal j;
+    j.open(path, torn.dropped_bytes);
+    j.result(6, result_frame(6, 2, 0));
+    j.run_close(6, RunJournal::kStatusComplete);
+  }
+  const JournalReplay r = RunJournal::replay(path, /*strict=*/true);
+  EXPECT_EQ(r.dropped_bytes, 0u);
+  EXPECT_EQ(r.records, torn.records + 2);
+  EXPECT_EQ(r.results.size(), 2u);  // shards 0 and 2; shard 1 was torn
+  EXPECT_EQ(r.results.count(2), 1u);
+  EXPECT_FALSE(r.open_run);
+  fs::remove(path);
+}
+
 TEST(RunJournal, BitFlippedRecordIsCaughtByTheChecksum) {
   const fs::path path = scratch_journal("flip");
   {
@@ -239,6 +271,50 @@ TEST(RunJournal, BitFlippedRecordIsCaughtByTheChecksum) {
   EXPECT_EQ(lenient.results.size(), 1u);
   EXPECT_GT(lenient.dropped_bytes, 0u);
   EXPECT_THROW(RunJournal::replay(path, /*strict=*/true), CheckError);
+  fs::remove(path);
+}
+
+TEST(RunJournal, OlderEnvelopeVersionIsDroppedLenientlyAndFatalStrictly) {
+  const fs::path path = scratch_journal("v1");
+  {
+    RunJournal j;
+    j.open(path);
+    j.run_open(5, 0x4ULL, 4, RunConfig{});
+    j.result(5, result_frame(5, 0, 0));
+    j.result(5, result_frame(5, 1, 0));
+  }
+  // Stamp every record with envelope version 1, as an older build wrote
+  // them: the records are intact but sealed with the old checksum.
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::uint32_t v1 = 1;
+  std::size_t records = 0;
+  for (std::size_t off = 0; off < bytes.size(); ++records) {
+    bytes.replace(off + 4, 4, reinterpret_cast<const char*>(&v1), 4);
+    std::uint64_t size = 0;
+    std::memcpy(&size, bytes.data() + off + 16, sizeof(size));
+    off += wire::kEnvelopeBytes + size;
+  }
+  ASSERT_EQ(records, 3u);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  const JournalReplay lenient = RunJournal::replay(path, /*strict=*/false);
+  EXPECT_FALSE(lenient.found);
+  EXPECT_FALSE(lenient.open_run);
+  EXPECT_EQ(lenient.records, 0u);
+  EXPECT_EQ(lenient.results.size(), 0u);
+  EXPECT_EQ(lenient.dropped_bytes, bytes.size());
+  try {
+    (void)RunJournal::replay(path, /*strict=*/true);
+    FAIL() << "strict replay accepted a version-1 journal";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
   fs::remove(path);
 }
 
@@ -550,14 +626,17 @@ TEST(DrainProcess, CoordinatorSigkillRestartResumeIsBitIdentical) {
   ASSERT_GT(wb, 0);
 
   // Wait until several results are durably journaled, then SIGKILL — a real
-  // process death at an arbitrary instant, no cleanup code runs.
+  // process death at an arbitrary instant, no cleanup code runs. The whole
+  // run takes only a few milliseconds once both workers hold the trace, so
+  // the journal is polled every millisecond (for at most 30 s) to land the
+  // kill before the last shard.
   bool progressed = false;
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < 30000; ++i) {
     if (RunJournal::replay(path, false).results.size() >= 3) {
       progressed = true;
       break;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(progressed);
   ASSERT_EQ(kill(coord_pid, SIGKILL), 0);

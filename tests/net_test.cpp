@@ -165,6 +165,34 @@ TEST(Frame, BadMagicIsIoError) {
   EXPECT_THROW(recv_frame(server, payload), IoError);
 }
 
+TEST(Frame, OlderEnvelopeVersionIsIoError) {
+  auto [client, server] = loopback_pair();
+  std::string frame = wire::seal(kFrameMagic, "payload");
+  const std::uint32_t v1 = 1;
+  frame.replace(4, 4, reinterpret_cast<const char*>(&v1), 4);
+  client.send_all(frame.data(), frame.size());
+  std::string payload;
+  EXPECT_THROW(recv_frame(server, payload), IoError);
+}
+
+TEST(Frame, HeaderSealedOnceServesManyPeers) {
+  auto [c1, s1] = loopback_pair();
+  auto [c2, s2] = loopback_pair();
+  const std::string body(100000, 'w');
+  const std::string header = frame_header(body);
+  EXPECT_EQ(header + body, wire::seal(kFrameMagic, body));
+  // One sender thread per peer: a frame this size outgrows a socket buffer.
+  std::thread a([&] { send_frame(c1, header, body); });
+  std::thread b([&] { send_frame(c2, header, body); });
+  std::string got1, got2;
+  ASSERT_TRUE(recv_frame(s1, got1));
+  ASSERT_TRUE(recv_frame(s2, got2));
+  a.join();
+  b.join();
+  EXPECT_EQ(got1, body);
+  EXPECT_EQ(got2, body);
+}
+
 TEST(Frame, AbsurdSizeFieldIsIoErrorNotAnAllocation) {
   auto [client, server] = loopback_pair();
   std::string frame = wire::seal(kFrameMagic, "payload");

@@ -1,5 +1,8 @@
 // Shared wire envelope (common/wire.h): seal/unseal round-trips, corruption
-// and truncation detection, and the enveloped-file path used by checkpoints.
+// and truncation detection (every bit of payloads that span several checksum
+// lane blocks and a ragged tail, swapped and inserted words), rejection of
+// an older envelope version, and the enveloped-file path used by
+// checkpoints.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,16 +61,89 @@ TEST(Wire, EmptyPayloadRoundTrips) {
   EXPECT_EQ(unseal(kMagic, sealed, "test").size(), 0u);
 }
 
+/// Distinct 8-byte words, so no two words are equal by accident.
+std::string word(std::uint64_t i) {
+  const std::uint64_t w = 0x9e3779b97f4a7c15ull * (i + 1);
+  return std::string(reinterpret_cast<const char*>(&w), sizeof(w));
+}
+
+/// Three 4-word lane blocks, two words of a partial block, and a 5-byte
+/// tail: every path through the checksum.
+std::string multi_block_payload() {
+  std::string p;
+  for (std::uint64_t i = 0; i < 14; ++i) p += word(i);
+  p += "tail!";
+  return p;
+}
+
 TEST(Wire, EveryBitFlipIsDetected) {
-  const std::string payload = sample_payload();
-  const std::string sealed = seal(kMagic, payload);
-  // Flip one bit at a time across the whole envelope + payload; every single
-  // one must be caught (magic, version, checksum, size, or content).
-  for (std::size_t byte = 0; byte < sealed.size(); ++byte) {
-    std::string bad = sealed;
-    bad[byte] = static_cast<char>(bad[byte] ^ 0x10);
-    EXPECT_THROW(unseal(kMagic, bad, "test"), CheckError)
-        << "bit flip at byte " << byte << " went undetected";
+  for (const std::string& payload : {sample_payload(), multi_block_payload()}) {
+    const std::string sealed = seal(kMagic, payload);
+    // Flip every bit of the envelope and the payload, one at a time; each
+    // flip must be caught (magic, version, checksum, size, or content).
+    for (std::size_t byte = 0; byte < sealed.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string bad = sealed;
+        bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+        EXPECT_THROW(unseal(kMagic, bad, "test"), CheckError)
+            << "flip of bit " << bit << " of byte " << byte << " of a "
+            << payload.size() << "-byte payload went undetected";
+      }
+    }
+  }
+}
+
+TEST(Wire, WordsSwappedAcrossLanesAreDetected) {
+  struct Swap {
+    std::string payload;
+    std::size_t a, b;  // word indices
+  };
+  const std::string multi = multi_block_payload();
+  const Swap swaps[] = {
+      // One block: each lane holds one word, so the swap exchanges whole
+      // lane states — caught only if the lanes are told apart.
+      {multi.substr(0, 32), 1, 2},
+      // Neighbours in one block of a longer payload (lanes 1 and 2), and
+      // words in different lanes of different blocks.
+      {multi, 1, 2},
+      {multi, 0, 13},
+  };
+  for (const Swap& sw : swaps) {
+    const std::string header = seal_header(kMagic, sw.payload);
+    std::string swapped = sw.payload;
+    swapped.replace(sw.a * 8, 8, sw.payload, sw.b * 8, 8);
+    swapped.replace(sw.b * 8, 8, sw.payload, sw.a * 8, 8);
+    ASSERT_NE(swapped, sw.payload);
+    EXPECT_NE(checksum(swapped), checksum(sw.payload));
+    EXPECT_THROW(unseal(kMagic, header + swapped, "test"), CheckError)
+        << "words " << sw.a << " and " << sw.b << " of a "
+        << sw.payload.size() << "-byte payload swapped went undetected";
+  }
+}
+
+TEST(Wire, InsertedZeroWordIsDetected) {
+  const std::string payload = multi_block_payload();
+  std::string inserted = payload;
+  inserted.insert(16, std::string(8, '\0'));
+  EXPECT_NE(checksum(inserted), checksum(payload));
+  // Even with the size field patched to match, the checksum catches it.
+  std::string sealed = seal(kMagic, payload);
+  const std::uint64_t size = inserted.size();
+  sealed.replace(16, 8, reinterpret_cast<const char*>(&size), 8);
+  sealed.replace(kEnvelopeBytes, std::string::npos, inserted);
+  EXPECT_THROW(unseal(kMagic, sealed, "test"), CheckError);
+}
+
+TEST(Wire, OlderEnvelopeVersionIsRejectedNamingIt) {
+  std::string sealed = seal(kMagic, sample_payload());
+  const std::uint32_t v1 = 1;
+  sealed.replace(4, 4, reinterpret_cast<const char*>(&v1), 4);
+  try {
+    (void)unseal(kMagic, sealed, "test");
+    FAIL() << "a version-1 envelope was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
   }
 }
 
