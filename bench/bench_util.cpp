@@ -5,65 +5,45 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/flags.h"
 #include "core/parallel_sim.h"
-#include "obs/obs.h"
+#include "obs/report.h"
 
 namespace mlsim::bench {
 
 namespace {
 
-// atexit handlers take no arguments, so the dump configuration is stashed in
-// file-level state set once by enable_metrics_dump_at_exit.
-bool g_dump_metrics = false;
-std::string g_metrics_path;
-std::string g_trace_out;
-
-void dump_obs_at_exit() {
-  if (g_dump_metrics) {
-    if (g_metrics_path.empty()) {
-      std::cout << "-- metrics --\n";
-      obs::default_registry().write_text(std::cout);
-    } else {
-      std::ofstream os(g_metrics_path);
-      if (os.is_open()) {
-        const bool json =
-            g_metrics_path.size() >= 5 &&
-            g_metrics_path.rfind(".json") == g_metrics_path.size() - 5;
-        if (json) {
-          obs::default_registry().write_json(os);
-        } else {
-          obs::default_registry().write_text(os);
-        }
-        std::cout << "[metrics written to " << g_metrics_path << "]\n";
-      } else {
-        std::cerr << "cannot write metrics to " << g_metrics_path << "\n";
-      }
-    }
-  }
-  if (!g_trace_out.empty()) {
-    if (obs::write_chrome_trace_file(g_trace_out)) {
-      std::cout << "[trace written to " << g_trace_out << "]\n";
-    } else {
-      std::cerr << "cannot write trace to " << g_trace_out << "\n";
-    }
-  }
-}
+// atexit handlers take no arguments, so the reports the flags ask for live
+// at file scope.
+obs::Report g_reports;
 
 }  // namespace
 
-void enable_metrics_dump_at_exit(bool metrics, const std::string& metrics_path,
-                                 const std::string& trace_out) {
-  if (!obs::kCompiledIn) {
-    std::cerr << "note: built with MLSIM_OBS_DISABLE=ON; --metrics and "
-                 "--trace-out will produce empty output\n";
+Args Args::parse(int argc, char** argv, std::size_t default_instructions) {
+  Args a{.instructions = default_instructions};
+  bool help = false;
+  flags::CommandLine cli(std::filesystem::path(argv[0]).filename().string(),
+                         std::vector<std::string>(argv + 1, argv + argc));
+  try {
+    cli.parse({{{"--instructions=N", &a.instructions},
+                {"--benchmark=abbr", &a.benchmark, flags::Kind::kText},
+                {"--cnn", &a.use_cnn},
+                {"--help", &help},
+                {"-h", &help}},
+               g_reports.flags()});
+    g_reports.start();
+  } catch (const flags::UsageError& e) {
+    std::cerr << e.what() << "\n" << cli.usage() << "\n";
+    std::exit(2);
   }
-  const bool first = !g_dump_metrics && g_trace_out.empty();
-  g_dump_metrics = g_dump_metrics || metrics;
-  if (!metrics_path.empty()) g_metrics_path = metrics_path;
-  if (!trace_out.empty()) g_trace_out = trace_out;
-  obs::set_enabled(true);
-  obs::reset_trace();
-  if (first) std::atexit(dump_obs_at_exit);
+  if (help) {
+    std::cout << cli.usage() << "\n";
+    std::exit(0);
+  }
+  if (g_reports.metrics || !g_reports.trace_out.empty()) {
+    std::atexit([] { g_reports.write(); });
+  }
+  return a;
 }
 
 void emit(const Table& table, const std::string& name) {

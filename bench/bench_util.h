@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -30,52 +29,15 @@
 
 namespace mlsim::bench {
 
-/// Turn observability on and register an atexit hook dumping the metrics
-/// registry (and, when requested, the Chrome trace) after the bench's own
-/// output. Called by Args::parse for --metrics / --trace-out.
-void enable_metrics_dump_at_exit(bool metrics, const std::string& metrics_path,
-                                 const std::string& trace_out);
-
 struct Args {
   std::size_t instructions = 0;  // 0 = bench default
   std::string benchmark;         // empty = bench default set
   bool use_cnn = false;
-  bool metrics = false;
-  std::string metrics_path;  // empty = stdout
-  std::string trace_out;
 
-  static Args parse(int argc, char** argv, std::size_t default_instructions) {
-    Args a;
-    a.instructions = default_instructions;
-    for (int i = 1; i < argc; ++i) {
-      const std::string s = argv[i];
-      if (s.rfind("--instructions=", 0) == 0) {
-        a.instructions = std::stoull(s.substr(15));
-      } else if (s.rfind("--benchmark=", 0) == 0) {
-        a.benchmark = s.substr(12);
-      } else if (s == "--cnn") {
-        a.use_cnn = true;
-      } else if (s == "--metrics") {
-        a.metrics = true;
-      } else if (s.rfind("--metrics=", 0) == 0) {
-        a.metrics = true;
-        a.metrics_path = s.substr(10);
-      } else if (s.rfind("--trace-out=", 0) == 0) {
-        a.trace_out = s.substr(12);
-      } else if (s == "--help" || s == "-h") {
-        std::cout << "flags: --instructions=N --benchmark=abbr --cnn "
-                     "--metrics[=path] --trace-out=file.json\n";
-        std::exit(0);
-      } else {
-        std::cerr << "unknown flag: " << s << "\n";
-        std::exit(2);
-      }
-    }
-    if (a.metrics || !a.trace_out.empty()) {
-      enable_metrics_dump_at_exit(a.metrics, a.metrics_path, a.trace_out);
-    }
-    return a;
-  }
+  /// Read the common flags; a usage error exits 2 and --help exits 0, each
+  /// printing the synopsis. --metrics and --trace-out reports are written
+  /// at exit, after the bench's own output.
+  static Args parse(int argc, char** argv, std::size_t default_instructions);
 };
 
 inline std::vector<std::string> benchmarks_or(const Args& a,

@@ -115,7 +115,8 @@
 //       or re-running the command against long-lived workers) dispatches
 //       zero shards. --telemetry-port serves sweep progress in /healthz.
 //
-// Observability (simulate/suite/stream; see docs/OBSERVABILITY.md):
+// Observability (simulate/suite/stream/serve/coordinator/sweep; see
+// docs/OBSERVABILITY.md):
 //   --metrics[=path]     enable the metrics registry; print a per-phase
 //                        breakdown and the registry dump (text to stdout, or
 //                        to `path` — JSON when it ends in .json).
@@ -123,12 +124,15 @@
 //                        JSON loadable in chrome://tracing / Perfetto. The
 //                        target directory must exist and be writable (checked
 //                        up front, before the run).
-//   --telemetry-port=N   (serve/coordinator) serve live GET /metrics
+//   --telemetry-port=N   (serve/coordinator/sweep) serve live GET /metrics
 //                        (Prometheus), /healthz (health JSON, with
 //                        ?last_errors=N flight-recorder post-mortems), and
 //                        /tracez (Chrome trace) on 127.0.0.1:N while the
 //                        command runs (0 = ephemeral; the bound port is
 //                        printed).
+//
+// Every flag is one row of the subcommand's table (src/common/flags.h); a
+// usage error prints the subcommand's synopsis, rendered from that table.
 //
 // Exit codes: 0 success, 2 bad usage, 3 I/O failure (missing/unwritable
 // files), 4 corrupt data or violated invariant (CheckError), 5 any other
@@ -136,22 +140,23 @@
 // — not a failure), 7 forced exit on a second signal.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iostream>
-#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/artifacts.h"
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/table.h"
 #include "core/analytic_predictor.h"
 #include "core/metrics.h"
@@ -164,21 +169,17 @@
 #include "net/signal_pipe.h"
 #include "net/socket.h"
 #include "obs/obs.h"
+#include "obs/report.h"
 #include "obs/telemetry_http.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
 #include "trace/stream.h"
 
 using namespace mlsim;
+using flags::Kind;
+using flags::UsageError;
 
 namespace {
-
-/// Bad flag or argument value — maps to exit code 2 (bad usage) in main(),
-/// distinct from I/O failures (3), corrupt data (4), and bugs (5).
-class UsageError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Graceful drain after SIGTERM/SIGINT: not a failure — progress was
 /// journaled (coordinator) or in-flight requests finished (serve).
@@ -186,177 +187,130 @@ constexpr int kExitDrained = 6;
 /// A second signal while draining: immediate _exit from the handler.
 constexpr int kExitForced = 7;
 
-/// Strict unsigned decimal parse. Unlike std::stoull, rejects (with a
-/// distinct message each) empty values, signs — strtoull silently wraps
-/// "-1" to 2^64-1 — garbage suffixes ("10x"), and overflow.
-std::uint64_t parse_u64(const char* what, const std::string& text) {
-  if (text.empty()) throw UsageError(std::string(what) + " needs a value");
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw UsageError(std::string(what) + ": '" + text +
-                       "' is not a non-negative integer");
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    throw UsageError(std::string(what) + ": '" + text +
-                     "' overflows a 64-bit integer");
-  }
-  return v;
-}
+// ---------------------------------------------------------- flag groups --
+// Flags several subcommands share, each declared once.
 
-std::size_t parse_size(const char* what, const std::string& text) {
-  const std::uint64_t v = parse_u64(what, text);
-  if (v > std::numeric_limits<std::size_t>::max()) {
-    throw UsageError(std::string(what) + ": '" + text + "' is too large");
+/// The partitioned engine (§V): --parallel, --gpus, --context, --no-recovery.
+struct Engine {
+  std::size_t parallel = 4, gpus = 1, context = 64;
+  bool no_recovery = false;
+
+  flags::Group flags() {
+    return {{"--parallel=P", &parallel, Kind::kPositive},
+            {"--gpus=G", &gpus, Kind::kPositive},
+            {"--context=C", &context, Kind::kPositive},
+            {"--no-recovery", &no_recovery}};
   }
-  return static_cast<std::size_t>(v);
-}
-
-/// A millisecond duration flag that must fit the nanosecond steady clock:
-/// at most 9223372036854 ms (about 292 years).
-std::uint64_t parse_ms(const char* what, const std::string& text) {
-  const std::uint64_t v = parse_u64(what, text);
-  constexpr auto kMax = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::nanoseconds::max());
-  if (v > static_cast<std::uint64_t>(kMax.count())) {
-    throw UsageError(std::string(what) + ": '" + text + "' exceeds " +
-                     std::to_string(kMax.count()) + " ms");
+  core::MLSimulator simulator() const {
+    core::MLSimulator::Options opts;
+    opts.context_length = context;
+    return core::MLSimulator(opts);
   }
-  return v;
-}
-
-/// A count/interval flag that must be at least 1.
-std::uint64_t parse_positive(const char* what, const std::string& text) {
-  const std::uint64_t v = parse_u64(what, text);
-  if (v == 0) {
-    throw UsageError(std::string(what) + ": '" + text + "' must be >= 1");
+  core::ParallelSimOptions options(const core::MLSimulator& sim) const {
+    return sim.parallel_options(parallel, gpus, !no_recovery, !no_recovery);
   }
-  return v;
-}
-
-double parse_finite(const char* what, const std::string& text) {
-  if (text.empty()) throw UsageError(std::string(what) + " needs a value");
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || end == text.c_str() ||
-      errno == ERANGE || !std::isfinite(v)) {
-    throw UsageError(std::string(what) + ": '" + text +
-                     "' is not a finite number");
-  }
-  return v;
-}
-
-/// A probability flag: finite and within [0, 1].
-double parse_rate(const char* what, const std::string& text) {
-  const double v = parse_finite(what, text);
-  if (v < 0.0 || v > 1.0) {
-    throw UsageError(std::string(what) + ": '" + text +
-                     "' must be in [0, 1]");
-  }
-  return v;
-}
-
-struct ObsFlags {
-  bool metrics = false;
-  std::string metrics_path;  // empty = stdout
-  std::string trace_out;
-
-  bool active() const { return metrics || !trace_out.empty(); }
 };
 
-bool parse_obs_flag(const std::string& s, ObsFlags& f) {
-  if (s == "--metrics") {
-    f.metrics = true;
-    return true;
-  }
-  if (s.rfind("--metrics=", 0) == 0) {
-    f.metrics = true;
-    f.metrics_path = s.substr(10);
-    return true;
-  }
-  if (s.rfind("--trace-out=", 0) == 0) {
-    f.trace_out = s.substr(12);
-    return true;
-  }
-  return false;
-}
+/// Seeded fault injection (docs/RESILIENCE.md): a --fault-<kind>=R rate per
+/// fault kind the command injects, and --fault-seed.
+struct Faults {
+  device::FaultOptions opts{.seed = 1};
+  bool any = false;  // a rate flag was given
 
-/// Up-front rejection of an unwritable --trace-out target: the span dump
-/// happens at exit time, after the (possibly long) run — discovering only
-/// then that the directory does not exist wastes the whole run.
-void check_trace_out_writable(const std::string& path) {
-  if (path.empty()) return;
-  namespace fs = std::filesystem;
-  const fs::path p(path);
-  if (fs::exists(p) && fs::is_directory(p)) {
-    throw UsageError("--trace-out: '" + path + "' is a directory, not a file");
-  }
-  const fs::path dir = p.has_parent_path() ? p.parent_path() : fs::path(".");
-  if (!fs::exists(dir) || !fs::is_directory(dir)) {
-    throw UsageError("--trace-out: directory '" + dir.string() +
-                     "' does not exist");
-  }
-  std::error_code ec;
-  const fs::path probe = dir / ".mlsim_trace_out_probe";
-  std::ofstream os(probe);
-  if (!os.is_open()) {
-    throw UsageError("--trace-out: directory '" + dir.string() +
-                     "' is not writable");
-  }
-  os.close();
-  fs::remove(probe, ec);
-}
-
-void enable_obs(const ObsFlags& f) {
-  check_trace_out_writable(f.trace_out);
-  if (!f.active()) return;
-  if (!obs::kCompiledIn) {
-    std::fprintf(stderr, "note: built with MLSIM_OBS_DISABLE=ON; --metrics and "
-                         "--trace-out will produce empty output\n");
-  }
-  obs::set_enabled(true);
-  obs::reset_trace();
-}
-
-void finish_obs(const ObsFlags& f) {
-  if (!f.active()) return;
-  if (f.metrics) {
-    if (f.metrics_path.empty()) {
-      std::printf("-- metrics --\n");
-      obs::default_registry().write_text(std::cout);
+  /// simulate and serve inject device faults; the coordinator, worker kills.
+  flags::Group flags(bool worker_kills) {
+    flags::Group g;
+    if (worker_kills) {
+      g = {{"--fault-worker-kill=R", &opts.worker_kill_rate, Kind::kRate,
+            &any}};
     } else {
-      std::ofstream os(f.metrics_path);
-      if (!os.is_open()) {
-        std::fprintf(stderr, "cannot write metrics to %s\n",
-                     f.metrics_path.c_str());
-      } else {
-        const bool json = f.metrics_path.size() >= 5 &&
-                          f.metrics_path.rfind(".json") ==
-                              f.metrics_path.size() - 5;
-        if (json) {
-          obs::default_registry().write_json(os);
-        } else {
-          obs::default_registry().write_text(os);
-        }
-        std::printf("[metrics written to %s]\n", f.metrics_path.c_str());
-      }
+      g = {{"--fault-kill=R", &opts.device_kill_rate, Kind::kRate, &any},
+           {"--fault-corrupt=R", &opts.output_corrupt_rate, Kind::kRate, &any},
+           {"--fault-straggler=R", &opts.straggler_rate, Kind::kRate, &any}};
+    }
+    g.push_back({"--fault-seed=S", &opts.seed});
+    return g;
+  }
+};
+
+/// --checkpoint[=path] and --resume, which implies --checkpoint: a killed
+/// simulate resumes past its finished partitions, a suite past its jobs.
+struct Checkpoint {
+  bool on = false, resume = false;
+  std::string path;
+
+  flags::Group flags() {
+    return {{"--checkpoint[=path]", &path, Kind::kText, &on},
+            {.spec = "--resume", .field = &resume, .seen = &on}};
+  }
+  /// The checkpoint file (`default_name` in the artifact cache unless a
+  /// path was given); empty without --checkpoint.
+  std::filesystem::path file(const std::string& default_name) const {
+    if (!on) return {};
+    return path.empty() ? artifact_path(default_name)
+                        : std::filesystem::path(path);
+  }
+};
+
+/// The coordinator of a worker cluster (docs/DISTRIBUTED.md), for
+/// `coordinator` and `sweep --workers`: --port, --workers, --heartbeat-ms,
+/// --timeout-ms, --steal, --result-cache[=N].
+struct Cluster {
+  std::uint16_t port = 0;
+  dist::CoordinatorOptions co;
+  bool result_cache = false;  // --result-cache was given
+
+  flags::Group flags() {
+    return {{"--port=N", &port},
+            {"--workers=W", &co.min_workers, Kind::kPositive},
+            {"--heartbeat-ms=M", &co.heartbeat_timeout_ms, Kind::kPositiveMs},
+            {"--timeout-ms=T", &co.run_timeout_ms, Kind::kMs},
+            {"--steal", &co.steal},
+            {"--result-cache[=N]", &co.result_cache_entries, Kind::kPositive,
+             &result_cache}};
+  }
+  /// The parsed options; a bare --result-cache keeps 1024 shard outcomes.
+  dist::CoordinatorOptions options() const {
+    dist::CoordinatorOptions o = co;
+    if (result_cache && o.result_cache_entries == 0) {
+      o.result_cache_entries = 1024;
+    }
+    return o;
+  }
+};
+
+/// --telemetry-port=N: serve live /metrics, /healthz and /tracez on
+/// 127.0.0.1:N while the command runs (docs/OBSERVABILITY.md).
+struct Telemetry {
+  bool on = false;
+  std::uint16_t port = 0;
+
+  flags::Flag flag() {
+    return {"--telemetry-port=N", &port, Kind::kCount, &on};
+  }
+
+  /// Start `server` when the flag was given; `health` renders /healthz.
+  void start(obs::TelemetryServer& server,
+             std::function<std::string(std::size_t)> health) const {
+    if (!on) return;
+    if (obs::kCompiledIn && !obs::enabled()) obs::set_enabled(true);
+    if (server.start({port, std::move(health)})) {
+      std::printf("telemetry on http://127.0.0.1:%u/metrics (also /healthz, "
+                  "/tracez)\n", server.port());
+    } else {
+      std::fprintf(stderr, "note: built with MLSIM_OBS_DISABLE=ON; "
+                           "--telemetry-port is inert\n");
     }
   }
-  if (!f.trace_out.empty()) {
-    if (obs::write_chrome_trace_file(f.trace_out)) {
-      std::printf("[trace with %llu spans written to %s — load in "
-                  "chrome://tracing or ui.perfetto.dev]\n",
-                  static_cast<unsigned long long>(obs::recorded_events()),
-                  f.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write trace to %s\n", f.trace_out.c_str());
-    }
-  }
+};
+
+/// --drain-timeout-ms: how long a SIGTERM/SIGINT drain lets in-flight work
+/// finish before the process exits 6.
+flags::Flag drain_flag(int& ms) {
+  return {"--drain-timeout-ms=T", &ms, Kind::kPositiveMs};
 }
+
+// -------------------------------------------------------------- helpers --
 
 /// §IV per-phase simulated-time breakdown of a single-device run.
 void print_phase_table(const core::SimOutput& out) {
@@ -377,9 +331,10 @@ void print_phase_table(const core::SimOutput& out) {
   t.print(std::cout);
 }
 
-trace::EncodedTrace acquire(const std::string& what, std::size_t n) {
+trace::EncodedTrace acquire(const std::string& what, std::size_t n,
+                            const uarch::MachineConfig& machine = {}) {
   if (std::filesystem::exists(what)) return trace::EncodedTrace::load(what);
-  return core::labeled_trace(what, n == 0 ? 200000 : n);
+  return core::labeled_trace(what, n == 0 ? 200000 : n, machine);
 }
 
 /// Split a "key=value" / "key=v1,v2,..." flag operand. The axis registry
@@ -405,155 +360,96 @@ void validate_as_usage(F&& f) {
   }
 }
 
-int cmd_trace(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr, "usage: mlsim_cli trace <benchmark> <instructions> [out.bin]\n");
-    return 2;
-  }
-  const std::string abbr = argv[2];
-  const std::size_t n = parse_size("<instructions>", argv[3]);
+// ---------------------------------------------------------- subcommands --
+
+int cmd_trace(flags::CommandLine& cli) {
+  std::string abbr, out;
+  std::size_t n = 0;
+  cli.parse({{{"<benchmark>", &abbr, Kind::kText},
+              {"<instructions>", &n},
+              {"[out.bin]", &out, Kind::kPath}}});
   const auto tr = core::labeled_trace(abbr, n);
   std::printf("generated %zu labeled instructions of %s (CPI %.3f)\n", tr.size(),
               abbr.c_str(),
               static_cast<double>(core::total_cycles_from_targets(tr)) /
                   static_cast<double>(tr.size()));
-  if (argc > 4) {
-    tr.save(argv[4]);
-    std::printf("saved to %s\n", argv[4]);
+  if (!out.empty()) {
+    tr.save(out);
+    std::printf("saved to %s\n", out.c_str());
   }
   return 0;
 }
 
-int cmd_simulate(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: mlsim_cli simulate <benchmark|trace.bin> "
-                         "[instructions] [--parallel=P] [--gpus=G] "
-                         "[--context=C] [--no-recovery] [--fault-kill=R] "
-                         "[--fault-corrupt=R] [--fault-straggler=R] "
-                         "[--fault-seed=S] [--retries=N] [--checkpoint[=path]] "
-                         "[--resume] [--set key=value]... [--metrics[=path]] "
-                         "[--trace-out=file.json]\n");
-    return 2;
-  }
-  std::size_t n = 0, parallel = 0, gpus = 1, context = 64, retries = 3;
-  bool recovery = true, checkpoint = false, resume = false;
-  std::string checkpoint_path;
-  device::FaultOptions fault;
-  fault.seed = 1;
-  bool any_fault = false;
-  std::vector<std::pair<std::string, std::string>> sets;
-  ObsFlags obs_flags;
-  for (int i = 3; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--parallel=", 0) == 0) {
-      parallel = parse_size("--parallel", s.substr(11));
-    }
-    else if (s == "--set") {
-      if (i + 1 >= argc) throw UsageError("--set needs a key=value operand");
-      sets.push_back(split_axis_flag("--set", argv[++i]));
-    } else if (s.rfind("--set=", 0) == 0) {
-      sets.push_back(split_axis_flag("--set", s.substr(6)));
-    }
-    else if (s.rfind("--gpus=", 0) == 0) {
-      gpus = static_cast<std::size_t>(parse_positive("--gpus", s.substr(7)));
-    }
-    else if (s.rfind("--context=", 0) == 0) {
-      context = static_cast<std::size_t>(
-          parse_positive("--context", s.substr(10)));
-    }
-    else if (s == "--no-recovery") recovery = false;
-    else if (s.rfind("--fault-kill=", 0) == 0) {
-      fault.device_kill_rate = parse_rate("--fault-kill", s.substr(13));
-      any_fault = true;
-    } else if (s.rfind("--fault-corrupt=", 0) == 0) {
-      fault.output_corrupt_rate = parse_rate("--fault-corrupt", s.substr(16));
-      any_fault = true;
-    } else if (s.rfind("--fault-straggler=", 0) == 0) {
-      fault.straggler_rate = parse_rate("--fault-straggler", s.substr(18));
-      any_fault = true;
-    } else if (s.rfind("--fault-seed=", 0) == 0) {
-      fault.seed = parse_u64("--fault-seed", s.substr(13));
-    } else if (s.rfind("--retries=", 0) == 0) {
-      retries = parse_size("--retries", s.substr(10));
-    } else if (s == "--checkpoint") {
-      checkpoint = true;
-    } else if (s.rfind("--checkpoint=", 0) == 0) {
-      checkpoint = true;
-      checkpoint_path = s.substr(13);
-    } else if (s == "--resume") {
-      checkpoint = true;
-      resume = true;
-    }
-    else if (parse_obs_flag(s, obs_flags)) continue;
-    else if (s[0] != '-') n = parse_size("<instructions>", s);
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
-  }
-  if (parallel == 0 && (any_fault || checkpoint)) {
-    std::fprintf(stderr, "--fault-*/--checkpoint/--resume require "
-                         "--parallel=P (fault tolerance is a parallel-"
-                         "simulation feature)\n");
-    return 2;
+int cmd_simulate(flags::CommandLine& cli) {
+  std::string input;
+  std::size_t n = 0, retries = 3;
+  Engine engine;
+  engine.parallel = 0;  // one optimised device unless --parallel is given
+  Faults faults;
+  Checkpoint checkpoint;
+  std::vector<std::string> sets;
+  obs::Report reports;
+  cli.parse({{{"<benchmark|trace.bin>", &input, Kind::kText},
+              {"[instructions]", &n}},
+             engine.flags(),
+             faults.flags(false),
+             {{"--retries=N", &retries}},
+             checkpoint.flags(),
+             {{"--set key=value", &sets}},
+             reports.flags()});
+  if (engine.parallel == 0 && (faults.any || checkpoint.on)) {
+    throw UsageError("--fault-*/--checkpoint/--resume require --parallel=P "
+                     "(fault tolerance is a parallel-simulation feature)");
   }
   // --set alters the machine the *trace* is generated with; the predictor
   // and engine path stay identical (docs/SWEEPS.md), which is what makes a
   // sweep point bit-identical to this command.
   uarch::MachineConfig machine;
   if (!sets.empty()) {
-    if (std::filesystem::exists(argv[2])) {
+    if (std::filesystem::exists(input)) {
       throw UsageError("--set regenerates the trace for the modified machine "
                        "and needs a benchmark name, not a trace file");
     }
     validate_as_usage([&] {
-      for (const auto& [key, value] : sets) {
+      for (const std::string& set : sets) {
+        const auto [key, value] = split_axis_flag("--set", set);
         sweep::apply_axis(machine, key, value);
       }
     });
   }
-  enable_obs(obs_flags);
-  const auto tr = sets.empty()
-                      ? acquire(argv[2], n)
-                      : core::labeled_trace(argv[2], n == 0 ? 200000 : n,
-                                            machine);
-  core::MLSimulator::Options opts;
-  opts.context_length = context;
-  core::MLSimulator sim(opts);
+  reports.start();
+  const auto tr = acquire(input, n, machine);
+  core::MLSimulator sim = engine.simulator();
 
-  if (parallel == 0) {
+  if (engine.parallel == 0) {
     const auto out = sim.simulate(tr);
     // With --metrics the aggregate one-liner grows into the full §IV
     // per-phase breakdown the paper's Fig. 2/11-16 reason about.
-    if (obs_flags.metrics) print_phase_table(out);
+    if (reports.metrics) print_phase_table(out);
     std::printf("single device: CPI %.4f | err vs truth %+.2f%% | %.3f MIPS "
                 "(modeled) | ctx occupancy %.2f\n",
                 out.cpi(),
                 tr.labeled() ? sim.cpi_error_percent(tr, out.cpi()) : 0.0,
                 out.mips(), out.avg_context_occupancy);
   } else {
-    core::ParallelSimOptions po =
-        sim.parallel_options(parallel, gpus, recovery, recovery);
-    const device::FaultInjector injector(fault);
-    if (any_fault) po.faults = &injector;
+    core::ParallelSimOptions po = engine.options(sim);
+    const device::FaultInjector injector(faults.opts);
+    if (faults.any) po.faults = &injector;
     po.max_retries_per_partition = retries;
-    if (checkpoint) {
-      po.checkpoint_path = checkpoint_path.empty()
-                               ? artifact_path("mlsim_cli_simulate.ckpt")
-                               : std::filesystem::path(checkpoint_path);
-      po.resume = resume;
-    }
+    po.checkpoint_path = checkpoint.file("mlsim_cli_simulate.ckpt");
+    po.resume = checkpoint.resume;
     const auto out = sim.simulate_parallel(tr, po);
     // The exact cycle total is what `sweep --json` reports per point, so a
     // single standalone run can be checked bit-identical against a sweep row.
     std::printf("parallel (%zu sub-traces, %zu GPUs, recovery %s): CPI %.4f | "
                 "%llu cycles | err vs truth %+.2f%% | %.2f MIPS (modeled) | "
                 "corrected %zu\n",
-                parallel, gpus, recovery ? "on" : "off", out.cpi(),
+                engine.parallel, engine.gpus,
+                engine.no_recovery ? "off" : "on", out.cpi(),
                 static_cast<unsigned long long>(out.total_cycles),
                 tr.labeled() ? sim.cpi_error_percent(tr, out.cpi()) : 0.0,
                 out.mips(), out.corrected_instructions);
-    if (any_fault || out.resumed) {
+    if (faults.any || out.resumed) {
       std::printf("fault recovery: %zu failed partitions | %zu retries | "
                   "%zu degraded | %zu lost devices | backoff %.0f us%s\n",
                   out.failed_partitions.size(), out.retries,
@@ -562,47 +458,19 @@ int cmd_simulate(int argc, char** argv) {
                   out.resumed ? " | resumed from checkpoint" : "");
     }
   }
-  finish_obs(obs_flags);
+  reports.write();
   return 0;
 }
 
-int cmd_suite(int argc, char** argv) {
-  ObsFlags obs_flags;
-  bool checkpoint = false, resume = false;
-  std::string checkpoint_path;
-  std::vector<std::string> pos;
-  for (int i = 2; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (parse_obs_flag(s, obs_flags)) continue;
-    if (s == "--checkpoint") {
-      checkpoint = true;
-      continue;
-    }
-    if (s.rfind("--checkpoint=", 0) == 0) {
-      checkpoint = true;
-      checkpoint_path = s.substr(13);
-      continue;
-    }
-    if (s == "--resume") {
-      checkpoint = true;
-      resume = true;
-      continue;
-    }
-    if (!s.empty() && s[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
-    pos.push_back(s);
-  }
-  const std::size_t n =
-      pos.size() > 0 ? static_cast<std::size_t>(parse_positive(
-                           "<instructions-per-benchmark>", pos[0]))
-                     : 50000;
-  const std::size_t gpus =
-      pos.size() > 1
-          ? static_cast<std::size_t>(parse_positive("<gpus>", pos[1]))
-          : 4;
-  enable_obs(obs_flags);
+int cmd_suite(flags::CommandLine& cli) {
+  std::size_t n = 50000, gpus = 4;
+  Checkpoint checkpoint;
+  obs::Report reports;
+  cli.parse({{{"[instructions-per-benchmark]", &n, Kind::kPositive},
+              {"[gpus]", &gpus, Kind::kPositive}},
+             checkpoint.flags(),
+             reports.flags()});
+  reports.start();
   std::printf("simulating all 21 benchmarks, %zu instructions each, across "
               "%zu modeled GPUs (LPT schedule)\n", n, gpus);
 
@@ -619,12 +487,9 @@ int cmd_suite(int argc, char** argv) {
   core::AnalyticPredictor pred;
   core::GpuSimOptions opts;
   opts.context_length = 64;
-  const std::filesystem::path ckpt =
-      checkpoint ? (checkpoint_path.empty()
-                        ? artifact_path("mlsim_cli_suite.ckpt")
-                        : std::filesystem::path(checkpoint_path))
-                 : std::filesystem::path();
-  const auto report = core::run_suite(pred, jobs, gpus, opts, ckpt, resume);
+  const auto report = core::run_suite(pred, jobs, gpus, opts,
+                                      checkpoint.file("mlsim_cli_suite.ckpt"),
+                                      checkpoint.resume);
 
   Table t({"benchmark", "device", "CPI", "device time (ms)"});
   for (const auto& j : report.jobs) {
@@ -636,17 +501,16 @@ int cmd_suite(int argc, char** argv) {
   std::printf("makespan %.1f ms | suite throughput %.2f MIPS | device "
               "utilization %.1f%%\n", report.makespan_us / 1000.0, report.mips(),
               report.utilization() * 100.0);
-  finish_obs(obs_flags);
+  reports.write();
   return 0;
 }
 
-int cmd_rates(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: mlsim_cli rates <benchmark|trace.bin> [instructions]\n");
-    return 2;
-  }
-  const std::size_t n = argc > 3 ? parse_size("<instructions>", argv[3]) : 0;
-  const auto tr = acquire(argv[2], n);
+int cmd_rates(flags::CommandLine& cli) {
+  std::string input;
+  std::size_t n = 0;
+  cli.parse({{{"<benchmark|trace.bin>", &input, Kind::kText},
+              {"[instructions]", &n}}});
+  const auto tr = acquire(input, n);
   const auto r = core::trace_rates(tr);
   std::printf("instructions:            %zu\n", tr.size());
   std::printf("memory access fraction:  %.1f%%\n", r.memory_access_fraction * 100);
@@ -664,30 +528,16 @@ int cmd_rates(int argc, char** argv) {
   return 0;
 }
 
-int cmd_stream(int argc, char** argv) {
-  ObsFlags obs_flags;
-  std::vector<std::string> pos;
-  for (int i = 2; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (parse_obs_flag(s, obs_flags)) continue;
-    if (!s.empty() && s[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
-    pos.push_back(s);
-  }
-  if (pos.size() < 2) {
-    std::fprintf(stderr, "usage: mlsim_cli stream <benchmark> <instructions> "
-                         "[context] [--metrics[=path]] [--trace-out=file.json]\n");
-    return 2;
-  }
-  const std::string abbr = pos[0];
-  const std::uint64_t n = parse_positive("<instructions>", pos[1]);
-  const std::size_t ctx =
-      pos.size() > 2
-          ? static_cast<std::size_t>(parse_positive("[context]", pos[2]))
-          : 64;
-  enable_obs(obs_flags);
+int cmd_stream(flags::CommandLine& cli) {
+  std::string abbr;
+  std::uint64_t n = 0;
+  std::size_t ctx = 64;
+  obs::Report reports;
+  cli.parse({{{"<benchmark>", &abbr, Kind::kText},
+              {"<instructions>", &n, Kind::kPositive},
+              {"[context]", &ctx, Kind::kPositive}},
+             reports.flags()});
+  reports.start();
   trace::LabeledTraceStream stream(trace::find_workload(abbr));
   core::AnalyticPredictor pred;
   const auto res = core::simulate_stream(pred, stream, n, ctx);
@@ -696,179 +546,71 @@ int cmd_stream(int argc, char** argv) {
   std::printf("predicted CPI %.4f | ground-truth CPI %.4f | error %+.2f%%\n",
               res.cpi(), res.truth_cpi(),
               (res.truth_cpi() - res.cpi()) / res.truth_cpi() * 100.0);
-  finish_obs(obs_flags);
+  reports.write();
   return 0;
 }
 
-/// A TCP port flag: strict decimal, within [0, 65535] (0 = ephemeral).
-std::uint16_t parse_port(const char* what, const std::string& text) {
-  const std::uint64_t v = parse_u64(what, text);
-  if (v > 65535) {
-    throw UsageError(std::string(what) + ": '" + text +
-                     "' is not a TCP port (0-65535)");
+int cmd_coordinator(flags::CommandLine& cli) {
+  std::string input, journal;
+  std::size_t n = 20000;
+  bool verify = false;
+  Cluster cluster;
+  Engine engine;
+  Faults faults;
+  Telemetry telemetry;
+  obs::Report reports;
+  cli.parse({{{"<benchmark|trace.bin>", &input, Kind::kText},
+              {"[instructions]", &n}},
+             cluster.flags(),
+             engine.flags(),
+             faults.flags(true),
+             {{"--verify", &verify},
+              {"--speculate-pct=P", &cluster.co.speculate_pct,
+               Kind::kPositive},
+              {"--journal=PATH", &journal, Kind::kPath},
+              {"--resume", &cluster.co.resume},
+              {"--journal-strict", &cluster.co.journal_strict},
+              drain_flag(cluster.co.drain_timeout_ms),
+              telemetry.flag()},
+             reports.flags()});
+  if (cluster.co.speculate_pct > 100.0) {
+    throw UsageError("--speculate-pct must be a percentile in 1..100");
   }
-  return static_cast<std::uint16_t>(v);
-}
-
-int cmd_coordinator(int argc, char** argv) {
-  ObsFlags obs_flags;
-  std::vector<std::string> pos;
-  std::uint16_t port = 0;
-  std::size_t min_workers = 1, parallel = 4, gpus = 1, context = 64;
-  int heartbeat_timeout_ms = 2000, run_timeout_ms = 120000;
-  bool recovery = true, verify = false;
-  bool steal = false;
-  double speculate_pct = 0.0;
-  std::size_t result_cache = 0;
-  bool have_telemetry = false;
-  std::uint16_t telemetry_port = 0;
-  std::string journal_path;
-  bool resume = false, journal_strict = false;
-  int drain_timeout_ms = 5000;
-  device::FaultOptions fault;
-  fault.seed = 1;
-  bool any_fault = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (parse_obs_flag(s, obs_flags)) continue;
-    if (s.rfind("--port=", 0) == 0) {
-      port = parse_port("--port", s.substr(7));
-    } else if (s.rfind("--telemetry-port=", 0) == 0) {
-      telemetry_port = parse_port("--telemetry-port", s.substr(17));
-      have_telemetry = true;
-    } else if (s.rfind("--workers=", 0) == 0) {
-      min_workers =
-          static_cast<std::size_t>(parse_positive("--workers", s.substr(10)));
-    } else if (s.rfind("--heartbeat-ms=", 0) == 0) {
-      heartbeat_timeout_ms = static_cast<int>(std::min<std::uint64_t>(
-          parse_positive("--heartbeat-ms", s.substr(15)),
-          std::numeric_limits<int>::max()));
-    } else if (s.rfind("--timeout-ms=", 0) == 0) {
-      run_timeout_ms = static_cast<int>(std::min<std::uint64_t>(
-          parse_u64("--timeout-ms", s.substr(13)),
-          std::numeric_limits<int>::max()));
-    } else if (s.rfind("--parallel=", 0) == 0) {
-      parallel = static_cast<std::size_t>(
-          parse_positive("--parallel", s.substr(11)));
-    } else if (s.rfind("--gpus=", 0) == 0) {
-      gpus = static_cast<std::size_t>(parse_positive("--gpus", s.substr(7)));
-    } else if (s.rfind("--context=", 0) == 0) {
-      context = static_cast<std::size_t>(
-          parse_positive("--context", s.substr(10)));
-    } else if (s == "--no-recovery") {
-      recovery = false;
-    } else if (s.rfind("--fault-worker-kill=", 0) == 0) {
-      fault.worker_kill_rate = parse_rate("--fault-worker-kill", s.substr(20));
-      any_fault = true;
-    } else if (s.rfind("--fault-seed=", 0) == 0) {
-      fault.seed = parse_u64("--fault-seed", s.substr(13));
-    } else if (s == "--verify") {
-      verify = true;
-    } else if (s == "--steal") {
-      steal = true;
-    } else if (s.rfind("--speculate-pct=", 0) == 0) {
-      const std::uint64_t p =
-          parse_positive("--speculate-pct", s.substr(16));
-      if (p > 100) {
-        throw UsageError("--speculate-pct: '" + s.substr(16) +
-                         "' must be a percentile in 1..100");
-      }
-      speculate_pct = static_cast<double>(p);
-    } else if (s == "--result-cache") {
-      result_cache = 1024;
-    } else if (s.rfind("--result-cache=", 0) == 0) {
-      result_cache = static_cast<std::size_t>(
-          parse_positive("--result-cache", s.substr(15)));
-    } else if (s.rfind("--journal=", 0) == 0) {
-      journal_path = s.substr(10);
-      if (journal_path.empty()) throw UsageError("--journal needs a path");
-    } else if (s == "--resume") {
-      resume = true;
-    } else if (s == "--journal-strict") {
-      journal_strict = true;
-    } else if (s.rfind("--drain-timeout-ms=", 0) == 0) {
-      drain_timeout_ms = static_cast<int>(std::min<std::uint64_t>(
-          parse_positive("--drain-timeout-ms", s.substr(19)),
-          std::numeric_limits<int>::max()));
-    } else if (!s.empty() && s[0] != '-') {
-      pos.push_back(s);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
-  }
-  if (pos.empty()) {
-    std::fprintf(stderr,
-                 "usage: mlsim_cli coordinator <benchmark|trace.bin> "
-                 "[instructions] [--port=N] [--telemetry-port=N] [--workers=W] "
-                 "[--heartbeat-ms=M] [--timeout-ms=T] [--parallel=P] "
-                 "[--gpus=G] [--context=C] [--no-recovery] "
-                 "[--fault-worker-kill=R] [--fault-seed=S] [--verify] "
-                 "[--steal] [--speculate-pct=P] [--result-cache[=N]] "
-                 "[--journal=PATH] [--resume] [--journal-strict] "
-                 "[--drain-timeout-ms=T] "
-                 "[--metrics[=path]] [--trace-out=file.json]\n");
-    return 2;
-  }
-  if (resume && journal_path.empty()) {
+  if (cluster.co.resume && journal.empty()) {
     throw UsageError("--resume requires --journal=PATH");
   }
-  const std::size_t n =
-      pos.size() > 1 ? parse_size("[instructions]", pos[1]) : 20000;
-  enable_obs(obs_flags);
+  reports.start();
   // Bridge SIGTERM/SIGINT into the coordinator poll loop: first signal
   // starts a graceful drain (exit 6), second force-exits 7. Installed
   // before trace acquisition so a signal during slow labeling is queued
   // for the run loop instead of killing the process with work undone.
   net::SignalPipe& sig = net::SignalPipe::install(kExitForced);
-  const auto tr = acquire(pos[0], n);
+  const auto tr = acquire(input, n);
 
-  core::MLSimulator::Options mopts;
-  mopts.context_length = context;
-  core::MLSimulator sim(mopts);
-  core::ParallelSimOptions po =
-      sim.parallel_options(parallel, gpus, recovery, recovery);
-  const device::FaultInjector injector(fault);
-  if (any_fault) po.faults = &injector;
+  core::MLSimulator sim = engine.simulator();
+  core::ParallelSimOptions po = engine.options(sim);
+  const device::FaultInjector injector(faults.opts);
+  if (faults.any) po.faults = &injector;
 
-  dist::CoordinatorOptions co;
-  co.min_workers = min_workers;
-  co.heartbeat_timeout_ms = heartbeat_timeout_ms;
-  co.run_timeout_ms = run_timeout_ms;
-  co.steal = steal;
-  co.speculate_pct = speculate_pct;
-  co.result_cache_entries = result_cache;
-  co.journal_path = journal_path;
-  co.resume = resume;
-  co.journal_strict = journal_strict;
-  co.drain_timeout_ms = drain_timeout_ms;
-  co.wake_fd = sig.fd();
-  dist::DistCoordinator coord(net::TcpListener::bind(port), co);
+  dist::CoordinatorOptions opts = cluster.options();
+  opts.journal_path = journal;
+  opts.wake_fd = sig.fd();
+  dist::DistCoordinator coord(net::TcpListener::bind(cluster.port), opts);
   std::printf("coordinator listening on 127.0.0.1:%u — waiting for %zu "
               "worker(s); join with:\n  mlsim_cli worker "
               "--connect=127.0.0.1:%u\n",
-              coord.port(), min_workers, coord.port());
-  obs::TelemetryServer telemetry;
-  if (have_telemetry) {
-    if (obs::kCompiledIn && !obs::enabled()) obs::set_enabled(true);
-    obs::TelemetryOptions to;
-    to.port = telemetry_port;
-    to.health = [&coord](std::size_t errs) { return coord.cluster_json(errs); };
-    if (telemetry.start(std::move(to))) {
-      std::printf("telemetry on http://127.0.0.1:%u/metrics (also /healthz, "
-                  "/tracez)\n", telemetry.port());
-    } else {
-      std::fprintf(stderr, "note: built with MLSIM_OBS_DISABLE=ON; "
-                           "--telemetry-port is inert\n");
-    }
-  }
+              coord.port(), opts.min_workers, coord.port());
+  obs::TelemetryServer server;
+  telemetry.start(server, [&coord](std::size_t errs) {
+    return coord.cluster_json(errs);
+  });
   std::fflush(stdout);
 
   const auto out = coord.run(tr, po);
   const auto& st = coord.stats();
   std::printf("distributed (%zu sub-traces, %zu GPU blocks): CPI %.4f | "
               "err vs truth %+.2f%% | %.2f MIPS (modeled) | corrected %zu\n",
-              parallel, gpus, out.cpi(),
+              engine.parallel, engine.gpus, out.cpi(),
               tr.labeled() ? sim.cpi_error_percent(tr, out.cpi()) : 0.0,
               out.mips(), out.corrected_instructions);
   std::printf("cluster: %zu joined | %zu lost | %zu departed | "
@@ -877,8 +619,8 @@ int cmd_coordinator(int argc, char** argv) {
               st.workers_joined, st.workers_lost, st.workers_departed,
               st.shards_dispatched, st.reassignments, st.duplicates_dropped,
               st.heartbeats);
-  if (steal || speculate_pct > 0.0 || result_cache > 0 ||
-      !journal_path.empty()) {
+  if (opts.steal || opts.speculate_pct > 0.0 ||
+      opts.result_cache_entries > 0 || !journal.empty()) {
     std::printf("elastic: %zu stolen | %zu speculated | cache %zu hits / "
                 "%zu misses / %zu evictions | %zu rejoined | "
                 "%zu replayed from journal\n",
@@ -898,7 +640,7 @@ int cmd_coordinator(int argc, char** argv) {
     }
   }
   coord.shutdown_workers();
-  finish_obs(obs_flags);
+  reports.write();
   if (coord.drain_requested()) {
     // The run finished inside the drain window: report success, but exit
     // with the drain code so a supervisor sees "terminated by request".
@@ -908,52 +650,25 @@ int cmd_coordinator(int argc, char** argv) {
   return 0;
 }
 
-int cmd_worker(int argc, char** argv) {
+int cmd_worker(flags::CommandLine& cli) {
   dist::WorkerConfig cfg;
-  bool have_endpoint = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string s = argv[i];
-    std::string endpoint;
-    if (s.rfind("--connect=", 0) == 0) {
-      endpoint = s.substr(10);
-    } else if (s.rfind("--heartbeat-ms=", 0) == 0) {
-      cfg.heartbeat_ms = static_cast<int>(std::min<std::uint64_t>(
-          parse_positive("--heartbeat-ms", s.substr(15)),
-          std::numeric_limits<int>::max()));
-      continue;
-    } else if (s == "--no-reconnect") {
-      cfg.reconnect_after_kill = false;
-      continue;
-    } else if (s.rfind("--leave-after=", 0) == 0) {
-      cfg.leave_after_shards = static_cast<std::size_t>(
-          parse_positive("--leave-after", s.substr(14)));
-      continue;
-    } else if (s.rfind("--reconnect-budget=", 0) == 0) {
-      cfg.reconnect_budget = static_cast<int>(std::min<std::uint64_t>(
-          parse_positive("--reconnect-budget", s.substr(19)),
-          std::numeric_limits<int>::max()));
-      continue;
-    } else if (!s.empty() && s[0] != '-') {
-      endpoint = s;  // bare host:port positional
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
-    const auto hp = net::parse_host_port(endpoint);
-    if (!hp.has_value()) {
-      throw UsageError("--connect: '" + endpoint +
-                       "' is not a valid host:port endpoint");
-    }
-    cfg.host = hp->host;
-    cfg.port = hp->port;
-    have_endpoint = true;
+  std::string endpoint;
+  bool no_reconnect = false;
+  cli.parse({{{"[host:port]", &endpoint, Kind::kText},
+              {"--connect=host:port", &endpoint, Kind::kText},
+              {"--heartbeat-ms=M", &cfg.heartbeat_ms, Kind::kPositiveMs},
+              {"--no-reconnect", &no_reconnect},
+              {"--leave-after=N", &cfg.leave_after_shards, Kind::kPositive},
+              {"--reconnect-budget=N", &cfg.reconnect_budget,
+               Kind::kPositive}}});
+  const auto hp = net::parse_host_port(endpoint);
+  if (!hp.has_value()) {
+    throw UsageError("--connect: '" + endpoint +
+                     "' is not a valid host:port endpoint");
   }
-  if (!have_endpoint) {
-    std::fprintf(stderr, "usage: mlsim_cli worker --connect=host:port "
-                         "[--heartbeat-ms=M] [--no-reconnect] "
-                         "[--leave-after=N] [--reconnect-budget=N]\n");
-    return 2;
-  }
+  cfg.host = hp->host;
+  cfg.port = hp->port;
+  cfg.reconnect_after_kill = !no_reconnect;
   std::printf("worker joining %s:%u\n", cfg.host.c_str(), cfg.port);
   std::fflush(stdout);
   // Record spans so a coordinator-propagated trace context (AssignMsg
@@ -972,121 +687,50 @@ int cmd_worker(int argc, char** argv) {
 /// Soak the resilient service: a burst of requests across all priority
 /// classes, optionally under chaos (fault injection + real worker stalls),
 /// with every typed outcome tallied at the end.
-int cmd_serve(int argc, char** argv) {
-  ObsFlags obs_flags;
-  std::vector<std::string> pos;
-  std::size_t requests = 32, workers = 2, queue = 8, parallel = 4;
-  std::size_t tenant_quota = 0;
-  std::uint64_t deadline_ms = 0, stall_ms = 0;
-  std::uint64_t drain_timeout_ms = 5000;
-  bool have_telemetry = false;
-  std::uint16_t telemetry_port = 0;
-  bool batching = false;
-  std::size_t batch_max = 64;
-  std::uint64_t batch_wait_us = 100;
-  device::FaultOptions fault;
-  fault.seed = 1;
-  bool any_fault = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (parse_obs_flag(s, obs_flags)) continue;
-    if (s.rfind("--requests=", 0) == 0) {
-      requests = parse_size("--requests", s.substr(11));
-    } else if (s.rfind("--telemetry-port=", 0) == 0) {
-      telemetry_port = parse_port("--telemetry-port", s.substr(17));
-      have_telemetry = true;
-    } else if (s.rfind("--workers=", 0) == 0) {
-      workers =
-          static_cast<std::size_t>(parse_positive("--workers", s.substr(10)));
-    } else if (s.rfind("--queue=", 0) == 0) {
-      queue = static_cast<std::size_t>(parse_positive("--queue", s.substr(8)));
-    } else if (s.rfind("--parallel=", 0) == 0) {
-      parallel = static_cast<std::size_t>(
-          parse_positive("--parallel", s.substr(11)));
-    } else if (s.rfind("--deadline-ms=", 0) == 0) {
-      deadline_ms = parse_ms("--deadline-ms", s.substr(14));
-    } else if (s.rfind("--tenant-quota=", 0) == 0) {
-      tenant_quota = static_cast<std::size_t>(
-          parse_positive("--tenant-quota", s.substr(15)));
-    } else if (s.rfind("--stall-ms=", 0) == 0) {
-      stall_ms = parse_ms("--stall-ms", s.substr(11));
-    } else if (s.rfind("--drain-timeout-ms=", 0) == 0) {
-      drain_timeout_ms = parse_positive("--drain-timeout-ms", s.substr(19));
-    } else if (s == "--batch") {
-      batching = true;
-    } else if (s.rfind("--batch=", 0) == 0) {
-      batching = true;
-      batch_max =
-          static_cast<std::size_t>(parse_positive("--batch", s.substr(8)));
-    } else if (s.rfind("--batch-wait-us=", 0) == 0) {
-      batching = true;
-      batch_wait_us = parse_u64("--batch-wait-us", s.substr(16));
-    } else if (s.rfind("--fault-kill=", 0) == 0) {
-      fault.device_kill_rate = parse_rate("--fault-kill", s.substr(13));
-      any_fault = true;
-    } else if (s.rfind("--fault-corrupt=", 0) == 0) {
-      fault.output_corrupt_rate = parse_rate("--fault-corrupt", s.substr(16));
-      any_fault = true;
-    } else if (s.rfind("--fault-straggler=", 0) == 0) {
-      fault.straggler_rate = parse_rate("--fault-straggler", s.substr(18));
-      any_fault = true;
-    } else if (s.rfind("--fault-seed=", 0) == 0) {
-      fault.seed = parse_u64("--fault-seed", s.substr(13));
-    } else if (!s.empty() && s[0] != '-') {
-      pos.push_back(s);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
-  }
-  if (pos.empty()) {
-    std::fprintf(stderr,
-                 "usage: mlsim_cli serve <benchmark|trace.bin> [instructions] "
-                 "[--requests=N] [--workers=W] [--queue=Q] [--parallel=P] "
-                 "[--deadline-ms=D] [--tenant-quota=N] [--telemetry-port=N] "
-                 "[--drain-timeout-ms=T] [--batch[=N]] "
-                 "[--batch-wait-us=U] [--fault-kill=R] [--fault-corrupt=R] "
-                 "[--fault-straggler=R] [--fault-seed=S] [--stall-ms=M] "
-                 "[--metrics[=path]] [--trace-out=file.json]\n");
-    return 2;
-  }
-  const std::size_t n =
-      pos.size() > 1 ? parse_size("[instructions]", pos[1]) : 20000;
-  enable_obs(obs_flags);
-  const auto tr = acquire(pos[0], n);
+int cmd_serve(flags::CommandLine& cli) {
+  std::string input;
+  std::size_t n = 20000, requests = 32, parallel = 4;
+  std::uint64_t deadline_ms = 0, stall_ms = 0, batch_wait_us = 100;
+  int drain_timeout_ms = 5000;
+  service::ServiceOptions so;
+  Faults faults;
+  Telemetry telemetry;
+  obs::Report reports;
+  cli.parse({{{"<benchmark|trace.bin>", &input, Kind::kText},
+              {"[instructions]", &n},
+              {"--requests=N", &requests},
+              {"--workers=W", &so.num_workers, Kind::kPositive},
+              {"--queue=Q", &so.queue_capacity, Kind::kPositive},
+              {"--parallel=P", &parallel, Kind::kPositive},
+              {"--deadline-ms=D", &deadline_ms, Kind::kMs},
+              {"--tenant-quota=N", &so.tenant_quota, Kind::kPositive},
+              {"--batch[=N]", &so.batcher.max_batch, Kind::kPositive,
+               &so.batching},
+              {"--batch-wait-us=U", &batch_wait_us, Kind::kUs, &so.batching},
+              {"--stall-ms=M", &stall_ms, Kind::kMs},
+              drain_flag(drain_timeout_ms),
+              telemetry.flag()},
+             faults.flags(false),
+             reports.flags()});
+  so.batcher.max_wait = std::chrono::microseconds(batch_wait_us);
+  reports.start();
+  const auto tr = acquire(input, n);
 
   core::AnalyticPredictor primary, fallback;
-  service::ServiceOptions so;
-  so.num_workers = workers;
-  so.queue_capacity = queue;
-  so.tenant_quota = tenant_quota;
-  so.batching = batching;
-  so.batcher.max_batch = batch_max;
-  so.batcher.max_wait = std::chrono::microseconds(batch_wait_us);
   service::SimulationService svc(primary, fallback, so);
-  const device::FaultInjector injector(fault);
+  const device::FaultInjector injector(faults.opts);
 
-  obs::TelemetryServer telemetry;
-  if (have_telemetry) {
-    if (obs::kCompiledIn && !obs::enabled()) obs::set_enabled(true);
-    obs::TelemetryOptions to;
-    to.port = telemetry_port;
-    to.health = [&svc](std::size_t errs) { return svc.health_json(errs); };
-    if (telemetry.start(std::move(to))) {
-      std::printf("telemetry on http://127.0.0.1:%u/metrics (also /healthz, "
-                  "/tracez)\n", telemetry.port());
-    } else {
-      std::fprintf(stderr, "note: built with MLSIM_OBS_DISABLE=ON; "
-                           "--telemetry-port is inert\n");
-    }
-  }
+  obs::TelemetryServer server;
+  telemetry.start(server, [&svc](std::size_t errs) {
+    return svc.health_json(errs);
+  });
 
   std::printf("serving %zu requests (%zu workers, queue %zu, %zu sub-traces"
               "%s%s%s)\n",
-              requests, workers, queue, parallel,
-              any_fault ? ", chaos on" : "",
+              requests, so.num_workers, so.queue_capacity, parallel,
+              faults.any ? ", chaos on" : "",
               deadline_ms ? ", deadline set" : "",
-              batching ? ", batching on" : "");
+              so.batching ? ", batching on" : "");
   std::vector<service::SimulationService::Ticket> tickets;
   tickets.reserve(requests);
   for (std::size_t i = 0; i < requests; ++i) {
@@ -1095,13 +739,13 @@ int cmd_serve(int argc, char** argv) {
     rq.engine = service::EngineKind::kParallel;
     rq.num_subtraces = parallel;
     rq.priority = static_cast<service::Priority>(i % service::kNumPriorities);
-    if (tenant_quota > 0) {
+    if (so.tenant_quota > 0) {
       // Spread the soak across three synthetic tenants so the quota and the
       // fair-share drain actually engage.
       rq.tenant = "tenant-" + std::to_string(i % 3);
     }
     if (deadline_ms > 0) rq.deadline = std::chrono::milliseconds(deadline_ms);
-    if (any_fault) {
+    if (faults.any) {
       rq.faults = &injector;
       rq.straggler_stall = std::chrono::milliseconds(stall_ms);
     }
@@ -1118,9 +762,8 @@ int cmd_serve(int argc, char** argv) {
     while (t.future.wait_for(std::chrono::milliseconds(50)) !=
            std::future_status::ready) {
       if (drained || !sig.signalled()) continue;
-      std::printf("signal %d: draining (timeout %llu ms)\n",
-                  sig.last_signal(),
-                  static_cast<unsigned long long>(drain_timeout_ms));
+      std::printf("signal %d: draining (timeout %d ms)\n", sig.last_signal(),
+                  drain_timeout_ms);
       std::fflush(stdout);
       // shutdown() blocks until in-flight work finishes — bound it with
       // the drain deadline. On timeout, leave without running destructors
@@ -1170,7 +813,7 @@ int cmd_serve(int argc, char** argv) {
   }
   std::printf("health: %s\n", svc.health_json().c_str());
   svc.shutdown();
-  finish_obs(obs_flags);
+  reports.write();
   return drained ? kExitDrained : 0;
 }
 
@@ -1218,161 +861,61 @@ std::string sweep_report_json(const sweep::SweepSpec& spec,
 
 /// Design-space exploration: expand a config lattice, simulate every point
 /// (locally or through a worker cluster), rank the Pareto frontier.
-int cmd_sweep(int argc, char** argv) {
-  ObsFlags obs_flags;
-  std::vector<std::string> pos;
-  std::string spec_path;
-  std::vector<sweep::SweepAxis> axes;
-  std::size_t parallel = 4, gpus = 1, context = 64;
-  bool recovery = true;
-  std::uint64_t seed = 1;
-  bool pareto_only = false;
-  std::size_t top = 0;
-  bool json = false;
-  std::string json_path;
-  std::uint16_t port = 0;
-  std::size_t workers = 0;
-  int heartbeat_timeout_ms = 2000, run_timeout_ms = 120000;
-  bool steal = false;
-  std::size_t result_cache = 0;
-  std::size_t repeat = 1;
-  bool have_telemetry = false;
-  std::uint16_t telemetry_port = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (parse_obs_flag(s, obs_flags)) continue;
-    if (s.rfind("--spec=", 0) == 0) {
-      spec_path = s.substr(7);
-      if (spec_path.empty()) throw UsageError("--spec needs a path");
-    } else if (s == "--axis") {
-      if (i + 1 >= argc) {
-        throw UsageError("--axis needs a key=v1,v2,... operand");
-      }
-      const auto [key, values] = split_axis_flag("--axis", argv[++i]);
-      sweep::SweepAxis ax;
-      ax.key = key;
-      std::size_t start = 0;
-      while (start <= values.size()) {
-        const auto comma = values.find(',', start);
-        const std::string v = values.substr(
-            start,
-            comma == std::string::npos ? std::string::npos : comma - start);
-        if (v.empty()) {
-          throw UsageError("--axis " + key + ": empty value in list");
-        }
-        ax.values.push_back(v);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      axes.push_back(std::move(ax));
-    } else if (s.rfind("--axis=", 0) == 0) {
-      throw UsageError("--axis takes a separate operand: "
-                       "--axis key=v1,v2,...");
-    } else if (s.rfind("--parallel=", 0) == 0) {
-      parallel = static_cast<std::size_t>(
-          parse_positive("--parallel", s.substr(11)));
-    } else if (s.rfind("--gpus=", 0) == 0) {
-      gpus = static_cast<std::size_t>(parse_positive("--gpus", s.substr(7)));
-    } else if (s.rfind("--context=", 0) == 0) {
-      context = static_cast<std::size_t>(
-          parse_positive("--context", s.substr(10)));
-    } else if (s == "--no-recovery") {
-      recovery = false;
-    } else if (s.rfind("--seed=", 0) == 0) {
-      seed = parse_u64("--seed", s.substr(7));
-    } else if (s == "--pareto") {
-      pareto_only = true;
-    } else if (s.rfind("--top=", 0) == 0) {
-      top = static_cast<std::size_t>(parse_positive("--top", s.substr(6)));
-    } else if (s == "--json") {
-      json = true;
-    } else if (s.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = s.substr(7);
-      if (json_path.empty()) throw UsageError("--json= needs a path");
-    } else if (s.rfind("--port=", 0) == 0) {
-      port = parse_port("--port", s.substr(7));
-    } else if (s.rfind("--workers=", 0) == 0) {
-      workers =
-          static_cast<std::size_t>(parse_positive("--workers", s.substr(10)));
-    } else if (s.rfind("--heartbeat-ms=", 0) == 0) {
-      heartbeat_timeout_ms = static_cast<int>(std::min<std::uint64_t>(
-          parse_positive("--heartbeat-ms", s.substr(15)),
-          std::numeric_limits<int>::max()));
-    } else if (s.rfind("--timeout-ms=", 0) == 0) {
-      run_timeout_ms = static_cast<int>(std::min<std::uint64_t>(
-          parse_u64("--timeout-ms", s.substr(13)),
-          std::numeric_limits<int>::max()));
-    } else if (s == "--steal") {
-      steal = true;
-    } else if (s == "--result-cache") {
-      result_cache = 1024;
-    } else if (s.rfind("--result-cache=", 0) == 0) {
-      result_cache = static_cast<std::size_t>(
-          parse_positive("--result-cache", s.substr(15)));
-    } else if (s.rfind("--repeat=", 0) == 0) {
-      repeat = static_cast<std::size_t>(
-          parse_positive("--repeat", s.substr(9)));
-    } else if (s.rfind("--telemetry-port=", 0) == 0) {
-      telemetry_port = parse_port("--telemetry-port", s.substr(17));
-      have_telemetry = true;
-    } else if (!s.empty() && s[0] != '-') {
-      pos.push_back(s);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", s.c_str());
-      return 2;
-    }
+int cmd_sweep(flags::CommandLine& cli) {
+  sweep::SweepSpec spec;
+  spec.instructions = 200000;
+  std::string spec_path, json_path;
+  std::size_t top = 0, repeat = 1;
+  std::vector<std::string> axis_flags;
+  bool pareto_only = false, json = false;
+  sweep::SweepOptions so;
+  Engine engine;
+  Cluster cluster;
+  cluster.co.min_workers = 0;  // points run in-process unless --workers=W
+  Telemetry telemetry;
+  obs::Report reports;
+  cli.parse({{{"[benchmark]", &spec.benchmark, Kind::kText},
+              {"[instructions]", &spec.instructions},
+              {"--spec=FILE", &spec_path, Kind::kPath},
+              {"--axis key=v1,v2,...", &axis_flags},
+              {"--seed=S", &so.seed},
+              {"--pareto", &pareto_only},
+              {"--top=N", &top, Kind::kPositive},
+              {"--json[=path]", &json_path, Kind::kPath, &json},
+              {"--repeat=N", &repeat, Kind::kPositive},
+              telemetry.flag()},
+             engine.flags(),
+             cluster.flags(),
+             reports.flags()});
+  if (spec_path.empty() == spec.benchmark.empty()) {
+    throw UsageError("sweep takes a <benchmark> operand or --spec=FILE, not "
+                     "both (a spec file names its benchmark and instructions)");
   }
-
-  if (spec_path.empty() && pos.empty()) {
-    std::fprintf(stderr,
-                 "usage: mlsim_cli sweep <benchmark> [instructions] | "
-                 "--spec=FILE [--axis key=v1,v2,...]... [--parallel=P] "
-                 "[--gpus=G] [--context=C] [--no-recovery] [--seed=S] "
-                 "[--pareto] [--top=N] [--json[=path]] [--port=N] "
-                 "[--workers=W] [--heartbeat-ms=M] [--timeout-ms=T] "
-                 "[--steal] [--result-cache[=N]] [--repeat=N] "
-                 "[--telemetry-port=N] [--metrics[=path]] "
-                 "[--trace-out=file.json]\n");
-    return 2;
-  }
-  if (!spec_path.empty() && !pos.empty()) {
-    throw UsageError("--spec and a positional benchmark are mutually "
-                     "exclusive (put benchmark/instructions in the spec "
-                     "file)");
-  }
-  if (pos.size() > 2) {
-    throw UsageError("sweep takes at most two positionals: <benchmark> "
-                     "[instructions]");
-  }
-  if (result_cache > 0 && workers == 0) {
+  const std::size_t workers = cluster.co.min_workers;
+  if (cluster.result_cache && workers == 0) {
     throw UsageError("--result-cache is the coordinator's shard cache and "
                      "requires --workers=W");
   }
 
-  sweep::SweepSpec spec;
-  if (!spec_path.empty()) {
-    spec = sweep::load_spec_text(spec_path);
-  } else {
-    spec.benchmark = pos[0];
-    spec.instructions =
-        pos.size() > 1 ? parse_size("[instructions]", pos[1]) : 200000;
-  }
-  for (auto& ax : axes) spec.axes.push_back(std::move(ax));
-  // Strict up-front validation: an unknown axis, a duplicate (including a
-  // --axis colliding with a spec-file axis), or an unparsable value — e.g.
-  // an unimplemented replacement policy — is a usage error (exit 2), caught
-  // before any simulation work runs.
-  validate_as_usage([&] { sweep::validate_spec(spec); });
+  if (!spec_path.empty()) spec = sweep::load_spec_text(spec_path);
+  // Strict up-front validation: an empty or unparsable value (e.g. an
+  // unimplemented replacement policy), an unknown axis, or a duplicate
+  // (including a --axis colliding with a spec-file axis) is a usage error
+  // (exit 2), caught before any simulation work runs.
+  validate_as_usage([&] {
+    for (const std::string& flag : axis_flags) {
+      auto [key, values] = split_axis_flag("--axis", flag);
+      spec.axes.push_back(sweep::parse_axis(std::move(key), values, "--axis"));
+    }
+    sweep::validate_spec(spec);
+  });
 
-  enable_obs(obs_flags);
+  reports.start();
 
-  sweep::SweepOptions so;
-  so.num_subtraces = parallel;
-  so.num_gpus = gpus;
-  so.context_length = context;
-  so.recovery = recovery;
-  so.seed = seed;
+  so.num_subtraces = engine.parallel;
+  so.num_gpus = engine.gpus;
+  so.context_length = engine.context;
+  so.recovery = !engine.no_recovery;
 
   // Sweep progress for /healthz: plain atomics the telemetry thread reads.
   std::atomic<std::size_t> points_done{0};
@@ -1382,40 +925,21 @@ int cmd_sweep(int argc, char** argv) {
     points_done.store(done, std::memory_order_relaxed);
   };
 
-  obs::TelemetryServer telemetry;
-  if (have_telemetry) {
-    if (obs::kCompiledIn && !obs::enabled()) obs::set_enabled(true);
-    obs::TelemetryOptions to;
-    to.port = telemetry_port;
-    to.health = [&points_done, &iterations_done, points_total,
-                 repeat](std::size_t) {
-      std::ostringstream os;
-      os << "{\"status\":\"ok\",\"sweep\":{\"points_total\":" << points_total
-         << ",\"points_done\":"
-         << points_done.load(std::memory_order_relaxed)
-         << ",\"iterations_done\":"
-         << iterations_done.load(std::memory_order_relaxed)
-         << ",\"iterations\":" << repeat << "}}";
-      return os.str();
-    };
-    if (telemetry.start(std::move(to))) {
-      std::printf("telemetry on http://127.0.0.1:%u/metrics (also /healthz, "
-                  "/tracez)\n", telemetry.port());
-    } else {
-      std::fprintf(stderr, "note: built with MLSIM_OBS_DISABLE=ON; "
-                           "--telemetry-port is inert\n");
-    }
-  }
+  obs::TelemetryServer server;
+  telemetry.start(server, [&points_done, &iterations_done, points_total,
+                           repeat](std::size_t) {
+    std::ostringstream os;
+    os << "{\"status\":\"ok\",\"sweep\":{\"points_total\":" << points_total
+       << ",\"points_done\":" << points_done.load(std::memory_order_relaxed)
+       << ",\"iterations_done\":"
+       << iterations_done.load(std::memory_order_relaxed)
+       << ",\"iterations\":" << repeat << "}}";
+    return os.str();
+  });
 
   std::optional<dist::DistCoordinator> coord;
   if (workers > 0) {
-    dist::CoordinatorOptions co;
-    co.min_workers = workers;
-    co.heartbeat_timeout_ms = heartbeat_timeout_ms;
-    co.run_timeout_ms = run_timeout_ms;
-    co.steal = steal;
-    co.result_cache_entries = result_cache;
-    coord.emplace(net::TcpListener::bind(port), co);
+    coord.emplace(net::TcpListener::bind(cluster.port), cluster.options());
     so.remote = &*coord;
     std::printf("sweep coordinator listening on 127.0.0.1:%u — waiting for "
                 "%zu worker(s); join with:\n  mlsim_cli worker "
@@ -1513,37 +1037,47 @@ int cmd_sweep(int argc, char** argv) {
                 report.points.size(), report.frontier.size(),
                 report.elapsed_s, report.points_per_sec);
   }
-  finish_obs(obs_flags);
+  reports.write();
   return 0;
 }
+
+struct Command {
+  std::string_view name;
+  int (*run)(flags::CommandLine&);
+};
+
+constexpr Command kCommands[] = {
+    {"trace", cmd_trace},       {"simulate", cmd_simulate},
+    {"sweep", cmd_sweep},       {"suite", cmd_suite},
+    {"rates", cmd_rates},       {"stream", cmd_stream},
+    {"serve", cmd_serve},       {"coordinator", cmd_coordinator},
+    {"worker", cmd_worker}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: mlsim_cli <trace|simulate|sweep|suite|rates|stream|"
-                 "serve|coordinator|worker> ...\n");
+  const std::string_view name = argc < 2 ? "" : argv[1];
+  const auto* const cmd =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return c.name == name; });
+  if (cmd == std::end(kCommands)) {
+    if (argc >= 2) std::fprintf(stderr, "unknown command: %s\n", argv[1]);
+    std::string names;
+    for (const Command& c : kCommands) {
+      names += (names.empty() ? "" : "|") + std::string(c.name);
+    }
+    std::fprintf(stderr, "usage: mlsim_cli <%s> ...\n", names.c_str());
     return 2;
   }
+  flags::CommandLine cli("mlsim_cli " + std::string(name),
+                         std::vector<std::string>(argv + 2, argv + argc));
   // Distinct exit codes per failure class so scripts and the test harness
   // can tell bad invocations (2) from broken files (3), corrupt data (4),
   // and genuine bugs (5). See the header comment.
   try {
-    const std::string cmd = argv[1];
-    if (cmd == "trace") return cmd_trace(argc, argv);
-    if (cmd == "simulate") return cmd_simulate(argc, argv);
-    if (cmd == "sweep") return cmd_sweep(argc, argv);
-    if (cmd == "suite") return cmd_suite(argc, argv);
-    if (cmd == "rates") return cmd_rates(argc, argv);
-    if (cmd == "stream") return cmd_stream(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "coordinator") return cmd_coordinator(argc, argv);
-    if (cmd == "worker") return cmd_worker(argc, argv);
-    std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
-    return 2;
+    return cmd->run(cli);
   } catch (const UsageError& e) {
-    std::fprintf(stderr, "mlsim_cli: %s\n", e.what());
+    std::fprintf(stderr, "mlsim_cli: %s\n%s\n", e.what(), cli.usage().c_str());
     return 2;
   } catch (const DrainError& e) {
     // Graceful drain, not a failure: progress is journaled for --resume.

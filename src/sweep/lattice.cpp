@@ -266,6 +266,25 @@ std::vector<SweepPoint> expand_lattice(const SweepSpec& spec,
   return points;
 }
 
+SweepAxis parse_axis(std::string key, const std::string& values,
+                     const std::string& where) {
+  SweepAxis ax;
+  ax.key = std::move(key);
+  std::size_t start = 0;
+  while (start <= values.size()) {
+    const auto comma = values.find(',', start);
+    const std::string v =
+        values.substr(start, comma == std::string::npos
+                                 ? std::string::npos
+                                 : comma - start);
+    check(!v.empty(), where + ": axis " + ax.key + " has an empty value");
+    ax.values.push_back(v);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return ax;
+}
+
 SweepSpec load_spec_text(const std::filesystem::path& path) {
   std::ifstream is(path);
   if (!is.is_open()) {
@@ -293,23 +312,10 @@ SweepSpec load_spec_text(const std::filesystem::path& path) {
             where + ": 'instructions' needs a count");
       spec.instructions = static_cast<std::size_t>(parse_axis_u64("instructions", n));
     } else if (word == "axis") {
-      SweepAxis ax;
-      std::string values;
-      check(static_cast<bool>(ls >> ax.key >> values),
+      std::string key, values;
+      check(static_cast<bool>(ls >> key >> values),
             where + ": 'axis' needs a key and a comma-separated value list");
-      std::size_t start = 0;
-      while (start <= values.size()) {
-        const auto comma = values.find(',', start);
-        const std::string v =
-            values.substr(start, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - start);
-        check(!v.empty(), where + ": axis " + ax.key + " has an empty value");
-        ax.values.push_back(v);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      spec.axes.push_back(std::move(ax));
+      spec.axes.push_back(parse_axis(std::move(key), values, where));
     } else {
       throw CheckError(where + ": unknown directive '" + word +
                        "' (expected benchmark|instructions|axis)");

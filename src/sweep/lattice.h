@@ -70,6 +70,11 @@ void validate_spec(const SweepSpec& spec);
 std::vector<SweepPoint> expand_lattice(const SweepSpec& spec,
                                        const uarch::MachineConfig& base = {});
 
+/// The axis `key` over a comma-separated value list ("256,512"). Throws
+/// CheckError, prefixed with `where`, when a value is empty.
+SweepAxis parse_axis(std::string key, const std::string& values,
+                     const std::string& where);
+
 /// Parse the text spec format (docs/SWEEPS.md):
 ///   # comment
 ///   benchmark <abbr>

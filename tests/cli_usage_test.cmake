@@ -1,4 +1,4 @@
-# Runs one mlsim_cli invocation and fails unless it exits 2, the CLI's
+# Runs one mlsim_cli (or bench) invocation and fails unless it exits 2, the
 # usage-error code. tests/CMakeLists.txt registers one ctest per case:
 #
 #   cmake -DCLI=path/to/mlsim_cli "-DARGS=simulate xz --gpus=0" \

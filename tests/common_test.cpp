@@ -1,14 +1,17 @@
 // Unit tests for the common utilities: RNG, half precision, statistics,
-// tables, artifacts and the thread pool.
+// tables, artifacts, the thread pool and the command-line flag table.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "common/artifacts.h"
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/half.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -315,6 +318,141 @@ TEST(ThreadPool, ParallelForSurvivesTinyQueueBound) {
   });
   EXPECT_EQ(total.load(), 777u);
   EXPECT_GE(pool.queue_high_water(), 1u);
+}
+
+// ------------------------------------------------------------------ flags --
+
+using flags::Kind;
+using flags::UsageError;
+
+/// The value `--x=<text>` stores in a field of type T read as `kind`.
+template <typename T>
+T flag_value(const std::string& text, Kind kind = Kind::kCount) {
+  T v{};
+  flags::CommandLine cli("prog", {"--x=" + text});
+  cli.parse({{{"--x=V", &v, kind}}});
+  return v;
+}
+
+TEST(Flags, RejectsMalformedIntegers) {
+  for (const char* text : {"", "-1", "+1", "10x", " 1", "1 ", "0x10", "1e3",
+                           "18446744073709551616"}) {
+    EXPECT_THROW(flag_value<std::uint64_t>(text), UsageError) << text;
+  }
+  EXPECT_EQ(flag_value<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(flag_value<std::uint64_t>("007"), 7u);
+}
+
+TEST(Flags, PositiveRejectsZero) {
+  EXPECT_THROW(flag_value<std::size_t>("0", Kind::kPositive), UsageError);
+  EXPECT_THROW(flag_value<int>("0", Kind::kPositiveMs), UsageError);
+  EXPECT_EQ(flag_value<std::size_t>("0"), 0u);
+  EXPECT_EQ(flag_value<std::size_t>("1", Kind::kPositive), 1u);
+}
+
+TEST(Flags, DurationsFitTheNanosecondClock) {
+  EXPECT_EQ(flag_value<std::uint64_t>("9223372036854", Kind::kMs),
+            9223372036854u);
+  EXPECT_THROW(flag_value<std::uint64_t>("9223372036855", Kind::kMs),
+               UsageError);
+  EXPECT_THROW(flag_value<std::uint64_t>("9223372036855", Kind::kPositiveMs),
+               UsageError);
+  EXPECT_EQ(flag_value<std::uint64_t>("9223372036854775", Kind::kUs),
+            9223372036854775u);
+  EXPECT_THROW(flag_value<std::uint64_t>("9223372036854776", Kind::kUs),
+               UsageError);
+}
+
+TEST(Flags, NumbersFitTheirField) {
+  EXPECT_EQ(flag_value<std::uint16_t>("65535"), 65535);
+  EXPECT_THROW(flag_value<std::uint16_t>("65536"), UsageError);
+  EXPECT_EQ(flag_value<int>("2147483647", Kind::kPositiveMs), 2147483647);
+  EXPECT_THROW(flag_value<int>("2147483648", Kind::kPositiveMs), UsageError);
+  EXPECT_THROW(flag_value<int>("2147483648"), UsageError);
+}
+
+TEST(Flags, RatesAreFiniteInTheUnitInterval) {
+  EXPECT_EQ(flag_value<double>("0", Kind::kRate), 0.0);
+  EXPECT_EQ(flag_value<double>("1", Kind::kRate), 1.0);
+  EXPECT_EQ(flag_value<double>("0.25", Kind::kRate), 0.25);
+  for (const char* text : {"", "1.0000001", "-0.1", "nan", "inf", "0.5x"}) {
+    EXPECT_THROW(flag_value<double>(text, Kind::kRate), UsageError) << text;
+  }
+}
+
+TEST(Flags, PathsMustNotBeEmpty) {
+  EXPECT_EQ(flag_value<std::string>("", Kind::kText), "");
+  EXPECT_EQ(flag_value<std::string>("a.json", Kind::kPath), "a.json");
+  EXPECT_THROW(flag_value<std::string>("", Kind::kPath), UsageError);
+}
+
+/// A table with one flag of each shape and two operands.
+struct Shapes {
+  std::string in, path;
+  std::size_t n = 5, gpus = 1;
+  bool metrics = false, verify = false;
+  std::vector<std::string> sets;
+
+  void parse(std::vector<std::string> args) {
+    flags::CommandLine cli("prog", std::move(args));
+    cli.parse({{{"<in>", &in, Kind::kText}, {"[n]", &n}},
+               {{"--gpus=G", &gpus, Kind::kPositive},
+                {"--metrics[=path]", &path, Kind::kText, &metrics},
+                {"--verify", &verify},
+                {"--set key=value", &sets}}});
+  }
+};
+
+TEST(Flags, ShapesOfAFlag) {
+  Shapes a;
+  a.parse({"--metrics", "x", "--verify"});
+  EXPECT_TRUE(a.metrics);
+  EXPECT_EQ(a.path, "");
+  EXPECT_TRUE(a.verify);
+  Shapes b;
+  b.parse({"--metrics=m.json", "x", "--set", "a=1", "--set=b=2", "--gpus=2",
+           "--gpus=3"});
+  EXPECT_TRUE(b.metrics);
+  EXPECT_EQ(b.path, "m.json");
+  EXPECT_EQ(b.sets, (std::vector<std::string>{"a=1", "b=2"}));
+  EXPECT_EQ(b.gpus, 3u);  // a repeated value flag keeps its last value
+  EXPECT_FALSE(b.verify);
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"x", "--bogus"}, {"x", "--gpus"},
+        {"x", "--verify=1"}, {"x", "--set"}, {"x", "-g"}, {"x", "--gpu=2"}}) {
+    Shapes c;
+    EXPECT_THROW(c.parse(bad), UsageError) << bad[1];
+  }
+}
+
+TEST(Flags, OperandsFillInOrder) {
+  Shapes a;
+  a.parse({"--verify", "x", "9"});
+  EXPECT_EQ(a.in, "x");
+  EXPECT_EQ(a.n, 9u);
+  Shapes b;
+  b.parse({"x"});
+  EXPECT_EQ(b.n, 5u);  // an optional operand not given keeps its default
+  Shapes c;
+  EXPECT_THROW(c.parse({}), UsageError);  // missing <in>
+  Shapes d;
+  EXPECT_THROW(d.parse({"x", "9", "extra"}), UsageError);
+  Shapes e;
+  EXPECT_THROW(e.parse({"x", "nine"}), UsageError);
+}
+
+TEST(Flags, UsageIsRenderedFromTheRows) {
+  flags::CommandLine cli("prog", {"--bogus"});
+  EXPECT_EQ(cli.usage(), "");
+  std::string in;
+  bool on = false;
+  std::vector<std::string> sets;
+  EXPECT_THROW(cli.parse({{{"<in>", &in, Kind::kText},
+                           {"--on", &on},
+                           {"--set key=value", &sets}}}),
+               UsageError);
+  EXPECT_EQ(cli.usage(), "usage: prog <in> [--on] [--set key=value]...");
 }
 
 // -------------------------------------------------------------- artifacts --
