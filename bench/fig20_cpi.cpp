@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   std::size_t ctx = 64;
   if (args.use_cnn) {
     cnn.emplace(bench::trained_bundle());
-    ctx = cnn->bundle().model.config().window - 1;
+    ctx = cnn->config().window - 1;
   }
   core::LatencyPredictor& pred = args.use_cnn
                                      ? static_cast<core::LatencyPredictor&>(*cnn)

@@ -9,10 +9,10 @@
 // Usage: design_space_exploration [benchmark] [instructions]
 #include <cstdio>
 #include <iostream>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/table.h"
 #include "core/metrics.h"
 #include "core/simulator.h"
@@ -33,8 +33,10 @@ double truth_cpi(const trace::EncodedTrace& tr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string abbr = argc > 1 ? argv[1] : "wrf";
-  const std::size_t n = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 300000;
+  std::string abbr = "wrf";
+  std::size_t n = 300000;
+  flags::parse_or_exit(argc, argv, {{{"[benchmark]", &abbr, flags::Kind::kText},
+                                     {"[instructions]", &n, flags::Kind::kPositive}}});
   std::printf("design-space exploration on %s, %zu instructions — the "
               "predictor is NEVER retrained, only the trace regenerates.\n\n",
               abbr.c_str(), n);

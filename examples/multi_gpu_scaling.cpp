@@ -6,9 +6,9 @@
 // Usage: multi_gpu_scaling [benchmark] [instructions] [a100|v100]
 #include <cstdio>
 #include <iostream>
-#include <cstdlib>
 #include <string>
 
+#include "common/flags.h"
 #include "common/table.h"
 #include "core/analytic_predictor.h"
 #include "core/metrics.h"
@@ -18,9 +18,11 @@
 using namespace mlsim;
 
 int main(int argc, char** argv) {
-  const std::string abbr = argc > 1 ? argv[1] : "mcf";
-  const std::size_t n = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2'000'000;
-  const std::string gpu_kind = argc > 3 ? argv[3] : "v100";
+  std::string abbr = "mcf", gpu_kind = "v100";
+  std::size_t n = 2'000'000;
+  flags::parse_or_exit(argc, argv, {{{"[benchmark]", &abbr, flags::Kind::kText},
+                                     {"[instructions]", &n, flags::Kind::kPositive},
+                                     {"[a100|v100]", &gpu_kind, flags::Kind::kText}}});
   const device::GpuSpec gpu =
       gpu_kind == "a100" ? device::GpuSpec::a100() : device::GpuSpec::v100();
 

@@ -8,16 +8,18 @@
 //
 // Usage: quickstart [benchmark-abbr] [instructions]   (default: xz 200000)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/flags.h"
 #include "core/metrics.h"
 #include "core/simulator.h"
 
 int main(int argc, char** argv) {
   using namespace mlsim;
-  const std::string abbr = argc > 1 ? argv[1] : "xz";
-  const std::size_t n = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 200000;
+  std::string abbr = "xz";
+  std::size_t n = 200000;
+  flags::parse_or_exit(argc, argv, {{{"[benchmark-abbr]", &abbr, flags::Kind::kText},
+                                     {"[instructions]", &n, flags::Kind::kPositive}}});
 
   std::printf("generating %zu instructions of %s (%s)...\n", n, abbr.c_str(),
               trace::find_workload(abbr).name.c_str());

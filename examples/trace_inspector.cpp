@@ -5,11 +5,11 @@
 //
 // Usage: trace_inspector [benchmark|path.bin] [instructions]
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/metrics.h"
@@ -19,8 +19,10 @@
 using namespace mlsim;
 
 int main(int argc, char** argv) {
-  const std::string what = argc > 1 ? argv[1] : "mcf";
-  const std::size_t n = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 200000;
+  std::string what = "mcf";
+  std::size_t n = 200000;
+  flags::parse_or_exit(argc, argv, {{{"[benchmark|path.bin]", &what, flags::Kind::kText},
+                                     {"[instructions]", &n, flags::Kind::kPositive}}});
 
   trace::EncodedTrace tr;
   if (std::filesystem::exists(what)) {

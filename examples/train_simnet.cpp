@@ -10,10 +10,10 @@
 // The paper-scale configuration is window 112 with 64 channels.
 #include <cstdio>
 #include <iostream>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/artifacts.h"
+#include "common/flags.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/simnet_trainer.h"
@@ -22,9 +22,11 @@
 using namespace mlsim;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 30000;
-  const std::size_t window = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 33;
-  const std::size_t epochs = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 3;
+  std::size_t n = 30000, window = 33, epochs = 3;
+  flags::parse_or_exit(argc, argv,
+                       {{{"[train-instructions-per-benchmark]", &n, flags::Kind::kPositive},
+                         {"[window]", &window, flags::Kind::kPositive},
+                         {"[epochs]", &epochs, flags::Kind::kPositive}}});
 
   std::printf("training 3C+2F SimNet: window %zu, %zu instructions/benchmark, "
               "%zu epochs\n", window, n, epochs);

@@ -5,7 +5,9 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 
 namespace mlsim::flags {
@@ -153,6 +155,17 @@ void CommandLine::parse(std::initializer_list<Group> table) {
       operands[next_operand]->spec[0] == '<') {
     throw UsageError("missing operand " +
                      std::string(operands[next_operand]->spec));
+  }
+}
+
+void parse_or_exit(int argc, char** argv, std::initializer_list<Group> table) {
+  CommandLine cli(std::filesystem::path(argv[0]).filename().string(),
+                  std::vector<std::string>(argv + 1, argv + argc));
+  try {
+    cli.parse(table);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n%s\n", e.what(), cli.usage().c_str());
+    std::exit(2);
   }
 }
 

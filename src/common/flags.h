@@ -88,4 +88,9 @@ class CommandLine {
   std::string usage_;
 };
 
+/// Parses a whole command line, argv[0] naming the program, against
+/// `table`. On a UsageError it prints the error and the synopsis to stderr
+/// and exits 2: for a main() whose rows need no further checks.
+void parse_or_exit(int argc, char** argv, std::initializer_list<Group> table);
+
 }  // namespace mlsim::flags

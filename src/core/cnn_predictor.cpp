@@ -50,9 +50,8 @@ SimNetBundle SimNetBundle::load(const std::filesystem::path& path) {
 }
 
 CnnPredictor::CnnPredictor(SimNetBundle bundle, device::Engine engine)
-    : bundle_(std::move(bundle)), engine_(engine) {
-  check(bundle_.feature_scale.size() == trace::kNumFeatures,
-        "feature scale width mismatch");
+    : net_(bundle.model), feature_scale_(std::move(bundle.feature_scale)), engine_(engine) {
+  check(feature_scale_.size() == trace::kNumFeatures, "feature scale width mismatch");
 }
 
 std::uint32_t CnnPredictor::decode(float y) {
@@ -67,7 +66,7 @@ std::uint32_t CnnPredictor::decode(float y) {
 
 void CnnPredictor::fill_input(tensor::Tensor& x, std::size_t sample,
                               const std::int32_t* window, std::size_t rows) const {
-  const std::size_t W = bundle_.model.config().window;
+  const std::size_t W = net_.config().window;
   const std::size_t F = trace::kNumFeatures;
   check(rows == W, "window rows must match the model's window");
   float* xd = x.data() + sample * F * W;
@@ -75,16 +74,16 @@ void CnnPredictor::fill_input(tensor::Tensor& x, std::size_t sample,
   for (std::size_t l = 0; l < W; ++l) {
     const std::int32_t* row = window + l * F;
     for (std::size_t ci = 0; ci < F; ++ci) {
-      xd[ci * W + l] = static_cast<float>(row[ci]) * bundle_.feature_scale[ci];
+      xd[ci * W + l] = static_cast<float>(row[ci]) * feature_scale_[ci];
     }
   }
 }
 
 LatencyPrediction CnnPredictor::predict(const WindowView& window,
                                         std::uint64_t /*global_index*/) {
-  tensor::Tensor x({1, trace::kNumFeatures, bundle_.model.config().window});
+  tensor::Tensor x({1, trace::kNumFeatures, net_.config().window});
   fill_input(x, 0, window.data, window.rows);
-  const tensor::Tensor y = bundle_.model.infer(x);
+  const tensor::Tensor y = net_.infer(x);
   return {decode(y.at(0)), decode(y.at(1)), decode(y.at(2))};
 }
 
@@ -92,11 +91,11 @@ void CnnPredictor::predict_batch(const std::int32_t* windows, std::size_t batch,
                                  std::size_t rows,
                                  const std::uint64_t* /*global_indices*/,
                                  LatencyPrediction* out) {
-  tensor::Tensor x({batch, trace::kNumFeatures, bundle_.model.config().window});
+  tensor::Tensor x({batch, trace::kNumFeatures, net_.config().window});
   for (std::size_t b = 0; b < batch; ++b) {
     fill_input(x, b, windows + b * rows * trace::kNumFeatures, rows);
   }
-  const tensor::Tensor y = bundle_.model.infer(x);
+  const tensor::Tensor y = net_.infer(x);
   for (std::size_t b = 0; b < batch; ++b) {
     out[b] = {decode(y(b, 0)), decode(y(b, 1)), decode(y(b, 2))};
   }

@@ -4,9 +4,10 @@
 // Features are normalised per-slot with scales computed from the training
 // set; outputs are trained in log1p space and rounded back to integer
 // cycles. The engine flavour only affects the simulated-time model (and,
-// for fp16/2:4, the quantised weights used for real inference). Prediction
-// runs the model's const inference path and writes no state, so one
-// predictor can serve concurrent callers.
+// for fp16/2:4, the quantised weights used for real inference). The
+// predictor keeps only the model's weights, packed once for the inference
+// kernels (tensor::PackedSimNet). Prediction is const and writes no state,
+// so one predictor can serve concurrent callers.
 #pragma once
 
 #include <filesystem>
@@ -38,12 +39,11 @@ class CnnPredictor final : public LatencyPredictor {
                      LatencyPrediction* out) override;
 
   std::size_t flops_per_window(std::size_t /*rows*/) const override {
-    return bundle_.model.flops_per_batch(1);
+    return net_.flops_per_window();
   }
   device::Engine engine() const override { return engine_; }
 
-  tensor::SimNetModel& model() { return bundle_.model; }
-  const SimNetBundle& bundle() const { return bundle_; }
+  const tensor::SimNetModelConfig& config() const { return net_.config(); }
 
   /// Latency substituted for a non-finite (NaN/Inf) or overflowing model
   /// output. Chosen above ParallelSimOptions::anomaly_latency_limit's
@@ -59,7 +59,8 @@ class CnnPredictor final : public LatencyPredictor {
   void fill_input(tensor::Tensor& x, std::size_t sample, const std::int32_t* window,
                   std::size_t rows) const;
 
-  SimNetBundle bundle_;
+  tensor::PackedSimNet net_;
+  std::vector<float> feature_scale_;
   device::Engine engine_;
 };
 

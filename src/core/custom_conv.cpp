@@ -75,7 +75,8 @@ tensor::Tensor CustomConvLayer::forward(const SlidingWindowQueue& queue) {
         for (std::size_t l = lo; l < hi; ++l) {
           const std::size_t row =
               static_cast<std::size_t>(static_cast<std::ptrdiff_t>(l) + off);
-          yrow[l] += wv * value(ci, row);
+          const float xv = value(ci, row);
+          if (xv != 0.0f) yrow[l] += wv * xv;  // Conv1D's zero-input rule
         }
       }
     }

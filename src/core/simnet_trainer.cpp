@@ -263,7 +263,7 @@ SimNetEvalReport evaluate_simnet(CnnPredictor& predictor,
                             : std::min(max_instructions, labeled.size());
 
   SequentialSimOptions opts;
-  opts.context_length = predictor.bundle().model.config().window - 1;
+  opts.context_length = predictor.config().window - 1;
   opts.record_predictions = true;
   SequentialSimulator sim(predictor, opts);
   const SimOutput out = sim.run(labeled, 0, n);

@@ -20,13 +20,15 @@ SimNetModel::SimNetModel(const SimNetModelConfig& cfg, std::uint64_t seed) : cfg
   fc2_ = std::make_unique<Linear>(cfg.hidden, cfg.outputs, rng);
 }
 
-void SimNetModel::check_input(const Tensor& x) const {
-  check(x.rank() == 3 && x.dim(1) == cfg_.in_features && x.dim(2) == cfg_.window,
+namespace {
+void check_input(const SimNetModelConfig& cfg, const Tensor& x) {
+  check(x.rank() == 3 && x.dim(1) == cfg.in_features && x.dim(2) == cfg.window,
         "SimNetModel input must be (B, in_features, window)");
 }
+}  // namespace
 
 Tensor SimNetModel::forward(const Tensor& x) {
-  check_input(x);
+  check_input(cfg_, x);
   return forward_tail(conv1_->forward(x));
 }
 
@@ -40,18 +42,25 @@ Tensor SimNetModel::forward_tail(const Tensor& conv1_preact) {
   return fc2_->forward(h);
 }
 
-Tensor SimNetModel::infer(const Tensor& x) const {
-  check_input(x);
-  Tensor h = conv1_->infer(x);
-  relu_inplace(h);
-  h = conv2_->infer(h);
-  relu_inplace(h);
-  h = conv3_->infer(h);
-  relu_inplace(h);
+Tensor SimNetModel::infer(const Tensor& x) const { return PackedSimNet(*this).infer(x); }
+
+PackedSimNet::PackedSimNet(const SimNetModel& model)
+    : cfg_(model.config()),
+      conv1_(model.conv1().packed()),
+      conv2_(model.conv2().packed()),
+      conv3_(model.conv3().packed()),
+      fc1_(model.fc1().packed()),
+      fc2_(model.fc2().packed()),
+      flops_per_window_(model.flops_per_batch(1)) {}
+
+Tensor PackedSimNet::infer(const Tensor& x) const {
+  check_input(cfg_, x);
+  Tensor h = conv1_.forward(x, true);
+  h = conv2_.forward(h, true);
+  h = conv3_.forward(h, true);
   const std::size_t B = h.dim(0);
-  h = fc1_->infer(std::move(h).reshaped({B, cfg_.channels * cfg_.window}));
-  relu_inplace(h);
-  return fc2_->infer(h);
+  h = fc1_.forward(std::move(h).reshaped({B, cfg_.channels * cfg_.window}), true);
+  return fc2_.forward(h, false);
 }
 
 void SimNetModel::backward(const Tensor& grad_out) {

@@ -36,9 +36,9 @@ class SimNetModel {
   /// layer caches its input for backward().
   Tensor forward(const Tensor& x);
 
-  /// Inference: the same kernels and bit-identical outputs as forward(),
-  /// but const — no layer state is written, so concurrent callers may share
-  /// one model.
+  /// Inference: bit-identical outputs to forward(), but const — no layer
+  /// state is written, so concurrent callers may share one model. Packs the
+  /// weights on every call; PackedSimNet packs them once.
   Tensor infer(const Tensor& x) const;
 
   /// Tail of the network given the *pre-activation* output of conv1
@@ -72,12 +72,34 @@ class SimNetModel {
   static SimNetModel load(const std::filesystem::path& path);
 
  private:
-  void check_input(const Tensor& x) const;
-
   SimNetModelConfig cfg_;
   std::unique_ptr<Conv1D> conv1_, conv2_, conv3_;
   std::unique_ptr<ReLU> relu1_, relu2_, relu3_, relu4_;
   std::unique_ptr<Linear> fc1_, fc2_;
+};
+
+/// A SimNet's inference path with every layer's weights packed once into
+/// the forward kernels' layout (ops.h): what a deployed predictor keeps in
+/// place of the trainable model. infer() fuses each ReLU into the store of
+/// the layer before it.
+class PackedSimNet {
+ public:
+  explicit PackedSimNet(const SimNetModel& model);
+
+  const SimNetModelConfig& config() const { return cfg_; }
+
+  /// (B, F, W) -> (B, outputs), bit-identical to SimNetModel::infer.
+  Tensor infer(const Tensor& x) const;
+
+  /// Dense FLOPs of one window (SimNetModel::flops_per_batch(1)): the
+  /// modeled device runs the dense network whatever the host skips.
+  std::size_t flops_per_window() const { return flops_per_window_; }
+
+ private:
+  SimNetModelConfig cfg_;
+  ConvWeights conv1_, conv2_, conv3_;
+  LinearWeights fc1_, fc2_;
+  std::size_t flops_per_window_;
 };
 
 }  // namespace mlsim::tensor

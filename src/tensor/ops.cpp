@@ -14,11 +14,13 @@ void kaiming_uniform(std::vector<float>& w, std::size_t fan_in, Rng& rng) {
   for (auto& v : w) v = static_cast<float>(rng.uniform() * 2.0 - 1.0) * bound;
 }
 
-// Forward kernels. They vectorise across independent outputs with 16-byte
-// GCC/Clang vector extensions (SSE2 on baseline x86-64), and each lane runs
-// exactly the scalar sequence of its output: start from the bias, then add
-// one rounded product at a time in (input channel, tap) order. Lanes never
-// combine, so the result does not depend on how outputs are grouped.
+// Forward kernels. They vectorise across output channels with 16-byte
+// GCC/Clang vector extensions (SSE2 on baseline x86-64): an input value is
+// broadcast and multiplied into four outputs' accumulators at a time, and
+// each lane runs exactly the scalar sequence of its output: start from the
+// bias, then add one rounded product per nonzero input in (input channel,
+// tap) order. Lanes never combine, so the result does not depend on how
+// outputs are grouped.
 typedef float v4f __attribute__((vector_size(16)));
 constexpr std::size_t kLanes = 4;
 
@@ -28,146 +30,136 @@ inline v4f load4(const float* p) {
   return v;
 }
 inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
+inline v4f splat(float v) { return v4f{v, v, v, v}; }
 
-struct ConvShape {
-  std::size_t c_in, k, length;
-};
+// max(v, 0) as ReLU defines it: v > 0 ? v : +0.0, so -0.0 and NaN become
+// +0.0. One compare and mask, no branch.
+inline v4f relu4(v4f v) { return v > 0.0f ? v : v4f{}; }
 
-// NV vectors of interior output positions (every tap inside the row) of one
-// output channel, accumulated in registers: vector j < NV-1 starts at
-// first + 4j, the last at `last` (it may overlap its neighbour; both store
-// the same values).
-template <std::size_t NV>
-void conv_vectors(const float* x, const float* wrow, float bias, const ConvShape& s,
-                  std::size_t first, std::size_t last, float* yrow) {
-  const std::size_t pad = s.k / 2;
-  v4f acc[NV];
-#pragma GCC unroll 8
-  for (auto& a : acc) a = v4f{bias, bias, bias, bias};
-  for (std::size_t ci = 0; ci < s.c_in; ++ci) {
-    const float* wk = wrow + ci * s.k;
-    const float* xa = x + ci * s.length + first - pad;
-    const float* xz = x + ci * s.length + last - pad;
-    for (std::size_t kk = 0; kk < s.k; ++kk) {
-      const float wv = wk[kk];
-      if (wv == 0.0f) continue;  // 2:4-pruned weights skip work
-#pragma GCC unroll 8
-      for (std::size_t j = 0; j + 1 < NV; ++j) acc[j] += wv * load4(xa + kk + kLanes * j);
-      acc[NV - 1] += wv * load4(xz + kk);
-    }
-  }
-#pragma GCC unroll 8
-  for (std::size_t j = 0; j + 1 < NV; ++j) store4(yrow + first + kLanes * j, acc[j]);
-  store4(yrow + last, acc[NV - 1]);
-}
+std::size_t round_up4(std::size_t n) { return (n + kLanes - 1) / kLanes * kLanes; }
 
-// Interior positions [pad, L - pad) of one output channel, in blocks of up to
-// 8 vectors. Needs L - 2 * pad >= 4.
-void conv_interior(const float* x, const float* wrow, float bias, const ConvShape& s,
-                   float* yrow) {
-  constexpr std::size_t kMaxVectors = 8;
-  const std::size_t pad = s.k / 2, end = s.length - pad;
-  for (std::size_t first = pad; first < end; first += kLanes * kMaxVectors) {
-    const std::size_t nv = std::min(kMaxVectors, (end - first + kLanes - 1) / kLanes);
-    const std::size_t last = std::min(first + kLanes * (nv - 1), end - kLanes);
-    switch (nv) {
-      case 1: conv_vectors<1>(x, wrow, bias, s, first, last, yrow); break;
-      case 2: conv_vectors<2>(x, wrow, bias, s, first, last, yrow); break;
-      case 3: conv_vectors<3>(x, wrow, bias, s, first, last, yrow); break;
-      case 4: conv_vectors<4>(x, wrow, bias, s, first, last, yrow); break;
-      case 5: conv_vectors<5>(x, wrow, bias, s, first, last, yrow); break;
-      case 6: conv_vectors<6>(x, wrow, bias, s, first, last, yrow); break;
-      case 7: conv_vectors<7>(x, wrow, bias, s, first, last, yrow); break;
-      default: conv_vectors<8>(x, wrow, bias, s, first, last, yrow); break;
-    }
-  }
-}
-
-// Output position l of `rows` (1..4) consecutive output channels, one
-// channel per lane, summing only the taps that land inside the row. A lane
-// whose weight is zero keeps its sum: the select discards the product
-// instead of adding it (0 * x is -0.0, or NaN for an infinite x). Lanes past
-// `rows` repeat the last channel and are not stored.
-void conv_column(const float* x, const float* w, const float* bias, std::size_t rows,
-                 const ConvShape& s, std::size_t l, float* y) {
-  const std::size_t pad = s.k / 2, stride = s.c_in * s.k;
-  const std::size_t k_lo = l < pad ? pad - l : 0;
-  const std::size_t k_hi = std::min(s.k, s.length + pad - l);
-  const std::size_t r1 = std::min<std::size_t>(1, rows - 1);
-  const std::size_t r2 = std::min<std::size_t>(2, rows - 1), r3 = rows - 1;
-  const float *w1 = w + r1 * stride, *w2 = w + r2 * stride, *w3 = w + r3 * stride;
-  v4f acc{bias[0], bias[r1], bias[r2], bias[r3]};
-  for (std::size_t ci = 0; ci < s.c_in; ++ci) {
-    const float* xr = x + ci * s.length;
-    for (std::size_t kk = k_lo; kk < k_hi; ++kk) {
-      const std::size_t i = ci * s.k + kk;
-      const v4f wv{w[i], w1[i], w2[i], w3[i]};
-      acc = wv != 0.0f ? acc + wv * xr[l + kk - pad] : acc;
-    }
-  }
-  for (std::size_t r = 0; r < rows; ++r) y[r * s.length + l] = acc[r];
-}
-
-// `rows` (at most 4 * NV) consecutive Linear outputs in NV vectors. Each step
-// loads a 4x4 block of weights (4 output rows x 4 inputs), transposes it in
-// registers and adds one input's column at a time, so lane r of vector j
-// sums w[4j+r][i] * x[i] for i ascending. Lanes past `rows` repeat the last
-// output and are not stored.
-template <std::size_t NV>
-void linear_vectors(const float* x, const float* w, const float* bias, std::size_t n_in,
-                    std::size_t rows, float* y) {
-  std::size_t row[kLanes * NV];
-  for (std::size_t r = 0; r < kLanes * NV; ++r) row[r] = std::min(r, rows - 1);
-  v4f acc[NV];
-#pragma GCC unroll 8
-  for (std::size_t j = 0; j < NV; ++j) {
-    const std::size_t* rj = row + kLanes * j;
-    acc[j] = v4f{bias[rj[0]], bias[rj[1]], bias[rj[2]], bias[rj[3]]};
-  }
+// Positions of the nonzero entries of x[0, n), ascending, into nz[0, n);
+// returns their count. nz[n, 2n) is scratch. Branch-free: one vector
+// compare per four entries, then a compaction, so random zeros cost no
+// mispredicted branches.
+std::size_t nonzeros(const float* x, std::size_t n, std::uint32_t* nz) {
+  typedef std::int32_t v4i __attribute__((vector_size(16)));
+  std::uint32_t* flag = nz + n;  // 1 where x is nonzero
   std::size_t i = 0;
-  for (; i + kLanes <= n_in; i += kLanes) {
-    const v4f xv = load4(x + i);
-    const v4f x0 = __builtin_shufflevector(xv, xv, 0, 0, 0, 0);
-    const v4f x1 = __builtin_shufflevector(xv, xv, 1, 1, 1, 1);
-    const v4f x2 = __builtin_shufflevector(xv, xv, 2, 2, 2, 2);
-    const v4f x3 = __builtin_shufflevector(xv, xv, 3, 3, 3, 3);
+  for (; i + kLanes <= n; i += kLanes) {
+    const v4i f = (load4(x + i) != 0.0f) & 1;
+    std::memcpy(flag + i, &f, sizeof f);
+  }
+  for (; i < n; ++i) flag[i] = x[i] != 0.0f;
+  std::size_t count = 0;
+  for (i = 0; i < n; ++i) {
+    nz[count] = static_cast<std::uint32_t>(i);
+    count += flag[i];
+  }
+  return count;
+}
+
+// a[0, n) += w[0, n) * v, four lanes at a time; n is a multiple of 4. A
+// masked lane (zero weight) adds -0.0, i.e. nothing: 0 * x would be +0.0,
+// -0.0 or NaN.
+template <bool kMasked>
+inline void axpy(float* a, const float* w, v4f v, std::size_t n) {
+  auto step = [&](std::size_t j) {
+    const v4f wv = load4(w + j);
+    v4f prod = wv * v;
+    if constexpr (kMasked) prod = wv != 0.0f ? prod : splat(-0.0f);
+    store4(a + j, load4(a + j) + prod);
+  };
+  constexpr std::size_t kBlock = 8 * kLanes;
+  std::size_t j = 0;
+  for (; j + kBlock <= n; j += kBlock) {
 #pragma GCC unroll 8
-    for (std::size_t j = 0; j < NV; ++j) {
-      const std::size_t* rj = row + kLanes * j;
-      const v4f r0 = load4(w + rj[0] * n_in + i), r1 = load4(w + rj[1] * n_in + i);
-      const v4f r2 = load4(w + rj[2] * n_in + i), r3 = load4(w + rj[3] * n_in + i);
+    for (std::size_t u = 0; u < kBlock; u += kLanes) step(j + u);
+  }
+  for (; j < n; j += kLanes) step(j);
+}
+
+// Stores `n` (<= 4) lanes of `v`, `stride` floats apart.
+inline void store_lanes(float* y, std::size_t stride, v4f v, std::size_t n) {
+  for (std::size_t r = 0; r < n; ++r) y[r * stride] = v[r];
+}
+
+// Writes position-major accumulators (L rows of cp >= c_out channels) to
+// the channel-major output (c_out rows of L), through ReLU if `relu`.
+// Four positions of four channels at a time are transposed in registers.
+void store_transposed(const float* acc, std::size_t cp, std::size_t c_out, std::size_t L,
+                      bool relu, float* y) {
+  auto act = [relu](v4f v) { return relu ? relu4(v) : v; };
+  std::size_t l = 0;
+  for (; l + kLanes <= L; l += kLanes) {
+    for (std::size_t j = 0; j < c_out; j += kLanes) {
+      const float* a = acc + l * cp + j;
+      const v4f r0 = act(load4(a)), r1 = act(load4(a + cp));
+      const v4f r2 = act(load4(a + 2 * cp)), r3 = act(load4(a + 3 * cp));
       const v4f t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
       const v4f t1 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
       const v4f t2 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
       const v4f t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
-      acc[j] += __builtin_shufflevector(t0, t2, 0, 1, 4, 5) * x0;
-      acc[j] += __builtin_shufflevector(t0, t2, 2, 3, 6, 7) * x1;
-      acc[j] += __builtin_shufflevector(t1, t3, 0, 1, 4, 5) * x2;
-      acc[j] += __builtin_shufflevector(t1, t3, 2, 3, 6, 7) * x3;
+      const v4f col[kLanes] = {__builtin_shufflevector(t0, t2, 0, 1, 4, 5),
+                               __builtin_shufflevector(t0, t2, 2, 3, 6, 7),
+                               __builtin_shufflevector(t1, t3, 0, 1, 4, 5),
+                               __builtin_shufflevector(t1, t3, 2, 3, 6, 7)};
+      for (std::size_t r = 0; r < kLanes && j + r < c_out; ++r) store4(y + (j + r) * L + l, col[r]);
     }
   }
-  for (; i < n_in; ++i) {
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < NV; ++j) {
-      const std::size_t* rj = row + kLanes * j;
-      const v4f col{w[rj[0] * n_in + i], w[rj[1] * n_in + i], w[rj[2] * n_in + i],
-                    w[rj[3] * n_in + i]};
-      acc[j] += col * x[i];
+  for (; l < L; ++l) {
+    for (std::size_t j = 0; j < c_out; j += kLanes) {
+      store_lanes(y + j * L + l, L, act(load4(acc + l * cp + j)), std::min(kLanes, c_out - j));
     }
   }
-  for (std::size_t r = 0; r < rows; ++r) y[r] = acc[r / kLanes][r % kLanes];
 }
 
-// One sample of Linear: outputs in blocks of 16, the rest in blocks of 4.
-void linear_row(const float* x, const float* w, const float* bias, std::size_t n_in,
-                std::size_t n_out, float* y) {
-  constexpr std::size_t kBlock = 4 * kLanes;
-  std::size_t o = 0;
-  for (; o + kBlock <= n_out; o += kBlock) {
-    linear_vectors<4>(x, w + o * n_in, bias + o, n_in, kBlock, y + o);
+// One sample of Conv1D. For each input channel, ascending, every nonzero
+// position p adds w[ci][kk] * x[ci][p] into output row p + pad - kk for the
+// taps kk that land inside the row. A row's taps arrive in ascending p, so
+// in ascending kk. Accumulators are position-major (L rows of cp channels)
+// and are transposed into the channel-major output when stored. kMasked:
+// zero weights add nothing (axpy).
+template <bool kMasked>
+void conv_sample(const ConvWeights& cw, const float* x, std::size_t L, bool relu,
+                 float* acc, std::uint32_t* nz, float* y) {
+  const std::size_t cp = round_up4(cw.c_out), pad = cw.k / 2;
+  for (std::size_t l = 0; l < L; ++l) std::memcpy(acc + l * cp, cw.b.data(), cp * sizeof(float));
+  for (std::size_t ci = 0; ci < cw.c_in; ++ci) {
+    const float* xr = x + ci * L;
+    const float* wc = cw.w.data() + ci * cw.k * cp;
+    const std::size_t n = nonzeros(xr, L, nz);
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::size_t p = nz[t];
+      const v4f v = splat(xr[p]);
+      // Output row l = p + pad - kk lies in [0, L).
+      const std::size_t k_lo = p + pad >= L ? p + pad - L + 1 : 0;
+      const std::size_t k_hi = std::min(cw.k, p + pad + 1);
+      for (std::size_t kk = k_lo; kk < k_hi; ++kk) {
+        axpy<kMasked>(acc + (p + pad - kk) * cp, wc + kk * cp, v, cp);
+      }
+    }
   }
-  for (; o < n_out; o += kLanes) {
-    linear_vectors<1>(x, w + o * n_in, bias + o, n_in, std::min(kLanes, n_out - o), y + o);
+  store_transposed(acc, cp, cw.c_out, L, relu, y);
+}
+
+// NV vectors of consecutive Linear outputs (from `o`, in the padded row of
+// np) over the n nonzero inputs listed in `nz`, in registers.
+template <std::size_t NV>
+void linear_block(const LinearWeights& lw, std::size_t np, std::size_t o, const float* x,
+                  const std::uint32_t* nz, std::size_t n, bool relu, float* y) {
+  v4f acc[NV];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < NV; ++j) acc[j] = load4(lw.b.data() + o + kLanes * j);
+  for (std::size_t t = 0; t < n; ++t) {
+    const float* w = lw.w.data() + nz[t] * np + o;
+    const v4f v = splat(x[nz[t]]);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < NV; ++j) acc[j] += load4(w + kLanes * j) * v;
+  }
+  for (std::size_t j = 0; j < NV && o + kLanes * j < lw.n_out; ++j) {
+    const std::size_t first = o + kLanes * j;
+    store_lanes(y + first, 1, relu ? relu4(acc[j]) : acc[j], std::min(kLanes, lw.n_out - first));
   }
 }
 }  // namespace
@@ -193,33 +185,36 @@ Tensor Conv1D::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Conv1D::infer(const Tensor& x) const {
-  check(x.rank() == 3 && x.dim(1) == c_in_, "Conv1D input must be (B, C_in, L)");
-  const std::size_t B = x.dim(0), L = x.dim(2), pad = k_ / 2;
-  check(L > pad, "Conv1D input length must exceed half the kernel width");
-  const ConvShape s{c_in_, k_, L};
-  // A row with room for a vector of interior positions gets the vector
-  // kernel there and the column kernel for its 2 * pad edge columns; a
-  // shorter row is all columns.
-  const bool interior = L >= 2 * pad + kLanes;
-  Tensor y({B, c_out_, L});
-  for (std::size_t b = 0; b < B; ++b) {
-    const float* xb = x.data() + b * c_in_ * L;
-    for (std::size_t co = 0; co < c_out_; co += kLanes) {
-      const std::size_t rows = std::min(kLanes, c_out_ - co);
-      const float* w = w_.data() + co * c_in_ * k_;
-      float* yc = y.data() + (b * c_out_ + co) * L;
-      if (!interior) {
-        for (std::size_t l = 0; l < L; ++l) conv_column(xb, w, b_.data() + co, rows, s, l, yc);
-        continue;
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        conv_interior(xb, w + r * c_in_ * k_, b_[co + r], s, yc + r * L);
-      }
-      for (std::size_t e = 0; e < pad; ++e) {
-        conv_column(xb, w, b_.data() + co, rows, s, e, yc);
-        conv_column(xb, w, b_.data() + co, rows, s, L - 1 - e, yc);
-      }
+Tensor Conv1D::infer(const Tensor& x) const { return packed().forward(x, false); }
+
+ConvWeights Conv1D::packed() const {
+  const std::size_t cp = round_up4(c_out_);
+  ConvWeights cw{c_in_, c_out_, k_, std::vector<float>(c_in_ * k_ * cp), b_, false};
+  cw.b.resize(cp);
+  for (std::size_t co = 0; co < c_out_; ++co) {
+    for (std::size_t i = 0; i < c_in_ * k_; ++i) {
+      const float v = w_[co * c_in_ * k_ + i];
+      cw.w[i * cp + co] = v;
+      cw.has_zero = cw.has_zero || v == 0.0f;
+    }
+  }
+  return cw;
+}
+
+Tensor ConvWeights::forward(const Tensor& x, bool relu) const {
+  check(x.rank() == 3 && x.dim(1) == c_in, "Conv1D input must be (B, C_in, L)");
+  const std::size_t B = x.dim(0), L = x.dim(2);
+  check(L > k / 2, "Conv1D input length must exceed half the kernel width");
+  std::vector<float> acc(L * round_up4(c_out));
+  std::vector<std::uint32_t> nz(2 * L);
+  Tensor y({B, c_out, L});
+  for (std::size_t s = 0; s < B; ++s) {
+    const float* xb = x.data() + s * c_in * L;
+    float* yb = y.data() + s * c_out * L;
+    if (has_zero) {
+      conv_sample<true>(*this, xb, L, relu, acc.data(), nz.data(), yb);
+    } else {
+      conv_sample<false>(*this, xb, L, relu, acc.data(), nz.data(), yb);
     }
   }
   return y;
@@ -301,13 +296,40 @@ Tensor Linear::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Linear::infer(const Tensor& x) const {
-  check(x.rank() == 2 && x.dim(1) == n_in_, "Linear input must be (B, N_in)");
-  const std::size_t B = x.dim(0);
-  Tensor y({B, n_out_});
-  for (std::size_t b = 0; b < B; ++b) {
-    linear_row(x.data() + b * n_in_, w_.data(), b_.data(), n_in_, n_out_,
-               y.data() + b * n_out_);
+Tensor Linear::infer(const Tensor& x) const { return packed().forward(x, false); }
+
+LinearWeights Linear::packed() const {
+  const std::size_t np = round_up4(n_out_);
+  LinearWeights lw{n_in_, n_out_, std::vector<float>(n_in_ * np), b_};
+  lw.b.resize(np);
+  for (std::size_t o = 0; o < n_out_; ++o) {
+    for (std::size_t i = 0; i < n_in_; ++i) lw.w[i * np + o] = w_[o * n_in_ + i];
+  }
+  return lw;
+}
+
+Tensor LinearWeights::forward(const Tensor& x, bool relu) const {
+  check(x.rank() == 2 && x.dim(1) == n_in, "Linear input must be (B, N_in)");
+  const std::size_t B = x.dim(0), np = round_up4(n_out);
+  constexpr std::size_t kBlock = 8 * kLanes;
+  std::vector<std::uint32_t> nz(2 * n_in);
+  Tensor y({B, n_out});
+  for (std::size_t s = 0; s < B; ++s) {
+    const float* xb = x.data() + s * n_in;
+    float* yb = y.data() + s * n_out;
+    const std::size_t n = nonzeros(xb, n_in, nz.data());
+    std::size_t o = 0;
+    for (; o + kBlock <= np; o += kBlock) linear_block<8>(*this, np, o, xb, nz.data(), n, relu, yb);
+    switch ((np - o) / kLanes) {
+      case 1: linear_block<1>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      case 2: linear_block<2>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      case 3: linear_block<3>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      case 4: linear_block<4>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      case 5: linear_block<5>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      case 6: linear_block<6>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      case 7: linear_block<7>(*this, np, o, xb, nz.data(), n, relu, yb); break;
+      default: break;
+    }
   }
   return y;
 }
@@ -353,12 +375,17 @@ void Linear::zero_grad() {
 Tensor ReLU::forward(const Tensor& x) {
   cached_input_ = x;
   Tensor y = x;
-  relu_inplace(y);
+  float* d = y.data();
+  const std::size_t n = y.numel();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) store4(d + i, relu4(load4(d + i)));
+  if (i < n) {  // the last 1-3 values, through one padded vector
+    float tail[kLanes] = {};
+    std::memcpy(tail, d + i, (n - i) * sizeof(float));
+    store4(tail, relu4(load4(tail)));
+    std::memcpy(d + i, tail, (n - i) * sizeof(float));
+  }
   return y;
-}
-
-void relu_inplace(Tensor& t) {
-  for (auto& v : t.flat()) v = v > 0.0f ? v : 0.0f;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {

@@ -7,13 +7,20 @@
 //   Linear : (B, N_in)     -> (B, N_out)
 //   ReLU   : elementwise.
 //
-// Conv1D and Linear also have a const infer(): the same kernel as forward()
-// without caching the input, so one layer can serve concurrent callers.
+// Forward runs one zero-skipping kernel per layer type on the layer's
+// weights packed with output channels contiguous (ConvWeights,
+// LinearWeights). Conv1D and Linear pack them on every forward()/infer()
+// call; a deployed model packs them once (PackedSimNet in model.h). The
+// kernels can apply ReLU as they store, so inference needs no separate
+// activation pass.
+//
 // Kernel contract (docs/INTERNALS.md): every output element accumulates in
 // a fixed order — bias, then input channel ascending, then tap ascending —
-// one rounded product at a time; in Conv1D a zero weight adds nothing and a
-// tap outside the row is never multiplied; the build never fuses a*b+c into
-// one multiply-add. Results are bit-identical for every batch size, vector
+// one rounded product at a time. A zero input adds nothing (multiplying it
+// would differ only where a sum is exactly -0.0 or a weight is not
+// finite); in Conv1D a zero weight adds nothing either, and a tap outside
+// the row is never visited. The build never fuses a*b+c into one
+// multiply-add. Results are bit-identical for every batch size, vector
 // width and target.
 #pragma once
 
@@ -24,6 +31,31 @@
 #include "tensor/tensor.h"
 
 namespace mlsim::tensor {
+
+/// A Conv1D's parameters in its forward kernel's layout: weights
+/// (C_in, K, C_out) row-major, so one (input channel, tap) pair's output
+/// channels are contiguous. Each C_out row and the bias are padded with
+/// zeros to a multiple of 4; padded lanes are never stored.
+struct ConvWeights {
+  std::size_t c_in = 0, c_out = 0, k = 0;
+  std::vector<float> w, b;
+  bool has_zero = false;  // some weight is +-0: the kernel masks its lanes
+
+  /// (B, C_in, L) -> (B, C_out, L); applies ReLU as it stores if `relu`.
+  /// Needs L > K / 2.
+  Tensor forward(const Tensor& x, bool relu) const;
+};
+
+/// A Linear's parameters in its forward kernel's layout: weights
+/// (N_in, N_out) row-major, rows and bias padded with zeros to a multiple
+/// of 4.
+struct LinearWeights {
+  std::size_t n_in = 0, n_out = 0;
+  std::vector<float> w, b;
+
+  /// (B, N_in) -> (B, N_out); applies ReLU as it stores if `relu`.
+  Tensor forward(const Tensor& x, bool relu) const;
+};
 
 /// Parameter block registered with the optimiser.
 struct Param {
@@ -53,6 +85,9 @@ class Conv1D final : public Layer {
 
   /// forward() without caching the input; needs L > kernel / 2.
   Tensor infer(const Tensor& x) const;
+
+  /// Copy of the parameters in the forward kernel's layout.
+  ConvWeights packed() const;
 
   std::size_t in_channels() const { return c_in_; }
   std::size_t out_channels() const { return c_out_; }
@@ -85,6 +120,9 @@ class Linear final : public Layer {
   /// forward() without caching the input.
   Tensor infer(const Tensor& x) const;
 
+  /// Copy of the parameters in the forward kernel's layout.
+  LinearWeights packed() const;
+
   std::size_t in_features() const { return n_in_; }
   std::size_t out_features() const { return n_out_; }
   std::vector<float>& weight() { return w_; }  // (N_out, N_in)
@@ -100,6 +138,8 @@ class Linear final : public Layer {
   Tensor cached_input_;
 };
 
+/// Training-path activation: its own pass, since backward() needs the
+/// input. forward() uses the same select as the kernels' fused store.
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& x) override;
@@ -108,9 +148,6 @@ class ReLU final : public Layer {
  private:
   Tensor cached_input_;
 };
-
-/// ReLU applied in place (the inference path's activation).
-void relu_inplace(Tensor& t);
 
 /// Mean-squared-error loss; returns loss and writes d(loss)/d(pred) to grad.
 float mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad);

@@ -34,6 +34,7 @@
 #include "dist/protocol.h"
 #include "dist/result_cache.h"
 #include "dist/worker.h"
+#include "assign_gate.h"
 #include "net/frame.h"
 #include "obs/obs.h"
 #include "net/socket.h"
@@ -1571,9 +1572,9 @@ TEST(DistProcess, HardKilledWorkerProcessIsRecoveredFrom) {
 }
 
 TEST(DistProcess, ChurnKilledAndJoinedWorkersStayBitIdentical) {
-  // The full churn chaos scenario: one worker process is SIGKILLed once the
-  // run is demonstrably mid-flight, a fresh one joins mid-run, and the
-  // merged CPI must still be bit-identical with the lost shard reassigned.
+  // The full churn chaos scenario: one worker process is SIGKILLed while the
+  // run is provably mid-flight, a fresh one joins mid-run, and the merged
+  // CPI must still be bit-identical with the lost shard reassigned.
   const auto tr = make_trace("mcf", 120000);
   const auto opts = base_options(12, 12);  // 12 shards
   const auto local = local_reference(tr, opts);
@@ -1583,26 +1584,34 @@ TEST(DistProcess, ChurnKilledAndJoinedWorkersStayBitIdentical) {
   co.heartbeat_timeout_ms = 500;
   co.poll_ms = 20;
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
-  int gate[2];
-  ASSERT_EQ(pipe(gate), 0);
-  const pid_t victim = fork_worker(coord->port());
-  const pid_t survivor = fork_worker(coord->port());
-  const pid_t joiner =
-      fork_worker(coord->port(), 50, /*enable_obs=*/false, /*gate_fd=*/gate[0]);
+  // Every worker reaches the coordinator through a gate that holds Assigns
+  // back after the second Result. Its thread starts after the forks.
+  AssignGate gate(coord->port());
+  int release_joiner[2];
+  ASSERT_EQ(pipe(release_joiner), 0);
+  const pid_t victim = fork_worker(gate.port());
+  const pid_t survivor = fork_worker(gate.port());
+  const pid_t joiner = fork_worker(gate.port(), 50, /*enable_obs=*/false,
+                                   /*gate_fd=*/release_joiner[0]);
   ASSERT_GT(victim, 0);
   ASSERT_GT(survivor, 0);
   ASSERT_GT(joiner, 0);
+  gate.start(2);
 
-  // Kill once a couple of shards have completed, observed through the same
-  // thread-safe stats() snapshot the telemetry plane scrapes, then release
-  // the joiner while the survivor still has most of the shards to go.
-  std::thread killer([&coord, victim, release = gate[1]] {
-    for (int i = 0; i < 1000; ++i) {
-      if (coord->stats().shards_completed >= 2) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+  // Kill once both workers hold an undelivered shard, so the victim dies
+  // owning one; release the joiner; let the held shards go only once the
+  // coordinator has seen the loss and the join, observed through the same
+  // thread-safe stats() snapshot the telemetry plane scrapes.
+  std::thread killer([&coord, &gate, victim, release = release_joiner[1]] {
+    ASSERT_TRUE(gate.wait_starved(2));
     kill(victim, SIGKILL);
     EXPECT_EQ(::write(release, "j", 1), 1);
+    for (;;) {
+      const CoordinatorStats st = coord->stats();
+      if (st.workers_lost >= 1 && st.workers_joined >= 3) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    gate.release();
   });
 
   core::ParallelSimResult out;
@@ -1627,8 +1636,8 @@ TEST(DistProcess, ChurnKilledAndJoinedWorkersStayBitIdentical) {
   EXPECT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(waitpid(survivor, &status, 0), survivor);
   EXPECT_EQ(waitpid(joiner, &status, 0), joiner);
-  close(gate[0]);
-  close(gate[1]);
+  close(release_joiner[0]);
+  close(release_joiner[1]);
 }
 
 TEST(DistProcess, ThreeProcessesMergeOneDistributedTrace) {

@@ -8,11 +8,15 @@
 #include <bit>
 
 #include "core/analytic_predictor.h"
+#include "core/cnn_predictor.h"
 #include "core/lockstep_sim.h"
 #include "core/metrics.h"
 #include "core/parallel_sim.h"
+#include "core/sequential_sim.h"
+#include "core/simnet_trainer.h"
 #include "core/simulator.h"
 #include "core/streaming.h"
+#include "tensor/quant.h"
 #include "trace/stream.h"
 
 namespace mlsim::core {
@@ -157,6 +161,132 @@ TEST(GoldenPredictions, StreamingPinned) {
   EXPECT_EQ(res.predicted_cycles, 19601u);
   EXPECT_EQ(res.truth_cycles, 47129u);  // GoldenCycles' xz pin
 }
+
+// ---- SimNet CNN runs --------------------------------------------------------
+// A SimNet at the cnn_sim benchmark's shape (50 features, window 33, 32
+// channels, hidden 64), trained for one epoch on 600 perl instructions, and
+// its 2:4-pruned copy drive the sequential engine and the lockstep engine (4
+// sub-traces, one batched predict_batch per step). Pinned: each run's cycle
+// total and an FNV-1a hash of the raw output bytes SimNetModel::infer gives
+// for every window the run built, so a kernel change that moves any output
+// bit fails here even when no rounded latency shows it.
+
+struct CnnPin {
+  const char* abbr;
+  bool pruned;
+  std::uint64_t seq_cycles;
+  std::uint64_t seq_hash;
+  std::uint64_t lockstep_cycles;
+  std::uint64_t lockstep_hash;
+};
+
+void PrintTo(const CnnPin& g, std::ostream* os) {
+  *os << g.abbr << (g.pruned ? "_2to4" : "_dense");
+}
+
+constexpr std::size_t kCnnContext = 32;
+
+// A copy of the briefly trained bundle, 2:4-pruned on request.
+SimNetBundle pinned_bundle(bool pruned) {
+  static SimNetBundle trained = [] {
+    const auto perl = labeled_trace("perl", 600, {}, 1, false);
+    SimNetTrainConfig cfg;
+    cfg.model.window = kCnnContext + 1;
+    cfg.epochs = 1;
+    return train_simnet({&perl}, cfg);
+  }();
+  SimNetBundle b{tensor::SimNetModel(trained.model.config()), trained.feature_scale};
+  const std::vector<tensor::Param> from = trained.model.params(), to = b.model.params();
+  for (std::size_t i = 0; i < from.size(); ++i) *to[i].value = *from[i].value;
+  if (pruned) tensor::prune_model_2to4(b.model);
+  return b;
+}
+
+// Forwards every window to `inner` and folds the raw bytes `model.infer`
+// gives for it into an FNV-1a hash; batches are inferred as one tensor.
+class InferHash final : public LatencyPredictor {
+ public:
+  InferHash(LatencyPredictor& inner, const SimNetBundle& ref) : inner_(inner), ref_(ref) {}
+
+  LatencyPrediction predict(const WindowView& w, std::uint64_t global_index) override {
+    fold(w.data, 1);
+    return inner_.predict(w, global_index);
+  }
+  void predict_batch(const std::int32_t* windows, std::size_t batch, std::size_t rows,
+                     const std::uint64_t* global_indices, LatencyPrediction* out) override {
+    fold(windows, batch);
+    inner_.predict_batch(windows, batch, rows, global_indices, out);
+  }
+  std::size_t flops_per_window(std::size_t rows) const override {
+    return inner_.flops_per_window(rows);
+  }
+  device::Engine engine() const override { return inner_.engine(); }
+
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  void fold(const std::int32_t* windows, std::size_t batch) {
+    const std::size_t F = trace::kNumFeatures, W = ref_.model.config().window;
+    tensor::Tensor x({batch, F, W});
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t l = 0; l < W; ++l) {
+        for (std::size_t ci = 0; ci < F; ++ci) {
+          x(b, ci, l) = static_cast<float>(windows[(b * W + l) * F + ci]) * ref_.feature_scale[ci];
+        }
+      }
+    }
+    const tensor::Tensor y = ref_.model.infer(x);
+    const auto* bytes = reinterpret_cast<const unsigned char*>(y.data());
+    for (std::size_t i = 0; i < y.numel() * sizeof(float); ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+
+  LatencyPredictor& inner_;
+  const SimNetBundle& ref_;
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+class GoldenCnn : public ::testing::TestWithParam<CnnPin> {};
+
+TEST_P(GoldenCnn, SequentialAndLockstepPinned) {
+  const CnnPin g = GetParam();
+  const auto tr = labeled_trace(g.abbr, 1000, {}, 1, false);
+  const SimNetBundle ref = pinned_bundle(g.pruned);
+  CnnPredictor cnn(pinned_bundle(g.pruned));
+
+  InferHash seq_pred(cnn, ref);
+  SequentialSimOptions so;
+  so.context_length = kCnnContext;
+  const SimOutput seq = SequentialSimulator(seq_pred, so).run(tr);
+
+  InferHash lock_pred(cnn, ref);
+  AnalyticPredictor analytic;
+  ParallelSimOptions po;
+  po.num_subtraces = 4;
+  po.context_length = kCnnContext;
+  po.warmup = kCnnContext;
+  po.post_error_correction = true;
+  po.fallback = &analytic;
+  const ParallelSimResult lock = LockstepParallelSimulator(lock_pred, po).run(tr);
+
+  EXPECT_EQ(seq.cycles, g.seq_cycles);
+  EXPECT_EQ(seq_pred.hash(), g.seq_hash);
+  EXPECT_EQ(lock.total_cycles, g.lockstep_cycles);
+  EXPECT_EQ(lock_pred.hash(), g.lockstep_hash);
+}
+
+// 1000 instructions, seed 1, context 32; lockstep with warmup 32 and
+// correction on.
+INSTANTIATE_TEST_SUITE_P(
+    Pins, GoldenCnn,
+    ::testing::Values(
+        CnnPin{"xz", false, 11411, 0x0cd9c1f9e1273b6d, 2400, 0x330f30bbe450b782},
+        CnnPin{"mcf", false, 6536, 0xda7e692761db3a5c, 2392, 0x4d731f219beb64b5},
+        CnnPin{"lbm", false, 613609, 0xcb0fb7ae656c60c5, 4960, 0xb54f4986c6457872},
+        CnnPin{"xz", true, 296, 0x769ea9b1bf52b34c, 280, 0x458c6841f860f715},
+        CnnPin{"mcf", true, 229, 0xf5c9a7c14892ca8b, 214, 0x49adb12c4042e5d8},
+        CnnPin{"lbm", true, 1422, 0x657eb4fc0c963810, 850, 0x5b98b2131b88d23d}));
 
 }  // namespace
 }  // namespace mlsim::core

@@ -35,6 +35,7 @@
 #include "dist/journal.h"
 #include "dist/protocol.h"
 #include "dist/worker.h"
+#include "assign_gate.h"
 #include "net/signal_pipe.h"
 #include "net/socket.h"
 #include "service/service.h"
@@ -352,17 +353,23 @@ TEST(Drain, WakeByteDrainsRunAndJournalResumesIt) {
   co.wake_fd = wake[0];
   co.drain_timeout_ms = 30000;  // generous: in-flight shards must finish
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
-  std::thread w1 = worker_thread(coord->port());
-  std::thread w2 = worker_thread(coord->port());
+  // The workers reach the coordinator through a gate that holds Assigns
+  // back after the third Result, so the run is provably mid-flight: the
+  // drain byte lands while both workers hold an undelivered shard, and only
+  // then may those two in-flight shards finish.
+  AssignGate gate(coord->port());
+  gate.start(3);
+  std::thread w1 = worker_thread(gate.port());
+  std::thread w2 = worker_thread(gate.port());
 
-  // Request the drain once the run is demonstrably mid-flight.
-  std::thread trigger([&coord, fd = wake[1]] {
-    for (int i = 0; i < 3000; ++i) {
-      if (coord->stats().shards_completed >= 3) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+  std::thread trigger([&coord, &gate, fd = wake[1]] {
+    ASSERT_TRUE(gate.wait_starved(2));
     const char byte = 1;
     ASSERT_EQ(::write(fd, &byte, 1), 1);
+    while (coord->cluster_json().find("\"lifecycle\":\"draining\"") == std::string::npos) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    gate.release();
   });
 
   bool drained = false;
@@ -601,6 +608,9 @@ TEST(DrainProcess, CoordinatorSigkillRestartResumeIsBitIdentical) {
 
   auto listener = std::make_unique<net::TcpListener>(net::TcpListener::bind(0));
   const std::uint16_t port = listener->port();
+  // The workers reach the coordinator through a gate that holds Assigns
+  // back after the third Result; its thread starts after the forks.
+  AssignGate gate(port);
   const pid_t coord_pid = fork();
   if (coord_pid == 0) {
     CoordinatorOptions co;
@@ -620,16 +630,17 @@ TEST(DrainProcess, CoordinatorSigkillRestartResumeIsBitIdentical) {
   ASSERT_GT(coord_pid, 0);
   listener.reset();
 
-  const pid_t wa = fork_worker(port);
-  const pid_t wb = fork_worker(port);
+  const pid_t wa = fork_worker(gate.port());
+  const pid_t wb = fork_worker(gate.port());
   ASSERT_GT(wa, 0);
   ASSERT_GT(wb, 0);
+  gate.start(3);
 
-  // Wait until several results are durably journaled, then SIGKILL — a real
-  // process death at an arbitrary instant, no cleanup code runs. The whole
-  // run takes only a few milliseconds once both workers hold the trace, so
-  // the journal is polled every millisecond (for at most 30 s) to land the
-  // kill before the last shard.
+  // SIGKILL once both workers hold an undelivered shard, so the run is
+  // provably unfinished, and at least three results are durably journaled
+  // — a real process death, no cleanup code runs. The gate then lets the
+  // workers through to the restarted coordinator.
+  ASSERT_TRUE(gate.wait_starved(2));
   bool progressed = false;
   for (int i = 0; i < 30000; ++i) {
     if (RunJournal::replay(path, false).results.size() >= 3) {
@@ -643,6 +654,7 @@ TEST(DrainProcess, CoordinatorSigkillRestartResumeIsBitIdentical) {
   int status = 0;
   ASSERT_EQ(waitpid(coord_pid, &status, 0), coord_pid);
   ASSERT_TRUE(WIFSIGNALED(status));
+  gate.release();
 
   // What the restarted coordinator will see.
   const JournalReplay before = RunJournal::replay(path, /*strict=*/false);

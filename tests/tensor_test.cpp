@@ -356,8 +356,9 @@ TEST(SimNetModel, SaveLoadRoundTrip) {
 
 // The scalar forward loops the vectorised kernels replaced, kept as the
 // reference: each output starts at its bias and adds one product at a time
-// in (input channel, tap) order; Conv1D skips zero weights and taps outside
-// the row, Linear multiplies every weight.
+// in (input channel, tap) order. A zero input adds nothing; Conv1D also
+// skips zero weights and taps outside the row, Linear multiplies every
+// weight.
 Tensor conv_reference(const Conv1D& conv, const Tensor& x) {
   const std::size_t B = x.dim(0), c_in = conv.in_channels(),
                     c_out = conv.out_channels(), k = conv.kernel(), L = x.dim(2);
@@ -376,7 +377,8 @@ Tensor conv_reference(const Conv1D& conv, const Tensor& x) {
           const std::size_t lo = off < 0 ? static_cast<std::size_t>(-off) : 0;
           const std::size_t hi = off > 0 ? L - static_cast<std::size_t>(off) : L;
           for (std::size_t l = lo; l < hi; ++l) {
-            yrow[l] += wv * xrow[static_cast<std::size_t>(static_cast<std::ptrdiff_t>(l) + off)];
+            const float xv = xrow[static_cast<std::size_t>(static_cast<std::ptrdiff_t>(l) + off)];
+            if (xv != 0.0f) yrow[l] += wv * xv;
           }
         }
       }
@@ -392,7 +394,8 @@ Tensor linear_reference(const Linear& fc, const Tensor& x) {
     for (std::size_t o = 0; o < n_out; ++o) {
       float acc = fc.bias()[o];
       for (std::size_t i = 0; i < n_in; ++i) {
-        acc += fc.weight()[o * n_in + i] * x.data()[b * n_in + i];
+        const float xv = x.data()[b * n_in + i];
+        if (xv != 0.0f) acc += fc.weight()[o * n_in + i] * xv;
       }
       y(b, o) = acc;
     }
@@ -493,6 +496,74 @@ TEST(Kernels, ModelInferAndForwardMatchScalarLoops) {
       EXPECT_TRUE(same_bits(m.infer(x), want)) << "window " << cfg.window << " batch " << B;
       EXPECT_TRUE(same_bits(m.forward(x), want)) << "window " << cfg.window << " batch " << B;
     }
+  }
+}
+
+// The shapes the vector kernels handle apart from the common case: output
+// counts that are not a multiple of 4 (padded lanes are never stored),
+// windows shorter than 2 * pad + 4 (no 4x4 store block, every position an
+// edge), batches, and 2:4-pruned weights (the masked conv path).
+TEST(Kernels, EdgeShapesMatchScalarLoopsBitForBit) {
+  Rng rng(66);
+  for (const std::size_t k : {1, 3, 5}) {
+    const std::size_t pad = k / 2;
+    for (const std::size_t c_out : {1, 2, 3, 5, 6, 7, 9, 33}) {
+      for (std::size_t L = pad + 1; L < 2 * pad + 4; ++L) {
+        Conv1D conv(4 + rng.next_below(3), c_out, k, rng);
+        do randomize(conv.weight(), conv.bias(), rng);
+        while (!conv.packed().has_zero);  // until a draw 2:4-prunes
+        Tensor x({3, conv.in_channels(), L});
+        fill_input(x, L, rng);
+        const Tensor want = conv_reference(conv, x);
+        const std::string where = "k=" + std::to_string(k) + " c_out=" + std::to_string(c_out) +
+                                  " L=" + std::to_string(L);
+        ASSERT_TRUE(same_bits(conv.infer(x), want)) << where;
+        ASSERT_TRUE(same_bits(conv.packed().forward(x, true), relu_reference(want))) << where;
+      }
+    }
+  }
+  for (const std::size_t n_out : {1, 2, 3, 5, 7, 31, 33, 63, 65}) {
+    Linear fc(1 + rng.next_below(40), n_out, rng);
+    randomize(fc.weight(), fc.bias(), rng);
+    prune_2to4_inplace(fc.weight());
+    Tensor x({3, fc.in_features()});
+    fill_input(x, fc.in_features(), rng);
+    const Tensor want = linear_reference(fc, x);
+    ASSERT_TRUE(same_bits(fc.infer(x), want)) << n_out;
+    ASSERT_TRUE(same_bits(fc.packed().forward(x, true), relu_reference(want))) << n_out;
+  }
+}
+
+// The training path's ReLU pass and the kernels' fused store use the same
+// select: v > 0 ? v : +0.0, so -0.0 and NaN become +0.0.
+TEST(Kernels, ReluPassMatchesScalarSelect) {
+  const float specials[] = {-0.0f, 0.0f, 1.5f, -2.0f, HUGE_VALF, -HUGE_VALF, std::nanf(""),
+                            1e-45f, -1e-45f};
+  for (std::size_t n = 1; n <= 13; ++n) {
+    Tensor x({1, n});
+    for (std::size_t i = 0; i < n; ++i) x.at(i) = specials[(i + n) % std::size(specials)];
+    ReLU relu;
+    EXPECT_TRUE(same_bits(relu.forward(x), relu_reference(x))) << n;
+  }
+}
+
+// A deployed model packs its weights once; the packed net gives the bytes
+// SimNetModel::infer gives and reports the dense FLOPs.
+TEST(Kernels, PackedSimNetMatchesModel) {
+  Rng rng(67);
+  const SimNetModelConfig cfg{.in_features = 50, .window = 33, .channels = 32, .hidden = 64,
+                              .kernel = 3, .outputs = 3};
+  SimNetModel m(cfg, 68);
+  for (const bool pruned : {false, true}) {
+    if (pruned) prune_model_2to4(m);
+    const PackedSimNet packed(m);
+    EXPECT_EQ(packed.flops_per_window(), m.flops_per_batch(1));
+    EXPECT_EQ(packed.config(), cfg);
+    Tensor x({4, cfg.in_features, cfg.window});
+    fill_input(x, cfg.window, rng);
+    const Tensor want = model_reference(m, x);
+    EXPECT_TRUE(same_bits(packed.infer(x), want)) << pruned;
+    EXPECT_TRUE(same_bits(m.infer(x), want)) << pruned;
   }
 }
 
