@@ -5,15 +5,10 @@
 // the error burst at partition heads and its decay.
 #include "bench_util.h"
 #include "core/analytic_predictor.h"
+#include "core/error_analysis.h"
 #include "core/parallel_sim.h"
 
 using namespace mlsim;
-
-namespace {
-std::int64_t pred_total(const core::LatencyPrediction& p) {
-  return static_cast<std::int64_t>(p.fetch) + p.exec + p.store;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto args = bench::Args::parse(argc, argv, 25000);
@@ -40,23 +35,14 @@ int main(int argc, char** argv) {
 
   Table t({"partition", "begin", "ctx-diff insts", "first ctx match", "pred-diff insts",
            "sum |pred diff| (cycles)"});
+  const core::ParallelDiffReport report = core::diff_parallel_runs(seq, par);
   for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t b = par.boundaries[p], e = par.boundaries[p + 1];
-    std::size_t ctx_diff = 0, pred_diff = 0;
-    std::int64_t sum_abs = 0;
-    std::size_t first_match = e;
-    for (std::size_t i = b; i < e; ++i) {
-      const bool cd = seq.context_counts[i] != par.context_counts[i];
-      ctx_diff += cd;
-      if (!cd && first_match == e) first_match = i;
-      const std::int64_t d = pred_total(seq.predictions[i]) - pred_total(par.predictions[i]);
-      pred_diff += d != 0;
-      sum_abs += std::abs(d);
-    }
-    t.add_row({static_cast<std::int64_t>(p), static_cast<std::int64_t>(b),
-               static_cast<std::int64_t>(ctx_diff),
-               static_cast<std::int64_t>(first_match - b),
-               static_cast<std::int64_t>(pred_diff), sum_abs});
+    const core::PartitionDiff& d = report.partitions[p];
+    t.add_row({static_cast<std::int64_t>(p), static_cast<std::int64_t>(d.begin),
+               static_cast<std::int64_t>(d.context_diff_count),
+               static_cast<std::int64_t>(d.first_context_match),
+               static_cast<std::int64_t>(d.prediction_diff_count),
+               static_cast<std::int64_t>(d.abs_prediction_diff)});
   }
   bench::emit(t, "fig07_context_diff");
 

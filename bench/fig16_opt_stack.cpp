@@ -1,6 +1,10 @@
 // Fig. 16 — cumulative effect of the data-movement optimisations on
 // single-device simulation throughput. Paper (A100): 0.133 MIPS baseline ->
-// 2.86 MIPS with GIC + SWIQ + CC + OI + PS (21.5x average).
+// 2.86 MIPS with GIC + SWIQ + CC + OI + PS (21.5x average). The toggles move
+// only modeled cost, so the run exits 1 if any stack's simulated cycles
+// differ from the baseline's.
+#include <cstdio>
+
 #include "bench_util.h"
 #include "core/analytic_predictor.h"
 #include "core/gpu_sim.h"
@@ -39,6 +43,8 @@ int main(int argc, char** argv) {
 
   Table t({"configuration", "MIPS", "speedup vs baseline", "paper MIPS"});
   double base = 0;
+  std::uint64_t base_cycles = 0;
+  bool cycles_match = true;
   for (const auto& s : steps) {
     device::Device dev;
     core::GpuSimOptions o;
@@ -49,11 +55,21 @@ int main(int argc, char** argv) {
     o.engine = s.engine;
     o.pipelined = s.ps;
     core::GpuSimulator sim(pred, dev, o);
-    const double mips = sim.run(tr).mips();
-    if (base == 0) base = mips;
+    const core::SimOutput out = sim.run(tr);
+    const double mips = out.mips();
+    if (base == 0) {
+      base = mips;
+      base_cycles = out.cycles;
+    }
+    if (out.cycles != base_cycles) {
+      std::fprintf(stderr, "%s: %llu cycles, baseline %llu\n", s.name,
+                   static_cast<unsigned long long>(out.cycles),
+                   static_cast<unsigned long long>(base_cycles));
+      cycles_match = false;
+    }
     t.add_row({std::string(s.name), mips, mips / base, s.paper_mips});
   }
   bench::emit(t, "fig16_opt_stack");
   std::printf("paper end-to-end: 0.133 -> 2.86 MIPS (21.5x)\n");
-  return 0;
+  return cycles_match ? 0 : 1;
 }

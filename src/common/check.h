@@ -33,6 +33,13 @@ class DrainError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown when a bounded queue is at capacity: the producer gets explicit
+/// backpressure instead of unbounded memory growth or a blocked engine.
+class QueueFullError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Verify `cond`; throw CheckError annotated with the call site otherwise.
 inline void check(bool cond, std::string_view msg,
                   std::source_location loc = std::source_location::current()) {

@@ -11,32 +11,22 @@ CustomConvLayer::CustomConvLayer(const tensor::Conv1D& conv) : conv_(conv) {
         "custom conv expects kNumFeatures input channels");
 }
 
-tensor::Tensor CustomConvLayer::forward(const SlidingWindowQueue& queue) {
-  const std::size_t W = queue.context_length() + 1;
+tensor::Tensor CustomConvLayer::forward(const LazyWindow& window) {
+  const std::size_t W = window.rows();
   const std::size_t c_out = conv_.out_channels();
   const std::size_t c_in = conv_.in_channels();
   const std::size_t k = conv_.kernel();
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k / 2);
-  const std::size_t pos = queue.window_pos();
-  const std::int32_t* storage = queue.storage().data();
-  const std::size_t cap_rows = queue.storage().size() / trace::kNumFeatures;
 
   check(W >= 2, "window must contain at least one context row");
 
-  // Per-window-row validity + latency entry, resolved once (the paper's
-  // shared-memory latency vector).
+  // Per-window-row latency entry, resolved once (the paper's shared-memory
+  // latency vector); a context row with no entry is retired or padding.
   std::vector<std::int32_t> lat(W, 0);
-  std::vector<std::uint8_t> valid(W, 0);
-  valid.front() = 1;  // current instruction
   std::size_t v_last = 0;
   for (std::size_t r = 1; r < W; ++r) {
-    const std::size_t s = pos + r;
-    if (s >= cap_rows) break;
-    lat[r] = queue.remaining_latency(s);
-    if (lat[r] > 0) {
-      valid[r] = 1;
-      v_last = r;
-    }
+    lat[r] = window.remaining(r);
+    if (lat[r] > 0) v_last = r;
   }
   // Columns whose receptive field is entirely beyond the last valid row are
   // bias-only; skip their compute.
@@ -50,11 +40,11 @@ tensor::Tensor CustomConvLayer::forward(const SlidingWindowQueue& queue) {
   float* yd = y.data();
 
   // Reads feature `ci` of window row `l` without materialising the window:
-  // instruction-major strided access into the queue storage.
+  // instruction-major strided access into the trace rows.
   auto value = [&](std::size_t ci, std::size_t l) -> float {
-    if (!valid[l]) return 0.0f;
+    if (l > 0 && lat[l] == 0) return 0.0f;
     if (ci == kCtxLatFeature) return static_cast<float>(lat[l]);
-    return static_cast<float>(storage[(pos + l) * trace::kNumFeatures + ci]);
+    return static_cast<float>(window.features(l)[ci]);
   };
 
   for (std::size_t co = 0; co < c_out; ++co) {

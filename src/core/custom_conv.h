@@ -2,17 +2,16 @@
 //
 // Replaces the model's first Conv1D when running on the sliding-window
 // queue. Instead of materialising + transposing the inference window, it
-// reads the queue storage in place (instruction-major, strided), injects the
-// remaining-latency entries from the retire-clock vector, masks retired
-// rows, and skips all output columns whose receptive field is entirely
-// padding (on average >68% of the window, Fig. 14). The kernel itself is
-// transposed once at construction — a negligible one-time cost.
+// reads the window's rows in place (instruction-major, strided) through a
+// LazyWindow, injects the remaining-latency entries from the retire-clock
+// ring, masks retired rows, and skips all output columns whose receptive
+// field is entirely padding (on average >68% of the window, Fig. 14).
 //
 // The output is bit-exact with tensor::Conv1D applied to the materialised,
 // transposed window (same accumulation order), which the tests assert.
 #pragma once
 
-#include "core/sliding_window.h"
+#include "core/predictor.h"
 #include "tensor/ops.h"
 
 namespace mlsim::core {
@@ -23,9 +22,9 @@ class CustomConvLayer {
   /// of truth; pruning/quantisation apply to both paths automatically).
   explicit CustomConvLayer(const tensor::Conv1D& conv);
 
-  /// Compute the first-layer pre-activation (1, C_out, window_rows)
-  /// directly from the queue. `window_rows` = context_length + 1.
-  tensor::Tensor forward(const SlidingWindowQueue& queue);
+  /// Compute the first-layer pre-activation (1, C_out, window.rows())
+  /// directly from the window's rows.
+  tensor::Tensor forward(const LazyWindow& window);
 
   /// Output columns actually computed by the last forward (the rest were
   /// bias-only padding columns) — the Fig. 14 padding-avoidance statistic.

@@ -1,11 +1,16 @@
 #include "core/gpu_sim.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.h"
 #include "obs/obs.h"
 
 namespace mlsim::core {
+
+namespace {
+constexpr std::size_t kRowBytes = trace::kNumFeatures * sizeof(std::int32_t);
+}
 
 GpuSimulator::GpuSimulator(LatencyPredictor& predictor, device::Device& dev,
                            GpuSimOptions opts)
@@ -34,8 +39,14 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
   // The batched H2D + compaction costs apply only when the data path is the
   // device-resident sliding window; other ablation modes charge their own.
   const bool swiq_path = opts_.gpu_input_construction && opts_.sliding_window;
-  SlidingWindowQueue queue(opts_.context_length, opts_.batch_n, dev_, copy_stream,
-                           /*account_costs=*/swiq_path);
+  check(opts_.context_length > 0, "context length must be positive");
+  check(opts_.batch_n > 0, "batch size must be positive");
+  // Retire clocks of the last context_length instructions: the paper's
+  // latency vector. Each window is a LazyWindow view over the trace and this
+  // ring, exactly the window the device-resident queue holds.
+  std::vector<std::uint64_t> ring(opts_.context_length, 0);
+  std::uint64_t clock = 0;
+  std::uint64_t last_retire = 0;
   std::vector<std::int32_t> window;
 
   if (opts_.record_predictions) out.predictions.reserve(out.instructions);
@@ -46,21 +57,29 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
   const double t0 = dev_.synchronize();
 
   std::size_t next = begin;  // next trace row to stage
-  std::size_t cur = begin;   // instruction currently being simulated
-  while (cur < end) {
+  for (std::size_t cur = begin; cur < end; ++cur) {
     if (opts_.cancel != nullptr) opts_.cancel->check();
-    if (queue.needs_refill()) {
+    const LazyWindow lw(trace, cur, begin, ring.data(), ring.size(), clock, rows);
+    const std::size_t ctx = lw.context_count();
+    if (cur == next) {
+      // Every staged instruction is simulated: stage the next N+1 rows.
       MLSIM_TRACE_SPAN("gpu_sim/copy");
-      MLSIM_HIST_TIMER(obs::names::kGpuSimBatchFillNs);
       MLSIM_COUNTER_ADD(obs::names::kGpuSimBatches, 1);
+      const std::size_t m = std::min(end - next, opts_.batch_n + 1);
       if (swiq_path) {
         if (!opts_.pipelined) {
           // Serial flow: the copy starts only after compute is done.
           dev_.wait(copy_stream, dev_.record(sim_stream));
         }
         const double copy_start = dev_.record(copy_stream);
-        next += queue.refill(
-            trace.raw_features().data() + next * trace::kNumFeatures, end - next);
+        if (cur != begin) {
+          // Compaction kernel: moves this instruction's live context rows
+          // to the queue's tail (the paper skips retired ones).
+          dev_.launch(copy_stream, 2 * ctx * kRowBytes, 0, nullptr);
+        }
+        // One H2D transfer for the whole batch (the amortisation the design
+        // buys).
+        dev_.copy_h2d(nullptr, nullptr, m * kRowBytes, copy_stream);
         const double copy_end = dev_.record(copy_stream);
         acc.h2d += copy_end - copy_start;
         // Compute consumes the batch only once it has arrived. When
@@ -76,13 +95,10 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
           }
         }
         dev_.wait(sim_stream, copy_end);
-      } else {
-        next += queue.refill(
-            trace.raw_features().data() + next * trace::kNumFeatures, end - next);
       }
+      next += m;
     }
 
-    const std::size_t ctx = queue.context_count();
     occupancy_sum += static_cast<double>(ctx) / static_cast<double>(rows - 1);
     if (opts_.record_context_counts) {
       out.context_counts.push_back(static_cast<std::uint16_t>(ctx));
@@ -91,7 +107,6 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
     // --- Input construction (+ per-mode data movement) -----------------------
     {
     MLSIM_TRACE_SPAN("gpu_sim/input_construction");
-    double t = dev_.record(sim_stream);
     if (!opts_.gpu_input_construction) {
       // Baseline data path: host queue push + concat/pad + full-window H2D.
       acc.queue_push += cm.host_queue_push_us;
@@ -114,14 +129,13 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
       acc.input_construct += cm.custom_conv_construct_us(opts_.batch_n);
       dev_.advance(sim_stream, cm.custom_conv_construct_us(opts_.batch_n));
     }
-    (void)t;
 
     // --- Transpose (eliminated by the custom convolution) --------------------
     if (!opts_.custom_conv) {
       acc.transpose += cm.transpose_us(rows);
       dev_.advance(sim_stream, cm.transpose_us(rows));
     }
-    queue.build_window(window);
+    lw.materialize(window);
     }
 
     // --- Inference ------------------------------------------------------------
@@ -139,7 +153,10 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
     // toggles (the toggles change only where/so-how-fast steps run).
     p = predictor_.predict(WindowView{window.data(), rows}, cur);
     }
-    queue.apply_prediction(p);
+    const std::uint64_t retire = clock + p.fetch + p.exec + p.store;
+    ring[cur % ring.size()] = retire;
+    last_retire = std::max(last_retire, retire);
+    clock += p.fetch;
     if (opts_.record_predictions) out.predictions.push_back(p);
 
     // --- Update + retire --------------------------------------------------------
@@ -147,11 +164,9 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
                                                     : cm.host_update_retire_us;
     acc.update_retire += upd;
     dev_.advance(sim_stream, upd);
-
-    ++cur;
   }
 
-  out.cycles = queue.total_cycles_with_drain();
+  out.cycles = std::max(clock, last_retire);
   out.sim_time_us = dev_.synchronize() - t0;
   const double n = static_cast<double>(out.instructions);
   out.profile = {acc.queue_push / n, acc.input_construct / n, acc.h2d / n,

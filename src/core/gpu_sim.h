@@ -7,7 +7,9 @@
 //   gpu_input_construction (GIC) — window construction as a device kernel;
 //     only the new instruction row crosses the PCIe/NVLink link.
 //   sliding_window (SWIQ)        — the window is a view into the resident
-//     queue; batch-of-N staging amortises copies; no gather kernel.
+//     queue; batch-of-N staging amortises copies; no gather kernel. The
+//     queue's moves are charged, not executed: each window is a LazyWindow
+//     over the trace and a retire ring, the rows the queue would hold.
 //   custom_conv (CC)             — first conv consumes the queue in place:
 //     no transpose, padded columns skipped.
 //   engine (OI)                  — LibTorch / TensorRT / +fp16 / +2:4.
@@ -20,7 +22,6 @@
 #include "core/cost_model.h"
 #include "core/predictor.h"
 #include "core/sim_output.h"
-#include "core/sliding_window.h"
 #include "device/device.h"
 #include "trace/trace.h"
 

@@ -11,8 +11,9 @@
 //     (retire clock − Clock), the value the paper updates in the input's
 //     first column every iteration.
 //
-// This is the behavioural specification; SlidingWindowQueue must produce
-// identical windows and Clock trajectories (asserted by tests).
+// This is the behavioural specification; LazyWindow, and with it every
+// engine's windows, must produce identical windows and Clock trajectories
+// (asserted by tests).
 #pragma once
 
 #include <cstdint>

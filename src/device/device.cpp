@@ -30,13 +30,6 @@ double Device::launch(StreamId stream, std::size_t bytes_moved, std::size_t flop
   return streams_[stream];
 }
 
-double Device::launch_inference(StreamId stream, Engine engine, std::size_t flops,
-                                double sparse_fraction) {
-  check_index(stream, streams_.size(), "stream id");
-  streams_[stream] += spec_.inference_time_us(engine, flops, sparse_fraction);
-  return streams_[stream];
-}
-
 double Device::advance(StreamId stream, double cost_us) {
   check_index(stream, streams_.size(), "stream id");
   check(cost_us >= 0.0, "cost must be non-negative");

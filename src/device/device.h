@@ -1,4 +1,4 @@
-// Simulated GPU device: buffers, streams, events, async copies, kernels.
+// Simulated GPU device: streams, events, async copies, kernels.
 //
 // Execution model: kernels run immediately on the host (their results are
 // real and unit-tested for bit-exactness), while each stream carries a
@@ -19,25 +19,6 @@ namespace mlsim::device {
 
 using StreamId = std::size_t;
 
-/// Device-resident typed buffer (host-backed in this simulation).
-template <typename T>
-class DeviceBuffer {
- public:
-  DeviceBuffer() = default;
-  explicit DeviceBuffer(std::size_t n) : data_(n) {}
-
-  std::size_t size() const { return data_.size(); }
-  std::size_t bytes() const { return data_.size() * sizeof(T); }
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-  void resize(std::size_t n) { data_.resize(n); }
-
- private:
-  std::vector<T> data_;
-};
-
 class Device {
  public:
   explicit Device(GpuSpec spec = GpuSpec::a100());
@@ -45,7 +26,6 @@ class Device {
   const GpuSpec& spec() const { return spec_; }
 
   StreamId create_stream();
-  std::size_t num_streams() const { return streams_.size(); }
 
   /// Async H2D copy of `bytes` from `src` to `dst` on `stream`; performs the
   /// real memcpy now, advances the stream cursor by the modeled time.
@@ -56,10 +36,6 @@ class Device {
   /// by the modeled kernel time for (bytes_moved, flops).
   double launch(StreamId stream, std::size_t bytes_moved, std::size_t flops,
                 const std::function<void()>& fn, bool fp16 = false);
-
-  /// Account an inference launch (the caller runs the network itself).
-  double launch_inference(StreamId stream, Engine engine, std::size_t flops,
-                          double sparse_fraction = 0.85);
 
   /// Advance a stream by an explicit cost (for composite modeled steps).
   double advance(StreamId stream, double cost_us);

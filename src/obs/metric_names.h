@@ -21,7 +21,6 @@ inline constexpr const char* kGpuSimInferenceNs = "gpu_sim.inference_ns";
 inline constexpr const char* kGpuSimCopyNs = "gpu_sim.copy_ns";
 inline constexpr const char* kGpuSimPipelineStallNs = "gpu_sim.pipeline_stall_ns";
 inline constexpr const char* kGpuSimContextOccupancy = "gpu_sim.context_occupancy";
-inline constexpr const char* kGpuSimBatchFillNs = "gpu_sim.batch_fill_ns";
 
 // -- parallel_sim (sub-trace engine, src/core/parallel_sim.cpp) --------------
 inline constexpr const char* kParSimPartitionsDone = "parallel_sim.partitions_done";
@@ -59,12 +58,6 @@ inline constexpr const char* kTrainSteps = "trainer.steps";
 inline constexpr const char* kTrainLastLoss = "trainer.last_epoch_loss";
 inline constexpr const char* kTrainStepNs = "trainer.step_ns";
 inline constexpr const char* kTrainEpochNs = "trainer.epoch_ns";
-
-// -- thread_pool (src/common/thread_pool.cpp) --------------------------------
-inline constexpr const char* kPoolQueueDepth = "thread_pool.queue_depth";
-inline constexpr const char* kPoolQueueHighWater = "thread_pool.queue_high_water";
-inline constexpr const char* kPoolTasksDone = "thread_pool.tasks_done";
-inline constexpr const char* kPoolTaskNs = "thread_pool.task_ns";
 
 // -- service (src/service/service.cpp; docs/SERVICE.md) ----------------------
 inline constexpr const char* kSvcAccepted = "service.requests_accepted";
@@ -218,7 +211,6 @@ inline constexpr BuiltinMetric kBuiltinMetrics[] = {
     {kGpuSimCopyNs, MetricKind::kCounter},
     {kGpuSimPipelineStallNs, MetricKind::kCounter},
     {kGpuSimContextOccupancy, MetricKind::kGauge},
-    {kGpuSimBatchFillNs, MetricKind::kHistogram},
     {kParSimPartitionsDone, MetricKind::kCounter},
     {kParSimWarmupInstructions, MetricKind::kCounter},
     {kParSimCorrectedInstructions, MetricKind::kCounter},
@@ -242,10 +234,6 @@ inline constexpr BuiltinMetric kBuiltinMetrics[] = {
     {kTrainLastLoss, MetricKind::kGauge},
     {kTrainStepNs, MetricKind::kHistogram},
     {kTrainEpochNs, MetricKind::kHistogram},
-    {kPoolQueueDepth, MetricKind::kGauge},
-    {kPoolQueueHighWater, MetricKind::kGauge},
-    {kPoolTasksDone, MetricKind::kCounter},
-    {kPoolTaskNs, MetricKind::kHistogram},
     {kSvcAccepted, MetricKind::kCounter},
     {kSvcRejectedQueueFull, MetricKind::kCounter},
     {kSvcRejectedOverload, MetricKind::kCounter},

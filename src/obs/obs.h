@@ -116,15 +116,6 @@ class ScopedHistTimer {
     }                                                       \
   } while (0)
 
-#define MLSIM_GAUGE_ADD(name, delta)                        \
-  do {                                                      \
-    if (::mlsim::obs::enabled()) {                          \
-      static ::mlsim::obs::Gauge& mlsim_obs_handle =        \
-          ::mlsim::obs::default_registry().gauge(name);     \
-      mlsim_obs_handle.add(delta);                          \
-    }                                                       \
-  } while (0)
-
 #define MLSIM_HIST_RECORD(name, value)                      \
   do {                                                      \
     if (::mlsim::obs::enabled()) {                          \
@@ -148,7 +139,6 @@ class ScopedHistTimer {
 #define MLSIM_TRACE_SPAN(name) ((void)0)
 #define MLSIM_COUNTER_ADD(name, delta) ((void)0)
 #define MLSIM_GAUGE_SET(name, value) ((void)0)
-#define MLSIM_GAUGE_ADD(name, delta) ((void)0)
 #define MLSIM_HIST_RECORD(name, value) ((void)0)
 #define MLSIM_HIST_TIMER(name) ((void)0)
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"  // QueueFullError
 #include "core/cost_model.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"

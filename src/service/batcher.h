@@ -37,7 +37,7 @@
 // the interleave fuzz test.
 //
 // Backpressure: the shared queue is bounded; predict() throws
-// QueueFullError (common/thread_pool.h) instead of blocking the engine
+// QueueFullError (common/check.h) instead of blocking the engine
 // thread, and the service maps that to the typed kRejectedQueueFull
 // response.
 //

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"  // QueueFullError
 #include "core/gpu_sim.h"
 #include "obs/flight_recorder.h"
 #include "core/parallel_sim.h"

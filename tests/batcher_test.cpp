@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/check.h"
 #include "core/analytic_predictor.h"
 #include "core/gpu_sim.h"
 #include "core/parallel_sim.h"

@@ -1,8 +1,7 @@
 // Unit tests for the common utilities: RNG, half precision, statistics,
-// tables, artifacts, the thread pool and the command-line flag table.
+// tables, artifacts and the command-line flag table.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,7 +15,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace mlsim {
 namespace {
@@ -235,89 +233,6 @@ TEST(Table, PrecisionControl) {
   std::ostringstream csv;
   t.write_csv(csv);
   EXPECT_EQ(csv.str(), "v\n3.1\n");
-}
-
-// ------------------------------------------------------------ thread pool --
-
-TEST(ThreadPool, ParallelForCoversRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, PropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 10,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, ChunkedVariantCoversRange) {
-  ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  pool.parallel_for_chunks(0, 1001, [&](std::size_t lo, std::size_t hi) {
-    total += hi - lo;
-  });
-  EXPECT_EQ(total.load(), 1001u);
-}
-
-TEST(ThreadPool, SingleThreadDegradesToSerial) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  std::vector<int> order;
-  pool.parallel_for(0, 5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, BoundedQueueRejectsPostAtCapacity) {
-  // A single-thread pool has no workers draining the queue, so occupancy is
-  // deterministic: two posts fill the bound, the third gets backpressure.
-  ThreadPool pool(1, 2);
-  EXPECT_EQ(pool.queue_capacity(), 2u);
-  std::atomic<int> ran{0};
-  pool.post([&] { ran++; });
-  pool.post([&] { ran++; });
-  EXPECT_EQ(pool.pending(), 2u);
-  EXPECT_THROW(pool.post([&] { ran++; }), QueueFullError);
-  EXPECT_EQ(pool.queue_high_water(), 2u);
-  // Shutdown still drains every accepted task exactly once.
-}
-
-TEST(ThreadPool, BoundedQueueDrainsAcceptedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1, 2);
-    pool.post([&] { ran++; });
-    pool.post([&] { ran++; });
-    EXPECT_THROW(pool.post([&] { ran++; }), QueueFullError);
-  }
-  EXPECT_EQ(ran.load(), 2) << "accepted tasks run exactly once, rejected never";
-}
-
-TEST(ThreadPool, ParallelForSurvivesTinyQueueBound) {
-  // With a queue bound smaller than the chunk count, parallel_for falls back
-  // to running overflow chunks on the caller — full coverage either way.
-  ThreadPool pool(4, 1);
-  std::vector<std::atomic<int>> hits(500);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-
-  std::atomic<std::size_t> total{0};
-  pool.parallel_for_chunks(0, 777, [&](std::size_t lo, std::size_t hi) {
-    total += hi - lo;
-  });
-  EXPECT_EQ(total.load(), 777u);
-  EXPECT_GE(pool.queue_high_water(), 1u);
 }
 
 // ------------------------------------------------------------------ flags --

@@ -1,7 +1,7 @@
-// Equivalence and invariant tests for the three window/queue
-// implementations — the reference InstructionQueue, the device-resident
-// SlidingWindowQueue, and the zero-copy LazyWindow — plus bit-exactness of
-// the custom convolution layer against the dense reference convolution.
+// Equivalence and invariant tests for the window implementations — the
+// reference InstructionQueue and the zero-copy LazyWindow, including the
+// windows GpuSimulator builds from it — plus bit-exactness of the custom
+// convolution layer against the dense reference convolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +10,9 @@
 #include "common/rng.h"
 #include "core/analytic_predictor.h"
 #include "core/custom_conv.h"
+#include "core/gpu_sim.h"
 #include "core/instruction_queue.h"
 #include "core/predictor.h"
-#include "core/sliding_window.h"
 #include "core/simulator.h"
 #include "device/device.h"
 #include "tensor/model.h"
@@ -96,6 +96,40 @@ TEST(InstructionQueue, ResetRestoresInitialState) {
 
 // ---------------------------------------- sliding window equivalence (key) --
 
+// Checks every window GpuSimulator hands its predictor against the reference
+// queue fed the same instructions and predictions.
+class ReferenceCheckedPredictor final : public LatencyPredictor {
+ public:
+  ReferenceCheckedPredictor(const trace::EncodedTrace& tr, std::size_t ctx_len)
+      : trace_(tr), ref_(ctx_len) {}
+
+  LatencyPrediction predict(const WindowView& w, std::uint64_t i) override {
+    // Counted before the push admits the instruction, like the engines do.
+    ref_counts.push_back(static_cast<std::uint16_t>(ref_.context_count()));
+    ref_.push_and_build(trace_.features(i), want_);
+    if (first_mismatch == kNone &&
+        (w.rows * trace::kNumFeatures != want_.size() ||
+         !std::equal(want_.begin(), want_.end(), w.data))) {
+      first_mismatch = i;
+    }
+    const LatencyPrediction p = analytic_.predict(w, i);
+    ref_.apply_prediction(p);
+    return p;
+  }
+  std::size_t flops_per_window(std::size_t) const override { return 0; }
+
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::uint64_t first_mismatch = kNone;
+  std::vector<std::uint16_t> ref_counts;
+  const InstructionQueue& reference() const { return ref_; }
+
+ private:
+  const trace::EncodedTrace& trace_;
+  InstructionQueue ref_;
+  AnalyticPredictor analytic_;
+  std::vector<std::int32_t> want_;
+};
+
 class QueueEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, std::size_t, std::size_t>> {
 };
@@ -103,34 +137,19 @@ class QueueEquivalence
 TEST_P(QueueEquivalence, SlidingWindowMatchesReferenceExactly) {
   const auto [abbr, ctx_len, batch_n] = GetParam();
   trace::EncodedTrace tr = small_trace(abbr, 2500);
-  AnalyticPredictor pred;
+  ReferenceCheckedPredictor pred(tr, ctx_len);
 
-  InstructionQueue ref(ctx_len);
   device::Device dev;
-  SlidingWindowQueue swq(ctx_len, batch_n, dev, 0);
+  GpuSimOptions o;  // the full §IV stack: GIC + SWIQ + CC + PS
+  o.context_length = ctx_len;
+  o.batch_n = batch_n;
+  o.record_context_counts = true;
+  const SimOutput out = GpuSimulator(pred, dev, o).run(tr);
 
-  std::vector<std::int32_t> wr, ws;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < tr.size(); ++i) {
-    if (swq.needs_refill()) {
-      next += swq.refill(tr.raw_features().data() + next * trace::kNumFeatures,
-                         tr.size() - next);
-    }
-    // Context counts compared at the same protocol point: candidates of the
-    // instruction about to be simulated (before the reference push admits it).
-    const std::size_t ref_count_before = ref.context_count();
-    ASSERT_EQ(ref_count_before, swq.context_count()) << "at " << i;
-    ref.push_and_build(tr.features(i), wr);
-    swq.build_window(ws);
-    ASSERT_EQ(wr, ws) << "window mismatch at instruction " << i;
-
-    const LatencyPrediction p =
-        pred.predict(WindowView{wr.data(), ctx_len + 1}, i);
-    ref.apply_prediction(p);
-    swq.apply_prediction(p);
-    ASSERT_EQ(ref.clock(), swq.clock()) << "clock diverged at " << i;
-  }
-  EXPECT_EQ(ref.total_cycles_with_drain(), swq.total_cycles_with_drain());
+  EXPECT_EQ(pred.first_mismatch, ReferenceCheckedPredictor::kNone)
+      << "window mismatch at instruction " << pred.first_mismatch;
+  EXPECT_EQ(out.context_counts, pred.ref_counts);
+  EXPECT_EQ(out.cycles, pred.reference().total_cycles_with_drain());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -245,32 +264,19 @@ TEST(LazyWindowScan, MatchesModuloReference) {
   }
 }
 
-TEST(SlidingWindow, RefillProtocolChecks) {
-  device::Device dev;
-  SlidingWindowQueue q(4, 2, dev, 0);
-  trace::EncodedTrace tr = small_trace("xz", 10);
-  std::vector<std::int32_t> scratch;
-  EXPECT_THROW(q.build_window(scratch), CheckError);
-  const std::size_t staged =
-      q.refill(tr.raw_features().data(), tr.size());
-  EXPECT_EQ(staged, 3u);  // N + 1
-  EXPECT_THROW(q.refill(tr.raw_features().data(), 1), CheckError);
-}
-
-TEST(SlidingWindow, AccountsH2DOnRefill) {
-  device::Device dev;
-  SlidingWindowQueue q(4, 2, dev, 0, /*account_costs=*/true);
-  trace::EncodedTrace tr = small_trace("xz", 10);
-  q.refill(tr.raw_features().data(), tr.size());
-  EXPECT_GT(dev.record(0), 0.0);
-
-  device::Device dev2;
-  SlidingWindowQueue q2(4, 2, dev2, 0, /*account_costs=*/false);
-  q2.refill(tr.raw_features().data(), tr.size());
-  EXPECT_DOUBLE_EQ(dev2.record(0), 0.0);
-}
-
 // -------------------------------------------------- custom conv bit-exact --
+
+// conv1 of the dense model on the transposed, materialised window `w`.
+tensor::Tensor dense_conv1(tensor::SimNetModel& model,
+                           const std::vector<std::int32_t>& w, std::size_t rows) {
+  tensor::Tensor x({1, trace::kNumFeatures, rows});
+  for (std::size_t l = 0; l < rows; ++l) {
+    for (std::size_t c = 0; c < trace::kNumFeatures; ++c) {
+      x(0, c, l) = static_cast<float>(w[l * trace::kNumFeatures + c]);
+    }
+  }
+  return model.conv1().forward(x);
+}
 
 class CustomConvBitExact : public ::testing::TestWithParam<std::size_t> {};
 
@@ -287,27 +293,16 @@ TEST_P(CustomConvBitExact, MatchesDenseConvOnTransposedWindow) {
   tensor::SimNetModel model(mcfg, 11);
   CustomConvLayer custom(model.conv1());
 
-  device::Device dev;
-  SlidingWindowQueue q(ctx, 4, dev, 0);
+  std::vector<std::uint64_t> ring(ctx, 0);
+  std::uint64_t clock = 0;
   std::vector<std::int32_t> w;
-  std::size_t next = 0;
   std::size_t checked = 0;
   for (std::size_t i = 0; i < tr.size(); ++i) {
-    if (q.needs_refill()) {
-      next += q.refill(tr.raw_features().data() + next * trace::kNumFeatures,
-                       tr.size() - next);
-    }
-    q.build_window(w);
+    const LazyWindow lw(tr, i, 0, ring.data(), ring.size(), clock, ctx + 1);
+    lw.materialize(w);
 
-    // Dense reference: transpose the materialised window, run conv1.
-    tensor::Tensor x({1, trace::kNumFeatures, ctx + 1});
-    for (std::size_t l = 0; l <= ctx; ++l) {
-      for (std::size_t c = 0; c < trace::kNumFeatures; ++c) {
-        x(0, c, l) = static_cast<float>(w[l * trace::kNumFeatures + c]);
-      }
-    }
-    const tensor::Tensor dense = model.conv1().forward(x);
-    const tensor::Tensor fast = custom.forward(q);
+    const tensor::Tensor dense = dense_conv1(model, w, ctx + 1);
+    const tensor::Tensor fast = custom.forward(lw);
     ASSERT_EQ(dense.shape(), fast.shape());
     for (std::size_t k = 0; k < dense.numel(); ++k) {
       ASSERT_EQ(dense.at(k), fast.at(k))
@@ -316,7 +311,8 @@ TEST_P(CustomConvBitExact, MatchesDenseConvOnTransposedWindow) {
     ++checked;
 
     const LatencyPrediction p = pred.predict(WindowView{w.data(), ctx + 1}, i);
-    q.apply_prediction(p);
+    ring[i % ring.size()] = clock + p.fetch + p.exec + p.store;
+    clock += p.fetch;
   }
   EXPECT_EQ(checked, tr.size());
 }
@@ -335,12 +331,8 @@ TEST(CustomConv, SkipsPaddingColumns) {
   tensor::SimNetModel model(mcfg, 3);
   CustomConvLayer custom(model.conv1());
 
-  device::Device dev;
-  SlidingWindowQueue q(ctx, 4, dev, 0);
-  q.refill(tr.raw_features().data(), tr.size());
-  std::vector<std::int32_t> w;
-  q.build_window(w);
-  custom.forward(q);
+  const std::vector<std::uint64_t> ring(ctx, 0);
+  custom.forward(LazyWindow(tr, 0, 0, ring.data(), ring.size(), 0, ctx + 1));
   // First instruction: only row 0 valid -> only a couple of columns computed.
   EXPECT_LE(custom.last_computed_columns(), 2u);
   EXPECT_LT(custom.last_computed_columns(), ctx + 1);
@@ -358,20 +350,12 @@ TEST(CustomConv, WorksWithPrunedWeights) {
   tensor::prune_2to4_inplace(model.conv1().weight());
   CustomConvLayer custom(model.conv1());
 
-  device::Device dev;
-  SlidingWindowQueue q(ctx, 2, dev, 0);
-  q.refill(tr.raw_features().data(), tr.size());
+  const std::vector<std::uint64_t> ring(ctx, 0);
+  const LazyWindow lw(tr, 0, 0, ring.data(), ring.size(), 0, ctx + 1);
   std::vector<std::int32_t> w;
-  q.build_window(w);
-
-  tensor::Tensor x({1, trace::kNumFeatures, ctx + 1});
-  for (std::size_t l = 0; l <= ctx; ++l) {
-    for (std::size_t c = 0; c < trace::kNumFeatures; ++c) {
-      x(0, c, l) = static_cast<float>(w[l * trace::kNumFeatures + c]);
-    }
-  }
-  const tensor::Tensor dense = model.conv1().forward(x);
-  const tensor::Tensor fast = custom.forward(q);
+  lw.materialize(w);
+  const tensor::Tensor dense = dense_conv1(model, w, ctx + 1);
+  const tensor::Tensor fast = custom.forward(lw);
   for (std::size_t k = 0; k < dense.numel(); ++k) {
     ASSERT_EQ(dense.at(k), fast.at(k));
   }

@@ -84,28 +84,38 @@ TEST_P(GpuSimToggles, FunctionalResultIndependentOfToggles) {
   trace::EncodedTrace tr = small_trace("mcf", 2500);
   AnalyticPredictor pred;
 
-  SequentialSimOptions sopts;
-  sopts.context_length = 16;
-  sopts.record_predictions = true;
-  SequentialSimulator ref(pred, sopts);
-  const SimOutput expected = ref.run(tr);
+  // (context length, batch N): the original case, then every pair of
+  // context {8, 32} and N {1, 5, 16}, which moves the staging boundaries.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {16, 6}, {8, 1}, {8, 5}, {8, 16}, {32, 1}, {32, 5}, {32, 16}};
+  for (const auto& [ctx, batch_n] : shapes) {
+    SCOPED_TRACE(::testing::Message() << "context " << ctx << " N " << batch_n);
+    SequentialSimOptions sopts;
+    sopts.context_length = ctx;
+    sopts.record_predictions = true;
+    sopts.record_context_counts = true;
+    SequentialSimulator ref(pred, sopts);
+    const SimOutput expected = ref.run(tr);
 
-  device::Device dev;
-  GpuSimOptions gopts;
-  gopts.context_length = 16;
-  gopts.batch_n = 6;
-  gopts.gpu_input_construction = tc.gic;
-  gopts.sliding_window = tc.swiq;
-  gopts.custom_conv = tc.cc;
-  gopts.pipelined = tc.ps;
-  gopts.record_predictions = true;
-  GpuSimulator sim(pred, dev, gopts);
-  const SimOutput got = sim.run(tr);
+    device::Device dev;
+    GpuSimOptions gopts;
+    gopts.context_length = ctx;
+    gopts.batch_n = batch_n;
+    gopts.gpu_input_construction = tc.gic;
+    gopts.sliding_window = tc.swiq;
+    gopts.custom_conv = tc.cc;
+    gopts.pipelined = tc.ps;
+    gopts.record_predictions = true;
+    gopts.record_context_counts = true;
+    GpuSimulator sim(pred, dev, gopts);
+    const SimOutput got = sim.run(tr);
 
-  EXPECT_EQ(got.cycles, expected.cycles);
-  ASSERT_EQ(got.predictions.size(), expected.predictions.size());
-  for (std::size_t i = 0; i < got.predictions.size(); ++i) {
-    ASSERT_EQ(got.predictions[i], expected.predictions[i]) << "at " << i;
+    EXPECT_EQ(got.cycles, expected.cycles);
+    EXPECT_EQ(got.context_counts, expected.context_counts);
+    ASSERT_EQ(got.predictions.size(), expected.predictions.size());
+    for (std::size_t i = 0; i < got.predictions.size(); ++i) {
+      ASSERT_EQ(got.predictions[i], expected.predictions[i]) << "at " << i;
+    }
   }
 }
 

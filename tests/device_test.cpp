@@ -1,10 +1,9 @@
 // Tests for the simulated device layer: transfer/kernel/inference cost
-// models, stream semantics, events and the multi-GPU cluster.
+// models, stream semantics and events.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "core/cost_model.h"
-#include "device/cluster.h"
 #include "device/device.h"
 #include "device/gpu_spec.h"
 
@@ -143,26 +142,6 @@ TEST(Device, CopyComputeOverlapShortensTotal) {
   pipelined.advance(0, 5.0);  // compute overlaps the copy
   const double pipe_total = pipelined.synchronize();
   EXPECT_LT(pipe_total, serial_total);
-}
-
-// ---------------------------------------------------------------- cluster --
-
-TEST(Cluster, SlowestDevicePlusGather) {
-  Cluster cl(4, GpuSpec::a100());
-  cl.gpu(0).advance(0, 10.0);
-  cl.gpu(3).advance(0, 25.0);
-  const double total = cl.total_time_us(1024);
-  EXPECT_GT(total, 25.0);
-  EXPECT_LT(total, 26.0 + allreduce_time_us(4, 1024));
-}
-
-TEST(Cluster, ResetAndBounds) {
-  Cluster cl(2, GpuSpec::v100());
-  cl.gpu(1).advance(0, 9.0);
-  cl.reset_time();
-  EXPECT_DOUBLE_EQ(cl.total_time_us(0), allreduce_time_us(2, 0));
-  EXPECT_THROW(cl.gpu(2), mlsim::CheckError);
-  EXPECT_THROW(Cluster(0, GpuSpec::a100()), mlsim::CheckError);
 }
 
 // ------------------------------------------------------------- cost model --

@@ -711,7 +711,7 @@ TEST(Dist, ProtocolVersionMismatchIsRejected) {
 
 // ---- message codecs --------------------------------------------------------
 
-TEST(DistProtocol, AssignEncodesTraceContextPerPeerVersion) {
+TEST(DistProtocol, AssignRoundTripsShardRangeAndTraceContext) {
   AssignMsg m;
   m.session = 11;
   m.shard = 2;
@@ -731,7 +731,7 @@ TEST(DistProtocol, AssignEncodesTraceContextPerPeerVersion) {
   EXPECT_EQ(d.parent_span, m.parent_span);
 }
 
-TEST(DistProtocol, ResultCarriesSpansAndDecodesV1Payloads) {
+TEST(DistProtocol, ResultCarriesTraceIdAndSpans) {
   core::ShardOutcome outcome;  // contents don't matter for the envelope
   std::vector<obs::SpanRecord> spans(2);
   spans[0].name = "worker/partition";
@@ -793,7 +793,7 @@ TEST(DistProtocol, GoodbyeRoundTrips) {
 
 // ---- rejoin ----------------------------------------------------------------
 
-TEST(DistProtocol, WelcomeTokenIsTrailingOptional) {
+TEST(DistProtocol, WelcomeCarriesSessionFingerprintAndToken) {
   const auto tr = make_trace("xz", 2000);
   RunConfig cfg;
   cfg.num_subtraces = 4;

@@ -9,6 +9,7 @@
 
 #include "core/analytic_predictor.h"
 #include "core/cnn_predictor.h"
+#include "core/gpu_sim.h"
 #include "core/lockstep_sim.h"
 #include "core/metrics.h"
 #include "core/parallel_sim.h"
@@ -16,6 +17,7 @@
 #include "core/simnet_trainer.h"
 #include "core/simulator.h"
 #include "core/streaming.h"
+#include "device/device.h"
 #include "tensor/quant.h"
 #include "trace/stream.h"
 
@@ -287,6 +289,161 @@ INSTANTIATE_TEST_SUITE_P(
         CnnPin{"xz", true, 296, 0x769ea9b1bf52b34c, 280, 0x458c6841f860f715},
         CnnPin{"mcf", true, 229, 0xf5c9a7c14892ca8b, 214, 0x49adb12c4042e5d8},
         CnnPin{"lbm", true, 1422, 0x657eb4fc0c963810, 850, 0x5b98b2131b88d23d}));
+
+// ---- Single-device GPU engine ----------------------------------------------
+// GpuSimulator on the analytic model under each of fig16_opt_stack's six
+// §IV stacks. Pinned per stack: the cycle total, `sim_time_us` by bit
+// pattern (it carries every modeled staging, compaction and inference
+// charge), and an FNV-1a hash over the recorded predictions and context
+// counts and the bits of the six profile fields and the context occupancy.
+
+struct GpuStack {
+  const char* name;
+  bool gic, swiq, cc, ps;
+  device::Engine engine;
+};
+
+// fig16_opt_stack's rows, in its order.
+constexpr GpuStack kGpuStacks[] = {
+    {"baseline", false, false, false, false, device::Engine::kLibTorch},
+    {"gic", true, false, false, false, device::Engine::kLibTorch},
+    {"swiq", true, true, false, false, device::Engine::kLibTorch},
+    {"cc", true, true, true, false, device::Engine::kLibTorch},
+    {"oi", true, true, true, false, device::Engine::kTensorRTSparse},
+    {"ps", true, true, true, true, device::Engine::kTensorRTSparse}};
+constexpr std::size_t kNumGpuStacks = std::size(kGpuStacks);
+
+struct GpuSimPin {
+  const char* abbr;
+  std::size_t context;
+  std::size_t batch_n;
+  std::uint64_t cycles;  // the same under every stack
+  std::uint64_t time_bits[kNumGpuStacks];
+  std::uint64_t hash[kNumGpuStacks];
+};
+
+void PrintTo(const GpuSimPin& g, std::ostream* os) {
+  *os << g.abbr << "_c" << g.context << "_n" << g.batch_n;
+}
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 1099511628211ull;
+}
+
+std::uint64_t hash_gpu_output(const SimOutput& out) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const LatencyPrediction& p : out.predictions) {
+    h = fnv_fold(fnv_fold(fnv_fold(h, p.fetch), p.exec), p.store);
+  }
+  for (const std::uint16_t c : out.context_counts) h = fnv_fold(h, c);
+  const StepProfile& pr = out.profile;
+  for (const double v : {pr.queue_push, pr.input_construct, pr.h2d, pr.transpose,
+                         pr.inference, pr.update_retire, out.avg_context_occupancy}) {
+    h = fnv_fold(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+class GoldenGpuSim
+    : public ::testing::TestWithParam<std::tuple<GpuSimPin, std::size_t>> {};
+
+TEST_P(GoldenGpuSim, StackPinned) {
+  const auto& [g, s] = GetParam();
+  const GpuStack& stack = kGpuStacks[s];
+  const auto tr = labeled_trace(g.abbr, 3000, {}, 1, false);
+  AnalyticPredictor pred;
+  device::Device dev;
+  GpuSimOptions o;
+  o.context_length = g.context;
+  o.batch_n = g.batch_n;
+  o.gpu_input_construction = stack.gic;
+  o.sliding_window = stack.swiq;
+  o.custom_conv = stack.cc;
+  o.engine = stack.engine;
+  o.pipelined = stack.ps;
+  o.record_predictions = true;
+  o.record_context_counts = true;
+  const SimOutput out = GpuSimulator(pred, dev, o).run(tr);
+
+  EXPECT_EQ(out.cycles, g.cycles);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out.sim_time_us), g.time_bits[s])
+      << out.sim_time_us;
+  EXPECT_EQ(hash_gpu_output(out), g.hash[s]);
+}
+
+// 3000 instructions, seed 1.
+constexpr GpuSimPin kGpuSimPins[] = {
+    {"xz", 16, 1, 6038,
+     {0x40bdf002bad5a620, 0x40b5febac95270e8, 0x40b75ee92de0cfa6,
+      0x40b31813a4d38389, 0x40a62b4a67abfa4d, 0x409ac33f476f8a8e},
+     {0xf3effc90c21175a6, 0x78c6024c79f18b7f, 0x4858c6c315665534,
+      0xbdcacc8cf403810d, 0xa6b6645d575c410f, 0x9952926ed5d8776c}},
+    {"xz", 16, 10, 6038,
+     {0x40bdf002bad5a620, 0x40b1c6bac95271f9, 0x40b123f7fef5652f,
+      0x40a9ba44ebd02cce, 0x40936ad013aa3aaf, 0x408de8e4f5457915},
+     {0xf3effc90c21175a6, 0x510917c1c71ed1ee, 0x2e75ce5982ddc48a,
+      0x73bced855b3e437e, 0x12070bf97b92b45f, 0xe952fc2e799c7275}},
+    {"xz", 64, 1, 15867,
+     {0x40cd707db74c5bc0, 0x40b71b2496ee5563, 0x40b856eec167d5d7,
+      0x40b3b859255988ef, 0x40a6ba7a0b6e98ff, 0x409bdf04a97e9e47},
+     {0x935e3f7cbb80cff3, 0x4ff7632b17973f55, 0x4aac9f88bb8dfb9b,
+      0x5e410549cc78e694, 0x63629003cf57915a, 0xd3c6a14a865ea355}},
+    {"xz", 64, 10, 15867,
+     {0x40cd707db74c5bc0, 0x40b2e32496ee57e8, 0x40b21b77f5547a4b,
+      0x40aaf9c4b28c57dc, 0x40948718e68fb870, 0x40901037dcb1d08b},
+     {0x935e3f7cbb80cff3, 0x4abefb684a896f70, 0x1d124919213194f7,
+      0x6adb384361e6ae55, 0x6fcd36a4c19a5b65, 0x2051cdd2afa88f17}},
+    {"mcf", 16, 1, 5856,
+     {0x40bdf002bad5a620, 0x40b5febac95270e8, 0x40b75ee42ca8ef72,
+      0x40b3180cc4e1f277, 0x40a62b3ebbb39d0a, 0x409ac33bf45e4ffb},
+     {0x3fe9d597be334e5b, 0x54db648921f80e8a, 0xf2b3a64ee47d48ae,
+      0x372313c92eb04ea4, 0x97001c65274581b9, 0xbff89d915ce1f485}},
+    {"mcf", 16, 10, 5856,
+     {0x40bdf002bad5a620, 0x40b1c6bac95271f9, 0x40b123fb49dd861d,
+      0x40a9ba47c42d0cc1, 0x40936ad9ec3983d7, 0x408de8de4f2303f0},
+     {0x3fe9d597be334e5b, 0x822ca69d99ddad13, 0x077a4c872617142a,
+      0x756602258226dfa5, 0x59d9f304bfe96953, 0x129b036c2a8620f1}},
+    {"mcf", 64, 1, 14095,
+     {0x40cd707db74c5bc0, 0x40b71b2496ee5563, 0x40b857611320c7d0,
+      0x40b3ba1364490306, 0x40a6bc822c664b4e, 0x409be14ba48a3afa},
+     {0x39fded607f963ded, 0x7f073f95a4bc0653, 0x38b1e9a0fc5fb089,
+      0x18bdecc00e38b21e, 0xac32efdf1855155c, 0x61489dc0e9f7ad33}},
+    {"mcf", 64, 10, 14095,
+     {0x40cd707db74c5bc0, 0x40b2e32496ee57e8, 0x40b21b8afd54bdb6,
+      0x40aafc7a9cf9eee3, 0x409489ac019c62a9, 0x4090127ed7bd6d00},
+     {0x39fded607f963ded, 0x639de97094883d6a, 0x420d3d5b15a3950f,
+      0x01d9aed02e24d025, 0xe8456129ffa7ee3c, 0x1b1231507a0d288b}},
+    {"lbm", 16, 1, 3015,
+     {0x40bdf002bad5a620, 0x40b5febac95270e8, 0x40b75f5ac6293f80,
+      0x40b319cb1cc61ddf, 0x40a62d4f429b3943, 0x409ac5829c2c4754},
+     {0x3f5fedde9267cf80, 0x8d2d73d9c7614065, 0xa8152ba6d4408e3f,
+      0xb29e2697b71fddc8, 0x4316505e70ffb8f2, 0xbd65a3320babb27e}},
+    {"lbm", 16, 10, 3015,
+     {0x40bdf002bad5a620, 0x40b1c6bac95271f9, 0x40b1240fc4becdce,
+      0x40a9bd0036b75286, 0x40936d727f8c99cc, 0x408ded6b9ebef254},
+     {0x3f5fedde9267cf80, 0xcd8bc74eaf592900, 0xcba0f8ba1d15c4dd,
+      0x14494b7fb7b85899, 0x9424f840bac32d60, 0xb3c5c616b3192308}},
+    {"lbm", 64, 1, 18804,
+     {0x40cd707db74c5bc0, 0x40b71b2496ee5563, 0x40b8587ba562b2e5,
+      0x40b3be5124b627ec, 0x40a6c18141108d9c, 0x409be6df84d71385},
+     {0x5edeee74a2f14023, 0xa67d031c148295c5, 0xf3319e7cefd7e60e,
+      0xd1cff31597b50563, 0xbb5d405b4a5c8adf, 0x83befe3b85269207}},
+    {"lbm", 64, 10, 18804,
+     {0x40cd707db74c5bc0, 0x40b2e32496ee57e8, 0x40b21bb8c1bc2103,
+      0x40ab031c821f2964, 0x40948ff6f386c855, 0x40901812b80a4594},
+     {0x5edeee74a2f14023, 0xf1ae43171a712e38, 0xc06b6ff5ceb6cb93,
+      0x3fa1addd871340a1, 0xef3da05a4e5968c8, 0x92093ab2fe0cd67e}},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, GoldenGpuSim,
+    ::testing::Combine(::testing::ValuesIn(kGpuSimPins),
+                       ::testing::Range(std::size_t{0}, kNumGpuStacks)),
+    [](const ::testing::TestParamInfo<GoldenGpuSim::ParamType>& p) {
+      const GpuSimPin& g = std::get<0>(p.param);
+      return std::string(g.abbr) + "_c" + std::to_string(g.context) + "_n" +
+             std::to_string(g.batch_n) + "_" + kGpuStacks[std::get<1>(p.param)].name;
+    });
 
 }  // namespace
 }  // namespace mlsim::core

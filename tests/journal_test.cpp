@@ -514,7 +514,9 @@ TEST(DrainProcess, SigtermDrainsCoordinatorWithDistinctExitCode) {
   const fs::path path = scratch_journal("sigterm");
 
   auto listener = std::make_unique<net::TcpListener>(net::TcpListener::bind(0));
-  const std::uint16_t port = listener->port();
+  // The worker reaches the coordinator through a gate that holds Assigns
+  // back after the second Result; its thread starts after the fork.
+  AssignGate gate(listener->port());
   const pid_t coord_pid = fork();
   if (coord_pid == 0) {
     // Child: a coordinator process wired exactly like the CLI — SignalPipe
@@ -528,7 +530,7 @@ TEST(DrainProcess, SigtermDrainsCoordinatorWithDistinctExitCode) {
     co.wake_fd = net::SignalPipe::install(7).fd();
     try {
       DistCoordinator coord(std::move(*listener), co);
-      std::thread w = worker_thread(coord.port());
+      std::thread w = worker_thread(gate.port());
       try {
         (void)coord.run(tr, opts);
         w.join();
@@ -543,18 +545,16 @@ TEST(DrainProcess, SigtermDrainsCoordinatorWithDistinctExitCode) {
   }
   ASSERT_GT(coord_pid, 0);
   listener.reset();
+  gate.start(2);
 
-  // Let the run get demonstrably going (journaled results), then SIGTERM.
-  bool started = false;
-  for (int i = 0; i < 3000; ++i) {
-    if (RunJournal::replay(path, false).results.size() >= 2) {
-      started = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(started);
+  // SIGTERM once the worker holds an undelivered shard: two results are
+  // journaled and the run is provably unfinished. The signal is pending
+  // before the held shard is let through, so its wake byte is written before
+  // the worker can finish that shard, let alone the nine still queued, and
+  // the coordinator drains with the released shard in flight.
+  ASSERT_TRUE(gate.wait_starved(1));
   ASSERT_EQ(kill(coord_pid, SIGTERM), 0);
+  gate.release();
   int status = 0;
   ASSERT_EQ(waitpid(coord_pid, &status, 0), coord_pid);
   ASSERT_TRUE(WIFEXITED(status));

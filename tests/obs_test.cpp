@@ -1,12 +1,12 @@
 // Observability layer: registry concurrency, span nesting + Chrome-trace
-// export round-trip, disabled-mode no-op behaviour, histogram quantiles, and
-// the thread-pool drain guarantees the queue-depth gauge relies on.
+// export round-trip, disabled-mode no-op behaviour and histogram quantiles.
 //
 // This file compiles and passes in both the instrumented build and the
 // stripped one (-DMLSIM_OBS_DISABLE=ON): assertions that require recording
 // are guarded on obs::kCompiledIn.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace mlsim {
@@ -143,13 +142,12 @@ TEST(ObsRegistry, DefaultRegistryCoversAllSubsystems) {
   EXPECT_TRUE(has_prefix("parallel_sim."));
   EXPECT_TRUE(has_prefix("streaming."));
   EXPECT_TRUE(has_prefix("trainer."));
-  EXPECT_TRUE(has_prefix("thread_pool."));
 
   std::ostringstream text, json;
   obs::default_registry().write_text(text);
   obs::default_registry().write_json(json);
   for (const char* sub :
-       {"gpu_sim.", "parallel_sim.", "streaming.", "trainer.", "thread_pool."}) {
+       {"gpu_sim.", "parallel_sim.", "streaming.", "trainer."}) {
     EXPECT_NE(text.str().find(sub), std::string::npos) << sub;
     EXPECT_NE(json.str().find(sub), std::string::npos) << sub;
   }
@@ -266,34 +264,6 @@ TEST(ObsTrace, CompileTimeDisabledIsNoOp) {
   }
   EXPECT_EQ(obs::recorded_events(), 0u);
 }
-
-// ---------------------------------------------------------------------------
-// Thread pool integration
-// ---------------------------------------------------------------------------
-
-TEST(ObsThreadPool, DrainsAndReportsZeroQueueDepth) {
-  obs::set_enabled(true);
-  obs::reset_trace();
-  const std::uint64_t tasks_before =
-      obs::default_registry().counter(obs::names::kPoolTasksDone).value();
-  std::atomic<std::size_t> touched{0};
-  {
-    ThreadPool pool(4);
-    pool.parallel_for(0, 1000, [&](std::size_t) {
-      touched.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(pool.pending(), 0u);
-  }
-  obs::set_enabled(false);
-  EXPECT_EQ(touched.load(), 1000u);
-  if (obs::kCompiledIn) {
-    EXPECT_DOUBLE_EQ(
-        obs::default_registry().gauge(obs::names::kPoolQueueDepth).value(), 0.0);
-    EXPECT_GT(obs::default_registry().counter(obs::names::kPoolTasksDone).value(),
-              tasks_before);
-  }
-}
-
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition (what GET /metrics serves)

@@ -7,9 +7,7 @@
 #include "core/analytic_predictor.h"
 #include "core/instruction_queue.h"
 #include "core/parallel_sim.h"
-#include "core/sliding_window.h"
 #include "core/simulator.h"
-#include "device/device.h"
 #include "uarch/cache.h"
 #include "uarch/ground_truth.h"
 
@@ -97,35 +95,26 @@ INSTANTIATE_TEST_SUITE_P(Assoc, CacheAssocSweep, ::testing::Values(1u, 2u, 4u, 1
 
 // ------------------------------------------------- queue equivalence fuzz --
 
-// The equivalence of the three window implementations must hold for ANY
+// The equivalence of the two window implementations must hold for ANY
 // prediction sequence, not just the analytic predictor's. Drive them with
 // random predictions.
 class RandomPredictionFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
-  const std::size_t ctx = 12, batch_n = 4;
+  const std::size_t ctx = 12;
   const auto tr = uarch::make_encoded_trace(trace::find_workload("perl"), 1500,
                                             {}, GetParam());
   Rng rng(GetParam() * 977 + 5);
 
   core::InstructionQueue ref(ctx);
-  device::Device dev;
-  core::SlidingWindowQueue swq(ctx, batch_n, dev, 0);
   std::vector<std::uint64_t> ring(ctx, 0);
   std::uint64_t clock = 0;
 
-  std::vector<std::int32_t> wr, ws, wl;
-  std::size_t next = 0;
+  std::vector<std::int32_t> wr, wl;
   for (std::size_t i = 0; i < tr.size(); ++i) {
-    if (swq.needs_refill()) {
-      next += swq.refill(tr.raw_features().data() + next * trace::kNumFeatures,
-                         tr.size() - next);
-    }
     ref.push_and_build(tr.features(i), wr);
-    swq.build_window(ws);
     const core::LazyWindow lw(tr, i, 0, ring.data(), ring.size(), clock, ctx + 1);
     lw.materialize(wl);
-    ASSERT_EQ(wr, ws) << i;
     ASSERT_EQ(wr, wl) << i;
 
     // Random latencies incl. zeros and extremes.
@@ -134,10 +123,8 @@ TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
         static_cast<std::uint32_t>(rng.next_below(300)),
         static_cast<std::uint32_t>(rng.bernoulli(0.2) ? rng.next_below(60) : 0)};
     ref.apply_prediction(p);
-    swq.apply_prediction(p);
     ring[i % ring.size()] = clock + p.fetch + p.exec + p.store;
     clock += p.fetch;
-    ASSERT_EQ(ref.clock(), swq.clock()) << i;
     ASSERT_EQ(ref.clock(), clock) << i;
   }
 }
