@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       const double err = std::abs(
           core::ParallelSimulator::cpi_error_percent(seq, sim.run(tr).cpi()));
       per_col[c].add(err);
-      row.push_back(err);
+      row.emplace_back(err);
     }
     t.add_row(std::move(row));
   }

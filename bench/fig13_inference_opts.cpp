@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       traces.push_back(core::labeled_trace(abbr, 30000));
     }
     std::vector<const trace::EncodedTrace*> ptrs;
-    for (const auto& t : traces) ptrs.push_back(&t);
+    for (const auto& tr : traces) ptrs.push_back(&tr);
     core::finetune_2to4(b, ptrs);
     tensor::quantize_model_half(b.model);
     b.save(artifact_path(name));

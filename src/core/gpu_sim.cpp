@@ -58,7 +58,6 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
 
   std::size_t next = begin;  // next trace row to stage
   for (std::size_t cur = begin; cur < end; ++cur) {
-    if (opts_.cancel != nullptr) opts_.cancel->check();
     const LazyWindow lw(trace, cur, begin, ring.data(), ring.size(), clock, rows);
     const std::size_t ctx = lw.context_count();
     if (cur == next) {
@@ -75,11 +74,11 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
         if (cur != begin) {
           // Compaction kernel: moves this instruction's live context rows
           // to the queue's tail (the paper skips retired ones).
-          dev_.launch(copy_stream, 2 * ctx * kRowBytes, 0, nullptr);
+          dev_.launch(copy_stream, 2 * ctx * kRowBytes, 0);
         }
         // One H2D transfer for the whole batch (the amortisation the design
         // buys).
-        dev_.copy_h2d(nullptr, nullptr, m * kRowBytes, copy_stream);
+        dev_.copy_h2d(m * kRowBytes, copy_stream);
         const double copy_end = dev_.record(copy_stream);
         acc.h2d += copy_end - copy_start;
         // Compute consumes the batch only once it has arrived. When

@@ -18,7 +18,6 @@
 
 #include <memory>
 
-#include "common/cancellation.h"
 #include "core/cost_model.h"
 #include "core/predictor.h"
 #include "core/sim_output.h"
@@ -38,9 +37,6 @@ struct GpuSimOptions {
   bool record_predictions = false;
   bool record_context_counts = false;
   CostModel costs;
-  /// Cooperative cancellation: polled once per instruction; a cancelled or
-  /// past-deadline run throws CancelledError. nullptr = never cancelled.
-  const CancelToken* cancel = nullptr;
 };
 
 class GpuSimulator {

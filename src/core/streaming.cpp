@@ -11,8 +11,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
                                 trace::LabeledTraceStream& stream,
                                 std::uint64_t total_instructions,
                                 std::size_t context_length,
-                                std::size_t chunk_size,
-                                const CancelToken* cancel) {
+                                std::size_t chunk_size) {
   check(context_length > 0, "context length must be positive");
   check(chunk_size > 0, "chunk size must be positive");
   StreamingResult res;
@@ -43,7 +42,6 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
       MLSIM_TRACE_SPAN("stream/predict");
       MLSIM_HIST_TIMER(obs::names::kStreamPredictNs);
       for (; local < buf.size(); ++local) {
-        if (cancel != nullptr) cancel->check();
         const LazyWindow lw(buf, local, /*oldest=*/0, ring.data(), cap, clock,
                             rows, dropped);
         const LatencyPrediction p = predictor.predict_lazy(lw);

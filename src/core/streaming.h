@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "common/cancellation.h"
 #include "core/predictor.h"
 #include "core/window.h"
 #include "trace/stream.h"
@@ -33,13 +32,10 @@ struct StreamingResult {
 /// Simulate `total_instructions` from the stream sequentially. Holds at
 /// most `chunk_size` + context_length trace rows in memory at any time and
 /// produces exactly the same predictions as materialising the whole trace.
-/// `cancel` (optional) is polled once per instruction; a cancelled or
-/// past-deadline run throws CancelledError.
 StreamingResult simulate_stream(LatencyPredictor& predictor,
                                 trace::LabeledTraceStream& stream,
                                 std::uint64_t total_instructions,
                                 std::size_t context_length,
-                                std::size_t chunk_size = 1 << 16,
-                                const CancelToken* cancel = nullptr);
+                                std::size_t chunk_size = 1 << 16);
 
 }  // namespace mlsim::core

@@ -1,7 +1,6 @@
 #include "device/device.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace mlsim::device {
 
@@ -14,19 +13,15 @@ StreamId Device::create_stream() {
   return streams_.size() - 1;
 }
 
-double Device::copy_h2d(void* dst, const void* src, std::size_t bytes,
-                        StreamId stream) {
+double Device::copy_h2d(std::size_t bytes, StreamId stream) {
   check_index(stream, streams_.size(), "stream id");
-  if (bytes > 0 && dst != nullptr && src != nullptr) std::memcpy(dst, src, bytes);
   streams_[stream] += spec_.h2d_time_us(bytes);
   return streams_[stream];
 }
 
-double Device::launch(StreamId stream, std::size_t bytes_moved, std::size_t flops,
-                      const std::function<void()>& fn, bool fp16) {
+double Device::launch(StreamId stream, std::size_t bytes_moved, std::size_t flops) {
   check_index(stream, streams_.size(), "stream id");
-  if (fn) fn();
-  streams_[stream] += spec_.kernel_time_us(bytes_moved, flops, fp16);
+  streams_[stream] += spec_.kernel_time_us(bytes_moved, flops);
   return streams_[stream];
 }
 

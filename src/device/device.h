@@ -1,15 +1,13 @@
 // Simulated GPU device: streams, events, async copies, kernels.
 //
-// Execution model: kernels run immediately on the host (their results are
-// real and unit-tested for bit-exactness), while each stream carries a
-// simulated-time cursor advanced by the GpuSpec cost model. Async semantics
-// — copy/compute overlap, double buffering, multi-stream pipelines — are
-// reproduced exactly in simulated time: an operation on stream S starts at
-// max(S.cursor, dependencies) and finishes start + cost.
+// A cost model only: copies and kernels move no data and run no code. Each
+// stream carries a simulated-time cursor advanced by the GpuSpec cost model.
+// Async semantics — copy/compute overlap, double buffering, multi-stream
+// pipelines — are reproduced exactly in simulated time: an operation on
+// stream S starts at max(S.cursor, dependencies) and finishes start + cost.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -27,15 +25,13 @@ class Device {
 
   StreamId create_stream();
 
-  /// Async H2D copy of `bytes` from `src` to `dst` on `stream`; performs the
-  /// real memcpy now, advances the stream cursor by the modeled time.
-  /// Returns the completion timestamp (µs).
-  double copy_h2d(void* dst, const void* src, std::size_t bytes, StreamId stream);
+  /// Async H2D copy of `bytes` on `stream`: advances the stream cursor by
+  /// the modeled transfer time. Returns the completion timestamp (µs).
+  double copy_h2d(std::size_t bytes, StreamId stream);
 
-  /// Launch a kernel: `fn` executes immediately; the stream cursor advances
-  /// by the modeled kernel time for (bytes_moved, flops).
-  double launch(StreamId stream, std::size_t bytes_moved, std::size_t flops,
-                const std::function<void()>& fn, bool fp16 = false);
+  /// Kernel launch on `stream`: advances the stream cursor by the modeled
+  /// kernel time for (bytes_moved, flops). Returns the completion timestamp.
+  double launch(StreamId stream, std::size_t bytes_moved, std::size_t flops);
 
   /// Advance a stream by an explicit cost (for composite modeled steps).
   double advance(StreamId stream, double cost_us);

@@ -33,10 +33,10 @@ double GpuSpec::h2d_time_us(std::size_t bytes) const {
   return h2d_lat_us + static_cast<double>(bytes) / (h2d_bw_gbps * 1e3);
 }
 
-double GpuSpec::kernel_time_us(std::size_t bytes_moved, std::size_t flops,
-                               bool fp16) const {
+double GpuSpec::kernel_time_us(std::size_t bytes_moved,
+                               std::size_t flops) const {
   const double mem_us = static_cast<double>(bytes_moved) / (dev_bw_gbps * 1e3);
-  const double tflops = (fp16 ? fp16_tflops : fp32_tflops) * compute_eff;
+  const double tflops = fp32_tflops * compute_eff;
   const double compute_us = static_cast<double>(flops) / (tflops * 1e6);
   return launch_us + std::max(mem_us, compute_us);
 }

@@ -1,8 +1,8 @@
 // GPU device specifications and the analytic cost model.
 //
-// This machine has no GPU, so the device layer *executes* all kernels on the
-// host (bit-exact results) while *accounting* time with a calibrated
-// analytic model. The model has three parts:
+// No GPU is needed: the predictors run on the host, and the device layer
+// only *accounts* time with a calibrated analytic model. The model has three
+// parts:
 //   - host<->device transfers: latency + bytes/bandwidth (throughput-
 //     oriented link, so per-byte cost falls with transfer size — the
 //     property the paper's pipelined batching exploits);
@@ -50,8 +50,7 @@ struct GpuSpec {
   double h2d_time_us(std::size_t bytes) const;
 
   /// Generic kernel: data movement + compute, overlapped (max), plus launch.
-  double kernel_time_us(std::size_t bytes_moved, std::size_t flops,
-                        bool fp16 = false) const;
+  double kernel_time_us(std::size_t bytes_moved, std::size_t flops) const;
 
   /// Inference time for a batch with the given per-batch FLOP count.
   /// `sparse_fraction` is the fraction of FLOPs eligible for 2:4 speedup.

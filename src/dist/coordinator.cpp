@@ -616,7 +616,7 @@ core::ParallelSimResult DistCoordinator::run(
       // the SIGTERM/SIGINT handler). One bounded read — never a drain-to-
       // EAGAIN loop, because the fd is allowed to be a plain blocking pipe.
       char buf[64];
-      [[maybe_unused]] const ssize_t n =
+      [[maybe_unused]] const ssize_t got =
           ::read(opts_.wake_fd, buf, sizeof(buf));
       drain_requested_ = true;
       drain_deadline_ =

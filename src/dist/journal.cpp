@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -128,9 +129,10 @@ JournalReplay RunJournal::replay(const std::filesystem::path& path,
   JournalReplay out;
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) return out;  // missing journal: nothing to resume
-  std::string data((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
   is.close();
+  const std::string data = std::move(bytes).str();
 
   const std::string context = "run journal " + path.string();
   std::size_t off = 0;

@@ -174,16 +174,11 @@ inline constexpr const char* kClusterWorkerDegraded =
 inline constexpr const char* kClusterWorkerBusyRatio =
     "cluster.worker.busy_ratio";
 
-// -- sweep (design-space-exploration engine, src/sweep/ and the service
-//    gateway in src/service/sweep.cpp; docs/SWEEPS.md) -----------------------
-// Sweeps started (one per lattice), and their per-point outcome counters.
+// -- sweep (design-space-exploration engine, src/sweep/; docs/SWEEPS.md) ----
+// Sweeps started (one per lattice), and their per-point progress counters.
 inline constexpr const char* kSweepRequests = "sweep.requests";
 inline constexpr const char* kSweepPointsTotal = "sweep.points_total";
 inline constexpr const char* kSweepPointsCompleted = "sweep.points_completed";
-// Service-path admission outcomes: points turned away typed (queue/quota/
-// shedding/deadline) vs points that ran and failed.
-inline constexpr const char* kSweepPointsRejected = "sweep.points_rejected";
-inline constexpr const char* kSweepPointsFailed = "sweep.points_failed";
 // Wall time per completed sweep point (trace acquisition + simulation).
 inline constexpr const char* kSweepPointNs = "sweep.point_ns";
 // Sweeps currently executing, and the Pareto-frontier size of the most
@@ -298,8 +293,6 @@ inline constexpr BuiltinMetric kBuiltinMetrics[] = {
     {kSweepRequests, MetricKind::kCounter},
     {kSweepPointsTotal, MetricKind::kCounter},
     {kSweepPointsCompleted, MetricKind::kCounter},
-    {kSweepPointsRejected, MetricKind::kCounter},
-    {kSweepPointsFailed, MetricKind::kCounter},
     {kSweepPointNs, MetricKind::kHistogram},
     {kSweepActive, MetricKind::kGauge},
     {kSweepParetoSize, MetricKind::kGauge},

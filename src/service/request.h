@@ -1,11 +1,12 @@
 // Request/response types of the resilient simulation service
 // (docs/SERVICE.md).
 //
-// A Request names a workload and an engine; the Response is a *typed*
-// outcome: every accepted request resolves to exactly one ResponseStatus —
-// never an uncaught exception, never a silently dropped future. Rejections
-// (admission control) resolve immediately; accepted requests resolve when a
-// worker finishes, the deadline fires, or the watchdog gives up on them.
+// A Request names a trace and the engine that runs it (parallel or
+// sequential); the Response is a *typed* outcome: every accepted request
+// resolves to exactly one ResponseStatus — never an uncaught exception,
+// never a silently dropped future. Rejections (admission control) resolve
+// immediately; accepted requests resolve when a worker finishes, the
+// deadline fires, or the watchdog gives up on them.
 #pragma once
 
 #include <chrono>
@@ -21,26 +22,17 @@ namespace mlsim::service {
 enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
 inline constexpr std::size_t kNumPriorities = 3;
 
-const char* to_string(Priority p);
-
 /// Which simulation engine serves the request.
 enum class EngineKind : std::uint8_t {
   kParallel,    // partitioned multi-GPU engine (default; fault-tolerant)
-  kGpu,         // single-device optimised engine
   kSequential,  // reference baseline
-  kStreaming,   // bounded-memory stream over a generated workload
 };
-
-const char* to_string(EngineKind e);
 
 struct Request {
   // ---- workload ------------------------------------------------------------
-  /// Trace to simulate (kParallel/kGpu/kSequential). Must outlive the
-  /// request's resolution; the service never copies it.
+  /// Trace to simulate. Must outlive the request's resolution; the service
+  /// never copies it.
   const trace::EncodedTrace* trace = nullptr;
-  /// Workload for kStreaming (generated on the worker; `trace` is ignored).
-  std::string benchmark;
-  std::uint64_t stream_instructions = 0;
 
   // ---- scheduling ----------------------------------------------------------
   Priority priority = Priority::kNormal;

@@ -4,38 +4,14 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/gpu_sim.h"
-#include "obs/flight_recorder.h"
 #include "core/parallel_sim.h"
 #include "core/sequential_sim.h"
-#include "core/streaming.h"
-#include "device/device.h"
+#include "obs/flight_recorder.h"
 #include "obs/obs.h"
-#include "trace/stream.h"
-#include "trace/workload.h"
 
 namespace mlsim::service {
 
 using Clock = std::chrono::steady_clock;
-
-const char* to_string(Priority p) {
-  switch (p) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kLow: return "low";
-  }
-  return "unknown";
-}
-
-const char* to_string(EngineKind e) {
-  switch (e) {
-    case EngineKind::kParallel: return "parallel";
-    case EngineKind::kGpu: return "gpu";
-    case EngineKind::kSequential: return "sequential";
-    case EngineKind::kStreaming: return "streaming";
-  }
-  return "unknown";
-}
 
 const char* to_string(ResponseStatus s) {
   switch (s) {
@@ -114,18 +90,6 @@ void SimulationService::shutdown() {
     stopping_ = true;
   }
   cv_.notify_all();
-  // Sweep orchestrators first, while the workers still run: their
-  // outstanding point requests drain through the queue, and any submission
-  // they attempt after this point resolves kCancelled immediately, so every
-  // sweep future resolves before a worker goes away.
-  std::vector<std::thread> sweeps;
-  {
-    std::lock_guard lk(mu_);
-    sweeps.swap(sweep_threads_);
-  }
-  for (auto& t : sweeps) {
-    if (t.joinable()) t.join();
-  }
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -585,19 +549,6 @@ void SimulationService::run_request(const RequestState& st,
         }
         break;
       }
-      case EngineKind::kGpu: {
-        check(req.trace != nullptr, "gpu request needs a trace");
-        device::Device dev;
-        core::GpuSimOptions go;
-        go.context_length = req.context_length;
-        go.cancel = &token;
-        core::GpuSimulator sim(pred, dev, go);
-        const auto out = sim.run(*req.trace);
-        rsp.total_cycles = out.cycles;
-        rsp.instructions = out.instructions;
-        rsp.cpi = out.cpi();
-        break;
-      }
       case EngineKind::kSequential: {
         check(req.trace != nullptr, "sequential request needs a trace");
         core::SequentialSimOptions so;
@@ -608,20 +559,6 @@ void SimulationService::run_request(const RequestState& st,
         rsp.total_cycles = out.cycles;
         rsp.instructions = out.instructions;
         rsp.cpi = out.cpi();
-        break;
-      }
-      case EngineKind::kStreaming: {
-        check(!req.benchmark.empty(), "streaming request needs a benchmark");
-        check(req.stream_instructions > 0,
-              "streaming request needs stream_instructions > 0");
-        trace::LabeledTraceStream stream(trace::find_workload(req.benchmark));
-        const auto r = core::simulate_stream(pred, stream,
-                                             req.stream_instructions,
-                                             req.context_length,
-                                             std::size_t{1} << 14, &token);
-        rsp.total_cycles = r.predicted_cycles;
-        rsp.instructions = static_cast<std::size_t>(r.instructions);
-        rsp.cpi = r.cpi();
         break;
       }
     }
@@ -692,12 +629,7 @@ std::string SimulationService::health_json(std::size_t last_errors) const {
      << ",\"cancelled\":" << stats_.cancelled << ",\"hung\":" << stats_.hung
      << ",\"hangs_detected\":" << stats_.hangs_detected
      << ",\"hang_requeues\":" << stats_.hang_requeues
-     << ",\"degraded\":" << stats_.degraded
-     << ",\"sweeps\":{\"submitted\":" << sweeps_submitted_
-     << ",\"active\":" << sweeps_active_
-     << ",\"completed\":" << sweeps_completed_
-     << ",\"points_total\":" << sweep_points_total_
-     << ",\"points_done\":" << sweep_points_done_ << '}';
+     << ",\"degraded\":" << stats_.degraded;
   if (last_errors > 0) {
     os << ",\"last_errors\":" << obs::flight::last_errors_json(last_errors);
   }

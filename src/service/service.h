@@ -1,7 +1,7 @@
 // Resilient batch-simulation service (docs/SERVICE.md).
 //
-// Wraps the simulation engines (parallel, single-GPU, sequential, streaming)
-// behind a request API hardened for continuous operation:
+// Wraps the parallel and sequential simulation engines behind a request API
+// hardened for continuous operation:
 //
 //   admission control — a bounded priority queue; submit() resolves
 //       immediately with a typed Rejected{QueueFull|Overload|Shedding}
@@ -43,7 +43,6 @@
 #include "service/circuit_breaker.h"
 #include "service/remote.h"
 #include "service/request.h"
-#include "service/sweep.h"
 
 namespace mlsim::service {
 
@@ -117,20 +116,6 @@ class SimulationService {
   /// if the id is unknown or already resolved.
   bool cancel(std::uint64_t id);
 
-  struct SweepTicket {
-    std::uint64_t id = 0;
-    std::future<SweepOutcome> future;
-  };
-
-  /// Fan a config lattice out as per-point kParallel requests and reduce
-  /// the completed points to a ranked SweepReport (docs/SWEEPS.md). The
-  /// spec is validated here — an invalid lattice or unknown benchmark
-  /// throws CheckError before any work is queued. Points ride the normal
-  /// admission path (waves bounded by queue capacity and tenant quota);
-  /// per-point rejections and failures are counted in the outcome, never
-  /// dropped. Always resolves, including across shutdown().
-  SweepTicket submit_sweep(SweepRequest req);
-
   /// Stop accepting, drain the queue, join workers and watchdog. Idempotent;
   /// also called by the destructor.
   void shutdown();
@@ -198,9 +183,6 @@ class SimulationService {
 
   void worker_loop(std::size_t slot_index);
   void watchdog_loop();
-  /// Orchestrator body of one sweep (its own thread; service/sweep.cpp).
-  void sweep_loop(std::uint64_t sweep_id, SweepRequest req,
-                  std::shared_ptr<std::promise<SweepOutcome>> promise);
   /// Run the request's engine; fills the simulation fields of `rsp`.
   void run_request(const RequestState& st, const CancelToken& token,
                    Response& rsp);
@@ -232,15 +214,6 @@ class SimulationService {
   std::vector<WorkerSlot> slots_;
   std::vector<std::thread> workers_;
   std::thread watchdog_;
-  /// One orchestrator thread per accepted sweep; joined first in shutdown()
-  /// (their outstanding point requests drain through the workers).
-  std::vector<std::thread> sweep_threads_;
-  // Sweep progress, under mu_ (surfaced by health_json).
-  std::uint64_t sweeps_submitted_ = 0;
-  std::uint64_t sweeps_active_ = 0;
-  std::uint64_t sweeps_completed_ = 0;
-  std::uint64_t sweep_points_total_ = 0;
-  std::uint64_t sweep_points_done_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t busy_ = 0;
   Stats stats_;

@@ -80,8 +80,8 @@ struct SweepReport {
 /// model — a fixed, monotone cost axis for Pareto ranking.
 double area_proxy(const uarch::MachineConfig& m);
 
-/// Fill `on_frontier`/`frontier`/`sensitivity` from `report.points`. Shared
-/// by run_sweep() and the service gateway (which reduces after fan-out).
+/// Fill `on_frontier`/`frontier`/`sensitivity` from `report.points`;
+/// run_sweep() calls it once every point has run.
 void rank_report(SweepReport& report, const SweepSpec& spec);
 
 /// Expand, simulate, and rank the full lattice. Throws CheckError on an

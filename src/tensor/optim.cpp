@@ -30,11 +30,14 @@ void Adam::step() {
   if (cfg_.grad_clip > 0.0f) {
     double norm2 = 0.0;
     for (const auto& p : params_) {
-      for (float g : *p.grad) norm2 += static_cast<double>(g) * g;
+      for (float g : *p.grad) {
+        norm2 += static_cast<double>(g) * static_cast<double>(g);
+      }
     }
     const double norm = std::sqrt(norm2);
-    if (norm > cfg_.grad_clip) {
-      clip_scale = static_cast<float>(cfg_.grad_clip / norm);
+    const double clip = static_cast<double>(cfg_.grad_clip);
+    if (norm > clip) {
+      clip_scale = static_cast<float>(clip / norm);
     }
   }
   const float bc1 = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));

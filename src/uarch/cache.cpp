@@ -196,7 +196,7 @@ CacheAccessResult Cache::access(std::uint64_t addr, std::uint64_t now,
       }
     }
   }
-  check(slot != nullptr, "MSHR allocation failed");
+  if (slot == nullptr) [[unlikely]] throw CheckError("MSHR allocation failed");
   const std::uint64_t ready = fill_ready + (start - now);
   slot->busy = true;
   slot->line_addr = laddr;

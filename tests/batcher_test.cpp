@@ -589,19 +589,10 @@ std::vector<std::uint64_t> service_burst(bool batching,
     par.engine = EngineKind::kParallel;
     par.num_subtraces = 4;
     tickets.push_back(svc.submit(std::move(par)));
-    Request gpu;
-    gpu.trace = &tr;
-    gpu.engine = EngineKind::kGpu;
-    tickets.push_back(svc.submit(std::move(gpu)));
     Request seq;
     seq.trace = &tr;
     seq.engine = EngineKind::kSequential;
     tickets.push_back(svc.submit(std::move(seq)));
-    Request stream;
-    stream.engine = EngineKind::kStreaming;
-    stream.benchmark = "mcf";
-    stream.stream_instructions = 2000;
-    tickets.push_back(svc.submit(std::move(stream)));
   }
   std::vector<std::uint64_t> cycles;
   for (auto& t : tickets) {
@@ -612,7 +603,7 @@ std::vector<std::uint64_t> service_burst(bool batching,
   return cycles;
 }
 
-// Batching on vs off is invisible in results for every engine kind.
+// Batching on vs off is invisible in results for both request kinds.
 TEST(Batcher, ServiceResultsIdenticalWithBatchingOnAndOff) {
   const trace::EncodedTrace tr = make_trace("mcf", 2000);
   EXPECT_EQ(service_burst(true, tr), service_burst(false, tr));

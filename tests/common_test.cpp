@@ -141,7 +141,9 @@ TEST(Half, RoundTripAccuracy) {
     const float x = static_cast<float>(r.uniform() * 200.0 - 100.0);
     const float q = quantize_to_half(x);
     // half has ~11 bits of mantissa: relative error < 2^-11.
-    EXPECT_NEAR(q, x, std::abs(x) * 0.0005 + 1e-6f);
+    EXPECT_NEAR(q, x,
+                static_cast<double>(std::abs(x)) * 0.0005 +
+                    static_cast<double>(1e-6f));
   }
 }
 

@@ -48,7 +48,9 @@ TEST(SequentialSim, DeterministicAcrossRuns) {
 TEST(SequentialSim, SubrangeSimulation) {
   trace::EncodedTrace tr = small_trace();
   AnalyticPredictor pred;
-  SequentialSimulator sim(pred, {.context_length = 8});
+  SequentialSimOptions opts;
+  opts.context_length = 8;
+  SequentialSimulator sim(pred, opts);
   const SimOutput out = sim.run(tr, 100, 600);
   EXPECT_EQ(out.instructions, 500u);
   EXPECT_THROW(sim.run(tr, 10, tr.size() + 1), CheckError);

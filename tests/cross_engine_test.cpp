@@ -106,8 +106,12 @@ TEST(CrossEngine, SuiteMatchesIndividualRuns) {
 
   const auto report = run_suite(pred, {{&a, "xz"}, {&b, "exch"}}, 2, opts);
   for (const auto& j : report.jobs) {
-    if (j.name == "xz") EXPECT_DOUBLE_EQ(j.cpi, ra.cpi());
-    if (j.name == "exch") EXPECT_DOUBLE_EQ(j.cpi, rb.cpi());
+    if (j.name == "xz") {
+      EXPECT_DOUBLE_EQ(j.cpi, ra.cpi());
+    }
+    if (j.name == "exch") {
+      EXPECT_DOUBLE_EQ(j.cpi, rb.cpi());
+    }
   }
 }
 

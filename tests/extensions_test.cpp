@@ -348,7 +348,9 @@ TEST(SuiteScheduler, RunSuiteReportsPerJobAndMakespan) {
     if (j.name == "mcf") mcf_dev = j.device;
   }
   for (const auto& j : report.jobs) {
-    if (j.name != "mcf") EXPECT_NE(j.device, mcf_dev);
+    if (j.name != "mcf") {
+      EXPECT_NE(j.device, mcf_dev);
+    }
   }
 }
 

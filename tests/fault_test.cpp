@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 
 #include "common/artifacts.h"
 #include "common/check.h"
@@ -490,7 +491,9 @@ struct CrashedRun {
 
 std::string read_file(const fs::path& path) {
   std::ifstream f(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+  std::ostringstream all;
+  all << f.rdbuf();
+  return std::move(all).str();
 }
 
 TEST(Checkpoint, EveryPrefixAndTrailingByteIsRejected) {

@@ -20,8 +20,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,8 +289,9 @@ TEST(RunJournal, OlderEnvelopeVersionIsDroppedLenientlyAndFatalStrictly) {
   std::string bytes;
   {
     std::ifstream f(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(f),
-                 std::istreambuf_iterator<char>());
+    std::ostringstream all;
+    all << f.rdbuf();
+    bytes = std::move(all).str();
   }
   const std::uint32_t v1 = 1;
   std::size_t records = 0;

@@ -180,8 +180,7 @@ TEST(MetricLint, SweepMetricsAreDeclared) {
   }
   for (const char* required :
        {"sweep.requests", "sweep.points_total", "sweep.points_completed",
-        "sweep.points_rejected", "sweep.points_failed", "sweep.point_ns",
-        "sweep.active", "sweep.pareto_size"}) {
+        "sweep.point_ns", "sweep.active", "sweep.pareto_size"}) {
     EXPECT_EQ(names.count(required), 1u)
         << "expected metric '" << required << "' to be declared";
   }

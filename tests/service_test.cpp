@@ -17,6 +17,7 @@
 #include "core/analytic_predictor.h"
 #include "core/cnn_predictor.h"
 #include "core/parallel_sim.h"
+#include "core/sequential_sim.h"
 #include "core/simnet_trainer.h"
 #include "device/fault.h"
 #include "obs/metric_names.h"
@@ -242,45 +243,38 @@ TEST(CircuitBreaker, NoVerdictReleasesTheProbeSlot) {
 // Service: happy path
 // ---------------------------------------------------------------------------
 
-TEST(Service, CompletesRequestsOnEveryEngine) {
+TEST(Service, CompletesBothRequestKindsAndMatchesSequentialEngine) {
   const trace::EncodedTrace tr = make_trace("mcf", 3000);
   core::AnalyticPredictor primary, fallback;
   SimulationService svc(primary, fallback, {});
 
   Request par = parallel_request(tr);
-  Request gpu = parallel_request(tr);
-  gpu.engine = EngineKind::kGpu;
   Request seq = parallel_request(tr);
   seq.engine = EngineKind::kSequential;
-  Request stream;
-  stream.engine = EngineKind::kStreaming;
-  stream.benchmark = "mcf";
-  stream.stream_instructions = 4000;
 
   auto tp = svc.submit(std::move(par));
-  auto tg = svc.submit(std::move(gpu));
-  auto ts = svc.submit(std::move(seq));
-  auto tt = svc.submit(std::move(stream));
+  auto ts = svc.submit(seq);
   const Response rp = tp.future.get();
-  const Response rg = tg.future.get();
   const Response rs = ts.future.get();
-  const Response rt = tt.future.get();
 
-  for (const Response* r : {&rp, &rg, &rs, &rt}) {
+  for (const Response* r : {&rp, &rs}) {
     EXPECT_EQ(r->status, ResponseStatus::kCompleted) << r->error;
     EXPECT_GT(r->total_cycles, 0u);
     EXPECT_GT(r->instructions, 0u);
     EXPECT_FALSE(r->degraded);
   }
-  // The optimised single-device engine is functionally identical to the
-  // sequential baseline.
-  EXPECT_EQ(rg.total_cycles, rs.total_cycles);
-  EXPECT_EQ(rt.instructions, 4000u);
+  // A sequential request is the sequential engine run directly on the same
+  // trace and context length.
+  core::SequentialSimOptions so;
+  so.context_length = seq.context_length;
+  const auto direct = core::SequentialSimulator(primary, so).run(tr);
+  EXPECT_EQ(rs.total_cycles, direct.cycles);
+  EXPECT_EQ(rs.instructions, direct.instructions);
 
   const auto st = svc.stats();
-  EXPECT_EQ(st.submitted, 4u);
-  EXPECT_EQ(st.accepted, 4u);
-  EXPECT_EQ(st.completed, 4u);
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.accepted, 2u);
+  EXPECT_EQ(st.completed, 2u);
   EXPECT_EQ(st.rejected(), 0u);
 }
 

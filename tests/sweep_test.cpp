@@ -1,28 +1,28 @@
 // Sweep-subsystem tests (docs/SWEEPS.md): lattice expansion order and
 // validation, Pareto ranking and per-axis sensitivity on a synthetic
 // frontier, bit-identity of a sweep point against a standalone run of the
-// same configuration, cluster fan-out with a repeated lattice served 100%
-// from the coordinator's result cache, the service sweep gateway, and the
-// wire round-trip of SweepRequest.
+// same configuration, the sweep.* metrics of an in-process run, and cluster
+// fan-out with a repeated lattice served 100% from the coordinator's result
+// cache.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/check.h"
-#include "core/analytic_predictor.h"
 #include "core/metrics.h"
 #include "core/simulator.h"
 #include "dist/coordinator.h"
 #include "dist/worker.h"
 #include "net/socket.h"
-#include "service/service.h"
-#include "service/sweep.h"
+#include "obs/metric_names.h"
+#include "obs/obs.h"
+#include "obs/registry.h"
 #include "sweep/lattice.h"
 #include "sweep/sweep.h"
 #include "uarch/config.h"
@@ -240,6 +240,41 @@ TEST(Sweep, PointsBitIdenticalToStandaloneRuns) {
   }
 }
 
+// run_sweep is the only writer of the sweep.* metrics: one request, one
+// progress count and one latency sample per point, and an active gauge back
+// at zero whether the sweep completes or is cancelled.
+TEST(Sweep, MetricsCountEveryPoint) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "stripped build";
+  obs::set_enabled(true);
+  obs::Registry& reg = obs::default_registry();
+  reg.reset();
+
+  SweepSpec spec;
+  spec.benchmark = "xz";
+  spec.instructions = 2000;
+  spec.axes.push_back({"l2.size_kb", {"256", "512"}});
+  spec.axes.push_back({"l1d.replacement", {"lru", "drrip"}});
+  SweepOptions so;
+  so.use_trace_cache = false;
+  const SweepReport rep = run_sweep(spec, so);
+  ASSERT_EQ(rep.points.size(), 4u);
+
+  EXPECT_EQ(reg.counter(obs::names::kSweepRequests).value(), 1u);
+  EXPECT_EQ(reg.counter(obs::names::kSweepPointsTotal).value(), 4u);
+  EXPECT_EQ(reg.counter(obs::names::kSweepPointsCompleted).value(), 4u);
+  EXPECT_EQ(reg.histogram(obs::names::kSweepPointNs).count(), 4u);
+  EXPECT_EQ(reg.gauge(obs::names::kSweepActive).value(), 0.0);
+  EXPECT_EQ(reg.gauge(obs::names::kSweepParetoSize).value(),
+            static_cast<double>(rep.frontier.size()));
+
+  CancelSource cancelled;
+  cancelled.cancel();
+  const CancelToken token = cancelled.token();
+  so.cancel = &token;
+  EXPECT_THROW(run_sweep(spec, so), CancelledError);
+  EXPECT_EQ(reg.gauge(obs::names::kSweepActive).value(), 0.0);
+}
+
 TEST(DistSweep, RepeatedLatticeServedEntirelyFromResultCache) {
   dist::CoordinatorOptions co;
   co.min_workers = 1;
@@ -296,117 +331,6 @@ TEST(DistSweep, RepeatedLatticeServedEntirelyFromResultCache) {
 
   coord.shutdown_workers();
   worker.join();
-}
-
-TEST(ServiceSweep, EndToEndThroughAdmissionAndHealth) {
-  core::AnalyticPredictor primary, fallback;
-  service::ServiceOptions opts;
-  opts.num_workers = 2;
-  opts.queue_capacity = 4;
-  service::SimulationService svc(primary, fallback, opts);
-
-  service::SweepRequest req;
-  req.spec.benchmark = "xz";
-  req.spec.instructions = 8000;
-  req.spec.axes.push_back({"l2.size_kb", {"256", "1024"}});
-  req.num_subtraces = 2;
-  req.context_length = 16;
-  auto ticket = svc.submit_sweep(req);
-  const service::SweepOutcome out = ticket.future.get();
-  EXPECT_TRUE(out.ok()) << (out.errors.empty() ? "" : out.errors.front());
-  EXPECT_EQ(out.points_total, 2u);
-  EXPECT_EQ(out.completed, 2u);
-  EXPECT_EQ(out.rejected, 0u);
-  EXPECT_EQ(out.failed, 0u);
-  ASSERT_EQ(out.report.points.size(), 2u);
-  EXPECT_FALSE(out.report.frontier.empty());
-  for (const auto& p : out.report.points) EXPECT_GT(p.cpi, 0.0);
-
-  const std::string h = svc.health_json();
-  EXPECT_NE(h.find("\"sweeps\""), std::string::npos) << h;
-  EXPECT_NE(h.find("\"points_done\":2"), std::string::npos) << h;
-}
-
-TEST(ServiceSweep, SubmitValidatesUpfront) {
-  core::AnalyticPredictor primary, fallback;
-  service::SimulationService svc(primary, fallback, {});
-  service::SweepRequest req;
-  req.spec.benchmark = "no-such-workload";
-  req.spec.instructions = 1000;
-  EXPECT_THROW(svc.submit_sweep(req), CheckError);
-  req.spec.benchmark = "xz";
-  req.spec.axes.push_back({"l2.size_kb", {"512"}});
-  req.spec.axes.push_back({"l2.size_kb", {"1024"}});
-  EXPECT_THROW(svc.submit_sweep(req), CheckError);
-}
-
-TEST(WireSweep, RequestRoundTrip) {
-  service::SweepRequest req;
-  req.spec.benchmark = "xz";
-  req.spec.instructions = 40000;
-  req.spec.axes.push_back({"l2.size_kb", {"512", "1024"}});
-  req.spec.axes.push_back({"bp.kind", {"gshare", "local"}});
-  req.num_subtraces = 8;
-  req.num_gpus = 2;
-  req.context_length = 48;
-  req.recovery = false;
-  req.seed = 7;
-  req.priority = service::Priority::kHigh;
-  req.tenant = "team-a";
-  req.deadline = std::chrono::milliseconds(1500);
-
-  const std::string enc = req.encode();
-  const service::SweepRequest dec = service::SweepRequest::decode(enc);
-  EXPECT_EQ(dec.spec.benchmark, "xz");
-  EXPECT_EQ(dec.spec.instructions, 40000u);
-  ASSERT_EQ(dec.spec.axes.size(), 2u);
-  EXPECT_EQ(dec.spec.axes[1].key, "bp.kind");
-  EXPECT_EQ(dec.spec.axes[1].values,
-            (std::vector<std::string>{"gshare", "local"}));
-  EXPECT_EQ(dec.num_subtraces, 8u);
-  EXPECT_EQ(dec.num_gpus, 2u);
-  EXPECT_EQ(dec.context_length, 48u);
-  EXPECT_FALSE(dec.recovery);
-  EXPECT_EQ(dec.seed, 7u);
-  EXPECT_EQ(dec.priority, service::Priority::kHigh);
-  EXPECT_EQ(dec.tenant, "team-a");
-  EXPECT_EQ(dec.deadline.count(), 1500);
-}
-
-TEST(WireSweep, CorruptionAndTruncationAreTyped) {
-  service::SweepRequest req;
-  req.spec.benchmark = "xz";
-  req.spec.instructions = 1000;
-  req.spec.axes.push_back({"l2.size_kb", {"512"}});
-  const std::string enc = req.encode();
-
-  std::string flipped = enc;
-  flipped[flipped.size() / 2] ^= 0x40;
-  EXPECT_THROW(service::SweepRequest::decode(flipped), CheckError);
-
-  EXPECT_THROW(
-      service::SweepRequest::decode(std::string_view(enc).substr(0, 12)),
-      CheckError);
-}
-
-// A deadline arrives as raw int64 milliseconds: a negative one, or one that
-// overflows the nanoseconds a point request carries, is a typed error.
-TEST(WireSweep, NegativeDeadlineIsTyped) {
-  service::SweepRequest req;
-  req.spec = two_axis_spec();
-  req.deadline = std::chrono::milliseconds(-5);
-  EXPECT_THROW(service::SweepRequest::decode(req.encode()), CheckError);
-}
-
-TEST(WireSweep, DeadlineBeyondNanosecondsIsTyped) {
-  service::SweepRequest req;
-  req.spec = two_axis_spec();
-  req.deadline = std::chrono::milliseconds(
-      std::numeric_limits<std::int64_t>::max() / 2);
-  EXPECT_THROW(service::SweepRequest::decode(req.encode()), CheckError);
-  core::AnalyticPredictor primary, fallback;
-  service::SimulationService svc(primary, fallback, {});
-  EXPECT_THROW(svc.submit_sweep(req), CheckError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -73,8 +74,11 @@ void grad_check(std::vector<Param> params, const Forward& fwd, const Backward& b
       Tensor g2;
       const float l2 = mse_loss(fwd(x), target, g2);
       (*p.value)[idx] = orig;
-      const double numeric = (static_cast<double>(l1) - l2) / (2.0 * h);
-      const double denom = std::max(1.0, std::abs(numeric) + std::abs(analytic));
+      const double numeric =
+          (static_cast<double>(l1) - static_cast<double>(l2)) /
+          (2.0 * static_cast<double>(h));
+      const double denom = std::max(
+          1.0, std::abs(numeric) + static_cast<double>(std::abs(analytic)));
       EXPECT_NEAR(analytic, numeric, tol * denom)
           << "param block entry " << idx;
     }
@@ -153,7 +157,9 @@ TEST(Conv1D, InputGradientCheck) {
     xp.at(idx) = orig - h;
     Tensor g2;
     const float l2 = mse_loss(conv.forward(xp), target, g2);
-    const double numeric = (static_cast<double>(l1) - l2) / (2.0 * h);
+    const double numeric =
+        (static_cast<double>(l1) - static_cast<double>(l2)) /
+        (2.0 * static_cast<double>(h));
     EXPECT_NEAR(gx.at(idx), numeric, 2e-2 * std::max(1.0, std::abs(numeric)));
   }
 }
@@ -594,7 +600,9 @@ class ModelFile : public ::testing::Test {
                 17)
         .save(path_);
     std::ifstream is(path_, std::ios::binary);
-    bytes_.assign(std::istreambuf_iterator<char>(is), {});
+    std::ostringstream all;
+    all << is.rdbuf();
+    bytes_ = std::move(all).str();
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
