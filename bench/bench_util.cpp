@@ -63,27 +63,23 @@ core::SimNetBundle trained_bundle(std::size_t window,
                                   std::size_t train_instructions) {
   std::ostringstream name;
   name << "simnet_w" << window << "_n" << train_instructions << ".bundle";
-  if (artifact_exists(name.str())) {
-    return core::SimNetBundle::load(artifact_path(name.str()));
-  }
-  std::cout << "[training SimNet bundle on {perl,gcc,bwav,namd}, window="
-            << window << ", " << train_instructions << " instr/benchmark...]\n";
-  std::vector<trace::EncodedTrace> traces;
-  std::vector<const trace::EncodedTrace*> ptrs;
-  for (const auto& abbr : trace::train_benchmarks()) {
-    traces.push_back(core::labeled_trace(abbr, train_instructions));
-  }
-  for (const auto& t : traces) ptrs.push_back(&t);
-  core::SimNetTrainConfig cfg;
-  cfg.model.window = window;
-  core::SimNetTrainReport report;
-  core::SimNetBundle bundle = core::train_simnet(ptrs, cfg, &report);
-  std::cout << "[trained: loss=" << report.final_loss
-            << " holdout fetch MAPE=" << report.holdout_mape_fetch << "%]\n";
-  artifact_commit(name.str(), [&bundle](const std::filesystem::path& p) {
-    bundle.save(p);
+  return cached_artifact<core::SimNetBundle>(name.str(), [&] {
+    std::cout << "[training SimNet bundle on {perl,gcc,bwav,namd}, window="
+              << window << ", " << train_instructions << " instr/benchmark...]\n";
+    std::vector<trace::EncodedTrace> traces;
+    std::vector<const trace::EncodedTrace*> ptrs;
+    for (const auto& abbr : trace::train_benchmarks()) {
+      traces.push_back(core::labeled_trace(abbr, train_instructions));
+    }
+    for (const auto& t : traces) ptrs.push_back(&t);
+    core::SimNetTrainConfig cfg;
+    cfg.model.window = window;
+    core::SimNetTrainReport report;
+    core::SimNetBundle bundle = core::train_simnet(ptrs, cfg, &report);
+    std::cout << "[trained: loss=" << report.final_loss
+              << " holdout fetch MAPE=" << report.holdout_mape_fetch << "%]\n";
+    return bundle;
   });
-  return bundle;
 }
 
 double sequential_ml_cpi(core::LatencyPredictor& pred,

@@ -34,9 +34,8 @@ int main(int argc, char** argv) {
   // requires sparse fine-tuning (projected training) to hold accuracy —
   // the compressed bundle is cached after the first run.
   core::SimNetBundle fp32 = bench::trained_bundle();
-  core::SimNetBundle compressed = [&] {
-    const std::string name = "simnet_w33_n30000_24sparse.bundle";
-    if (artifact_exists(name)) return core::SimNetBundle::load(artifact_path(name));
+  core::SimNetBundle compressed = cached_artifact<core::SimNetBundle>(
+      "simnet_w33_n30000_24sparse.bundle", [&] {
     std::printf("[2:4 fine-tuning (projected training, 1 epoch)...]\n");
     core::SimNetBundle b = bench::trained_bundle();
     std::vector<trace::EncodedTrace> traces;
@@ -47,9 +46,8 @@ int main(int argc, char** argv) {
     for (const auto& tr : traces) ptrs.push_back(&tr);
     core::finetune_2to4(b, ptrs);
     tensor::quantize_model_half(b.model);
-    b.save(artifact_path(name));
     return b;
-  }();
+  });
 
   const auto test = core::labeled_trace("xz", std::max<std::size_t>(args.instructions, 2000));
   const float loss32 = core::evaluate_loss(fp32, test, args.instructions);

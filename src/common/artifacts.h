@@ -1,18 +1,19 @@
 // Artifact cache: benches and examples share expensive intermediates (trained
-// model weights, labeled traces) via a directory of versioned files so a
-// multi-binary run trains once, not per binary.
+// SimNet bundles, labeled traces) via a directory of files so a multi-binary
+// run trains once, not per binary.
 //
-// Writes are hardened (docs/RESILIENCE.md): artifacts are produced at a
-// temporary path and renamed into place atomically, with an FNV-1a checksum
-// sidecar (`<name>.sum`), so a killed writer never leaves a half-written
-// file that a later run would trust.
+// Each artifact is a sealed wire envelope (src/common/wire.h) that its own
+// save() writes atomically, so a killed writer never leaves a half-written
+// file, and its load() rejects a truncated, bit-flipped or older-format file
+// with a CheckError. cached_artifact() counts such a file, like a missing
+// one, as a miss: it regenerates the value and overwrites the file
+// (docs/RESILIENCE.md).
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <string>
-#include <string_view>
+
+#include "common/check.h"
 
 namespace mlsim {
 
@@ -24,29 +25,20 @@ std::filesystem::path artifact_dir();
 /// Path for a named artifact under artifact_dir() (not created).
 std::filesystem::path artifact_path(const std::string& name);
 
-/// True if a cached artifact with this name exists, is non-empty, and — when
-/// a checksum sidecar is present — matches its recorded checksum.
-bool artifact_exists(const std::string& name);
-
-/// True if `name`'s checksum sidecar exists and matches the file content.
-/// Artifacts without a sidecar (written by older builds or by hand) pass.
-bool artifact_checksum_ok(const std::string& name);
-
-/// Produce an artifact atomically: `write(tmp)` creates the file at a
-/// temporary path in the artifact dir; it is then checksummed (sidecar
-/// `<name>.sum`) and renamed into place. If `write` throws, the temporary
-/// is removed and nothing is published.
-void artifact_commit(
-    const std::string& name,
-    const std::function<void(const std::filesystem::path&)>& write);
-
-/// FNV-1a of a whole file. Throws IoError if the file cannot be read.
-std::uint64_t file_checksum(const std::filesystem::path& path);
-
-/// Write `bytes` to `path` atomically (temp file in the same directory +
-/// rename). Throws IoError on any filesystem failure; the temp file never
-/// survives an error.
-void write_file_atomic(const std::filesystem::path& path,
-                       std::string_view bytes);
+/// The artifact `name` as `T::load` reads it; when the file is missing
+/// (IoError) or invalid (CheckError), `make()`'s value, which `save`
+/// writes over the file before it is returned.
+template <typename T, typename Make>
+T cached_artifact(const std::string& name, Make make) {
+  const std::filesystem::path path = artifact_path(name);
+  try {
+    return T::load(path);
+  } catch (const IoError&) {
+  } catch (const CheckError&) {
+  }
+  T value = make();
+  value.save(path);
+  return value;
+}
 
 }  // namespace mlsim

@@ -2,8 +2,8 @@
 // library consumers (and tests) can observe contract violations.
 #pragma once
 
+#include <cstddef>
 #include <source_location>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -40,25 +40,26 @@ class QueueFullError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Throw the CheckError of a failed check ("<file>:<line> check failed:
+/// <msg>") or check_index ("<file>:<line> index check failed: <what> = <v>
+/// must be < <hi>"). Out of line and cold, so a check site inlines to its
+/// compare and one call on the failure path.
+[[noreturn, gnu::cold]] void check_failed(std::string_view msg,
+                                          std::source_location loc);
+[[noreturn, gnu::cold]] void check_index_failed(std::string_view what, std::size_t v,
+                                                std::size_t hi,
+                                                std::source_location loc);
+
 /// Verify `cond`; throw CheckError annotated with the call site otherwise.
 inline void check(bool cond, std::string_view msg,
                   std::source_location loc = std::source_location::current()) {
-  if (!cond) [[unlikely]] {
-    std::ostringstream os;
-    os << loc.file_name() << ':' << loc.line() << " check failed: " << msg;
-    throw CheckError(os.str());
-  }
+  if (!cond) [[unlikely]] check_failed(msg, loc);
 }
 
 /// Verify `lo <= v < hi` for index-style arguments.
 inline void check_index(std::size_t v, std::size_t hi, std::string_view what,
                         std::source_location loc = std::source_location::current()) {
-  if (v >= hi) [[unlikely]] {
-    std::ostringstream os;
-    os << loc.file_name() << ':' << loc.line() << " index check failed: " << what
-       << " = " << v << " must be < " << hi;
-    throw CheckError(os.str());
-  }
+  if (v >= hi) [[unlikely]] check_index_failed(what, v, hi, loc);
 }
 
 }  // namespace mlsim

@@ -1,9 +1,11 @@
 #include "common/wire.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <fstream>
-
-#include "common/artifacts.h"
 
 namespace mlsim::wire {
 
@@ -28,6 +30,15 @@ std::uint64_t load_word(const char* p) {
   return w;
 }
 
+// Unique per (process, call) so concurrent writers of one path never
+// clobber each other's in-flight files.
+std::filesystem::path temp_sibling(const std::filesystem::path& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  return path.parent_path() /
+         (path.filename().string() + ".tmp." + std::to_string(::getpid()) +
+          "." + std::to_string(counter.fetch_add(1)));
+}
+
 /// The murmur3 fmix64 finalizer: a bijection that spreads every input bit
 /// over the whole sum.
 std::uint64_t avalanche(std::uint64_t h) {
@@ -40,6 +51,10 @@ std::uint64_t avalanche(std::uint64_t h) {
 }
 
 }  // namespace
+
+void Reader::fail(std::string_view what) const {
+  check_failed(std::string(what) + ": " + context_, std::source_location::current());
+}
 
 std::uint64_t checksum(std::string_view payload) {
   const char* p = payload.data();
@@ -116,7 +131,31 @@ std::string_view unseal(std::uint32_t magic, std::string_view enveloped,
 
 void write_envelope_file(const std::filesystem::path& path, std::uint32_t magic,
                          std::string_view payload) {
-  write_file_atomic(path, seal(magic, payload));
+  const std::string header = seal_header(magic, payload);
+  const auto tmp = temp_sibling(path);
+  {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os.is_open()) {
+      throw IoError("cannot open temp file for writing: " + tmp.string());
+    }
+    os.write(header.data(), static_cast<std::streamsize>(header.size()));
+    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    os.flush();
+    if (!os) {
+      os.close();
+      std::error_code ec;
+      std::filesystem::remove(tmp, ec);
+      throw IoError("short write to " + tmp.string());
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::error_code ec2;
+    std::filesystem::remove(tmp, ec2);
+    throw IoError("cannot rename " + tmp.string() + " -> " + path.string() +
+                  ": " + ec.message());
+  }
 }
 
 bool read_envelope_file(const std::filesystem::path& path, std::uint32_t magic,
@@ -127,10 +166,20 @@ bool read_envelope_file(const std::filesystem::path& path, std::uint32_t magic,
   if (ec) throw IoError("cannot stat enveloped file: " + path.string());
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) throw IoError("cannot open enveloped file: " + path.string());
-  std::string all(size, '\0');
-  is.read(all.data(), static_cast<std::streamsize>(size));
-  check(static_cast<bool>(is), "read failed on enveloped file: " + path.string());
-  payload = std::string(unseal(magic, all, path.string()));
+  const std::string context = path.string();
+  char header[kEnvelopeBytes];
+  const std::size_t header_bytes = static_cast<std::size_t>(
+      std::min<std::uint64_t>(size, kEnvelopeBytes));
+  is.read(header, static_cast<std::streamsize>(header_bytes));
+  check(static_cast<bool>(is), "read failed on enveloped file: " + context);
+  const Header h = open_header(magic, std::string_view(header, header_bytes), context);
+  // The size field is checked against the file before it sizes the buffer.
+  check(h.payload_size == size - kEnvelopeBytes,
+        "envelope payload length mismatch (torn write?): " + context);
+  payload.resize(h.payload_size);
+  is.read(payload.data(), static_cast<std::streamsize>(payload.size()));
+  check(static_cast<bool>(is), "read failed on enveloped file: " + context);
+  verify_payload(h, payload, context);
   return true;
 }
 

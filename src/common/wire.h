@@ -9,14 +9,16 @@
 // payload eight bytes at a time in four interleaved FNV-1a lanes, so
 // sealing a multi-megabyte frame costs a fraction of a millisecond, and
 // any change confined to one 8-byte word or one tail byte changes it.
-// Checkpoint files (src/core/checkpoint.cpp), the run journal
-// (src/dist/journal.cpp) and the RPC frames of the distributed cluster
-// (src/net/frame.h) all seal their payloads through this header, so a torn
-// write on disk and a truncated frame on a socket are caught by the same
-// length/checksum pair before a single payload field is trusted. The
-// header can be computed once and sent ahead of a payload held elsewhere
-// (seal_header), and checked before the payload has arrived (open_header),
-// which is how a frame travels without an enveloped copy.
+// Trace files (src/trace/trace.cpp), SimNet bundles
+// (src/core/cnn_predictor.cpp), checkpoint files (src/core/checkpoint.cpp),
+// the run journal (src/dist/journal.cpp) and the RPC frames of the
+// distributed cluster (src/net/frame.h) all seal their payloads through this
+// header, so a torn write on disk and a truncated frame on a socket are
+// caught by the same length/checksum pair before a single payload field is
+// trusted. The header can be computed once and written ahead of a payload
+// held elsewhere (seal_header), and checked before the payload has arrived
+// (open_header), which is how a frame or a file travels without an
+// enveloped copy.
 //
 // Writer/Reader are the append-only little-endian serializers the payloads
 // themselves are built with. Reader throws CheckError on any attempt to
@@ -35,11 +37,11 @@
 
 namespace mlsim::wire {
 
-/// Envelope format version shared by checkpoints, the journal and RPC
-/// frames. Bump when the envelope layout or its checksum (not a payload
-/// schema) changes: version 2 replaced the byte-serial FNV-1a checksum of
-/// version 1 with wire::checksum, so an older envelope is rejected by its
-/// version instead of failing as corruption.
+/// Envelope format version shared by every sealed format. Bump when the
+/// envelope layout or its checksum (not a payload schema) changes: version 2
+/// replaced the byte-serial FNV-1a checksum of version 1 with
+/// wire::checksum, so an older envelope is rejected by its version instead
+/// of failing as corruption.
 inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Fixed envelope size: magic(4) + version(4) + checksum(8) + size(8).
@@ -63,6 +65,15 @@ class Writer {
   void str(const std::string& s) {
     pod(static_cast<std::uint64_t>(s.size()));
     buf_.append(s);
+  }
+  /// Unsigned LEB128: seven bits a byte, least significant first, so a
+  /// small value takes one byte.
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<char>((v & 0x7f) | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<char>(v));
   }
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
   const std::string& bytes() const { return buf_; }
@@ -104,7 +115,7 @@ class Reader {
   template <typename CountT = std::uint64_t>
   std::uint64_t count(std::size_t min_bytes) {
     const std::uint64_t n = pod<CountT>();
-    check(n <= remaining() / min_bytes, "payload truncated: " + context_);
+    if (n > remaining() / min_bytes) [[unlikely]] fail("payload truncated");
     return n;
   }
   std::string str() {
@@ -114,6 +125,17 @@ class Reader {
     p_ += len;
     return s;
   }
+  /// A Writer::varint; more than ten bytes is corruption.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (p_ == end_) [[unlikely]] fail("payload truncated");
+      const auto byte = static_cast<unsigned char>(*p_++);
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+    fail("varint longer than ten bytes");
+  }
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   void finish() const {
     check(p_ == end_, "payload has trailing bytes: " + context_);
@@ -121,9 +143,13 @@ class Reader {
 
  private:
   void need(std::uint64_t bytes) const {
-    check(static_cast<std::uint64_t>(end_ - p_) >= bytes,
-          "payload truncated: " + context_);
+    if (static_cast<std::uint64_t>(end_ - p_) < bytes) [[unlikely]] {
+      fail("payload truncated");
+    }
   }
+  /// Throw CheckError "<what>: <context>". Out of line, so a read builds
+  /// no message unless it fails.
+  [[noreturn]] void fail(std::string_view what) const;
   const char* p_;
   const char* end_;
   std::string context_;
@@ -170,14 +196,18 @@ void verify_payload(const Header& header, std::string_view payload,
 std::string_view unseal(std::uint32_t magic, std::string_view enveloped,
                         const std::string& context);
 
-/// Write `payload` to `path` sealed and atomically (temp + rename).
-/// Throws IoError on filesystem failure.
+/// Write `payload` to `path` sealed and atomically: header and payload go
+/// to a temporary sibling, which is renamed into place, so a killed writer
+/// leaves the old file or none, never a torn one. Throws IoError on
+/// filesystem failure and removes the temporary.
 void write_envelope_file(const std::filesystem::path& path, std::uint32_t magic,
                          std::string_view payload);
 
-/// Read and validate an enveloped file into `payload`. Returns false when
-/// the file does not exist; throws IoError on filesystem failure and
-/// CheckError when the content fails validation.
+/// Read and validate an enveloped file into `payload`: the header is
+/// checked against the file's size before the payload is read straight
+/// into `payload` and checksummed there. Returns false when the file does
+/// not exist; throws IoError on filesystem failure and CheckError when the
+/// content fails validation.
 bool read_envelope_file(const std::filesystem::path& path, std::uint32_t magic,
                         std::string& payload);
 

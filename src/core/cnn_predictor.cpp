@@ -1,51 +1,35 @@
 #include "core/cnn_predictor.h"
 
 #include <cmath>
-#include <fstream>
 
 #include "common/check.h"
+#include "common/wire.h"
 
 namespace mlsim::core {
 
 namespace {
-constexpr std::uint32_t kBundleMagic = 0x4d4c424eu;  // "MLBN"
-}
+// File format: the shared wire envelope (src/common/wire.h) around the
+// model (tensor::put_model) and the feature scales.
+constexpr std::uint32_t kBundleMagic = 0x4d4c5342u;  // "MLSB"
+}  // namespace
 
 void SimNetBundle::save(const std::filesystem::path& path) const {
-  model.save(path);
-  std::ofstream os(path, std::ios::binary | std::ios::app);
-  check(os.is_open(), "cannot append scales to bundle: " + path.string());
-  os.write(reinterpret_cast<const char*>(&kBundleMagic), sizeof(kBundleMagic));
-  const auto n = static_cast<std::uint64_t>(feature_scale.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(feature_scale.data()),
-           static_cast<std::streamsize>(feature_scale.size() * sizeof(float)));
-  check(static_cast<bool>(os), "bundle write failed");
+  wire::Writer w;
+  tensor::put_model(w, model);
+  w.vec(feature_scale);
+  wire::write_envelope_file(path, kBundleMagic, w.bytes());
 }
 
 SimNetBundle SimNetBundle::load(const std::filesystem::path& path) {
-  tensor::SimNetModel model = tensor::SimNetModel::load(path);
-  // The scales trailer sits after the model payload; re-open and seek by
-  // re-reading the model region is fragile, so we scan from the end: the
-  // trailer is magic + count + floats.
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  check(is.is_open(), "cannot open bundle: " + path.string());
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-  const std::uint64_t n_features = trace::kNumFeatures;
-  const std::uint64_t trailer =
-      sizeof(kBundleMagic) + sizeof(std::uint64_t) + n_features * sizeof(float);
-  check(file_size > trailer, "bundle file too small");
-  is.seekg(static_cast<std::streamoff>(file_size - trailer));
-  std::uint32_t magic = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  check(magic == kBundleMagic, "bad bundle trailer magic");
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  check(n == n_features, "bundle scale count mismatch");
-  SimNetBundle b{std::move(model), std::vector<float>(n_features, 1.0f)};
-  is.read(reinterpret_cast<char*>(b.feature_scale.data()),
-          static_cast<std::streamsize>(n_features * sizeof(float)));
-  check(static_cast<bool>(is), "bundle trailer truncated");
+  std::string payload;
+  if (!wire::read_envelope_file(path, kBundleMagic, payload)) {
+    throw IoError("cannot open bundle: " + path.string());
+  }
+  wire::Reader r(payload, path.string());
+  SimNetBundle b{tensor::get_model(r), r.vec<float>()};
+  check(b.feature_scale.size() == trace::kNumFeatures,
+        "bundle scale count mismatch: " + path.string());
+  r.finish();
   return b;
 }
 

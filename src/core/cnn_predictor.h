@@ -23,7 +23,12 @@ struct SimNetBundle {
   tensor::SimNetModel model;
   std::vector<float> feature_scale;  // kNumFeatures entries
 
+  /// Write the bundle to `path` as a sealed wire envelope, atomically.
+  /// Throws IoError on filesystem failure.
   void save(const std::filesystem::path& path) const;
+  /// Throws IoError for a missing or unreadable file and CheckError for one
+  /// that is not a well-formed bundle, before allocating anything sized by
+  /// its model config.
   static SimNetBundle load(const std::filesystem::path& path);
 };
 

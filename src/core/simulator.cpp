@@ -62,21 +62,14 @@ std::uint64_t machine_fingerprint(const uarch::MachineConfig& m) {
 trace::EncodedTrace labeled_trace(const std::string& abbr, std::size_t n,
                                   const uarch::MachineConfig& machine,
                                   std::uint64_t seed, bool use_cache) {
+  const auto make = [&] {
+    return uarch::make_encoded_trace(trace::find_workload(abbr), n, machine, seed);
+  };
+  if (!use_cache) return make();
   std::ostringstream name;
   name << "trace_" << abbr << '_' << n << '_' << std::hex
        << machine_fingerprint(machine) << '_' << seed << ".bin";
-  if (use_cache && artifact_exists(name.str())) {
-    return trace::EncodedTrace::load(artifact_path(name.str()));
-  }
-  const auto& profile = trace::find_workload(abbr);
-  trace::EncodedTrace tr = uarch::make_encoded_trace(profile, n, machine, seed);
-  if (use_cache) {
-    // Atomic publish + checksum sidecar: a concurrent or killed writer can
-    // never leave a half-written trace that a later run would load.
-    artifact_commit(name.str(),
-                    [&tr](const std::filesystem::path& p) { tr.save(p); });
-  }
-  return tr;
+  return cached_artifact<trace::EncodedTrace>(name.str(), make);
 }
 
 MLSimulator::MLSimulator(Options opts)

@@ -162,8 +162,6 @@ void DistCoordinator::accept_joiners(const SealedWelcome& welcome,
       // re-dispatched immediately instead of waiting for assign_pending.
       ++stats_.workers_rejoined;
       MLSIM_COUNTER_ADD(obs::names::kDistWorkersRejoined, 1);
-      obs::flight::record(session_, obs::flight::Event::kWorkerRejoined,
-                          rj.shard);
       if (rj.shard < rs.shards.size() &&
           rs.shards[rj.shard].state == ShardState::kPending &&
           rs.shards[rj.shard].attempts < opts_.max_assign_attempts &&
@@ -316,7 +314,6 @@ void DistCoordinator::rebalance(RunState& rs) {
       sh.owner = thief;
       ++stats_.steals;
       MLSIM_COUNTER_ADD(obs::names::kClusterStealShards, 1);
-      obs::flight::record(session_, obs::flight::Event::kShardStolen, s);
     } else if (spec_floor_us > 0.0 && sh.spec == nullptr &&
                age_us > spec_floor_us) {
       // Straggler by this run's own completed-latency distribution:
@@ -327,7 +324,6 @@ void DistCoordinator::rebalance(RunState& rs) {
       sh.spec = backup;
       ++stats_.speculations;
       MLSIM_COUNTER_ADD(obs::names::kClusterSpeculativeDispatched, 1);
-      obs::flight::record(session_, obs::flight::Event::kShardSpeculated, s);
     }
   }
 }
@@ -510,7 +506,6 @@ core::ParallelSimResult DistCoordinator::run(
         cache_.insert({fp, s, plan.shard_lo(s), plan.shard_hi(s)},
                       std::move(outcome));
         ++stats_.journal_replayed;
-        obs::flight::record(session_, obs::flight::Event::kJournalReplayed, s);
       }
     }
     resume_.reset();
@@ -530,7 +525,6 @@ core::ParallelSimResult DistCoordinator::run(
         rs.shards[s].outcome = *hit;
         rs.shards[s].state = ShardState::kDone;
         ++rs.done;
-        obs::flight::record(session_, obs::flight::Event::kCacheHit, s);
         // Re-journal cache-served shards under this run-open so each
         // journal section is self-contained: a second crash+resume keeps
         // the shards the first resume inherited.
@@ -623,8 +617,6 @@ core::ParallelSimResult DistCoordinator::run(
           Clock::now() + std::chrono::milliseconds(opts_.drain_timeout_ms);
       lifecycle_ = "draining";
       MLSIM_COUNTER_ADD(obs::names::kDistDrainRequests, 1);
-      obs::flight::record(session_, obs::flight::Event::kDrainStarted,
-                          rs.done);
     }
     if (ready[0] && !drain_requested_) accept_joiners(welcome, rs);
     // accept_joiners may have appended workers the poll never saw; only the

@@ -1,10 +1,11 @@
 // Per-request flight recorder (docs/OBSERVABILITY.md): a fixed-size
-// lock-free ring of request lifecycle events, stamped from the service,
-// batcher, and engine hooks. When a request ends badly (rejected, deadline
-// missed, breaker-bypassed, hung, failed) its id is also pushed onto a small
-// error ring, and `last_errors_json(n)` reconstructs the full event sequence
-// of the n most recent such requests — the post-mortem that
-// `/healthz?last_errors=N` serves.
+// lock-free ring of request lifecycle events, stamped only by the service
+// and its batcher (src/service/; metric_lint_test keeps it so). When a
+// request ends badly (rejected, deadline missed, breaker-bypassed, hung,
+// failed) its id is also pushed onto a small error ring, and
+// `last_errors_json(n)` reconstructs the full event sequence of the n most
+// recent such requests — the post-mortem that `/healthz?last_errors=N`
+// serves.
 //
 // Concurrency: writers claim a slot with one fetch_add and fill per-field
 // atomics, publishing a stamp last (release); readers re-check the stamp
@@ -37,16 +38,6 @@ enum class Event : std::uint32_t {
   kHung,                // abandoned by the hang watchdog
   kFailed,              // engine failure
   kCompleted,           // success
-  // Elastic-cluster events (docs/DISTRIBUTED.md), stamped by the
-  // coordinator under the run's session id with detail = shard index.
-  kShardStolen,         // assigned shard rebalanced off a slow worker
-  kShardSpeculated,     // straggling shard duplicated onto an idle worker
-  kCacheHit,            // shard served from the result cache, not dispatched
-  // Crash-safe coordination events (docs/RESILIENCE.md), stamped by the
-  // coordinator under the run's session id.
-  kWorkerRejoined,      // v4 Rejoin accepted (detail = in-flight shard)
-  kJournalReplayed,     // shard rebuilt from the run journal (detail = shard)
-  kDrainStarted,        // SIGTERM/SIGINT drain begun (detail = shards done)
 };
 
 constexpr const char* to_string(Event ev) {
@@ -64,12 +55,6 @@ constexpr const char* to_string(Event ev) {
     case Event::kHung: return "hung";
     case Event::kFailed: return "failed";
     case Event::kCompleted: return "completed";
-    case Event::kShardStolen: return "shard_stolen";
-    case Event::kShardSpeculated: return "shard_speculated";
-    case Event::kCacheHit: return "cache_hit";
-    case Event::kWorkerRejoined: return "worker_rejoined";
-    case Event::kJournalReplayed: return "journal_replayed";
-    case Event::kDrainStarted: return "drain_started";
   }
   return "unknown";
 }

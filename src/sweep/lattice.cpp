@@ -13,8 +13,9 @@ namespace mlsim::sweep {
 
 namespace {
 
-/// Strict unsigned decimal parse for axis values; CheckError (not exit)
-/// because the lattice layer is also reached from wire-decoded specs.
+/// Strict unsigned decimal parse for axis values; CheckError (not exit), so
+/// the CLI can report a bad `--axis`/`--set` or spec-file value as a usage
+/// error before any work runs.
 std::uint64_t parse_axis_u64(const std::string& key, const std::string& text) {
   check(!text.empty(), "axis " + key + ": empty value");
   for (const char c : text) {
@@ -102,33 +103,6 @@ bool apply_cache_axis(uarch::CacheConfig& c, const std::string& key,
 }
 
 }  // namespace
-
-std::vector<std::string> known_axis_keys() {
-  std::vector<std::string> keys;
-  for (const char* cache : {"l1i", "l1d", "l2"}) {
-    for (const char* suffix : {"size_kb", "assoc", "line_bytes", "mshrs",
-                               "latency", "replacement", "prefetch"}) {
-      keys.push_back(std::string(cache) + "." + suffix);
-    }
-  }
-  for (const char* k : {"tlb.l1_entries", "tlb.l2_entries", "bp.kind",
-                        "bp.history_bits", "bp.btb_entries",
-                        "bp.mispredict_penalty", "core.fetch_width",
-                        "core.issue_width", "core.commit_width",
-                        "core.iq_entries", "core.rob_entries",
-                        "core.lq_entries", "core.sq_entries",
-                        "memory_latency"}) {
-    keys.push_back(k);
-  }
-  return keys;
-}
-
-bool axis_key_known(const std::string& key) {
-  for (const auto& k : known_axis_keys()) {
-    if (k == key) return true;
-  }
-  return false;
-}
 
 void apply_axis(uarch::MachineConfig& m, const std::string& key,
                 const std::string& value) {

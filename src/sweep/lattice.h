@@ -8,8 +8,8 @@
 // fastest), so point indices are stable across runs and machines.
 //
 // The axis registry (`apply_axis`) is the single place a textual key/value
-// pair becomes a MachineConfig mutation; the CLI's `--axis`/`--set` flags,
-// spec files, and the wire-serialized service requests all go through it.
+// pair becomes a MachineConfig mutation; the CLI's `--axis`/`--set` flags
+// and spec files both go through it.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,8 @@
 namespace mlsim::sweep {
 
 /// One lattice dimension: a MachineConfig field and the values to try,
-/// kept as strings so specs round-trip the wire and the CLI verbatim.
+/// kept as strings so a spec file or a CLI flag round-trips verbatim into
+/// point labels.
 struct SweepAxis {
   std::string key;
   std::vector<std::string> values;
@@ -49,10 +50,6 @@ struct SweepPoint {
   /// "l2.size_kb=512 l1d.replacement=drrip" — stable human/CSV label.
   std::string label() const;
 };
-
-/// Every axis key the registry understands, in documentation order.
-std::vector<std::string> known_axis_keys();
-bool axis_key_known(const std::string& key);
 
 /// Apply one key=value setting to `m`. Throws CheckError on an unknown key
 /// or an unparsable/out-of-range value (the CLI converts that to a usage

@@ -1,9 +1,9 @@
 #include "tensor/model.h"
 
-#include <cstring>
-#include <fstream>
+#include <array>
 
 #include "common/check.h"
+#include "common/wire.h"
 
 namespace mlsim::tensor {
 
@@ -97,15 +97,6 @@ std::size_t SimNetModel::flops_per_batch(std::size_t batch) const {
 }
 
 namespace {
-constexpr std::uint32_t kModelMagic = 0x4d4c4d44;  // "MLMD"
-
-void write_vec(std::ofstream& os, const std::vector<float>& v) {
-  const auto n = static_cast<std::uint64_t>(v.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
 std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
   std::uint64_t r = 0;
   check(!__builtin_mul_overflow(a, b, &r), "model dimensions overflow");
@@ -138,59 +129,38 @@ std::uint64_t payload_bytes(const SimNetModelConfig& cfg) {
   return bytes;
 }
 
-void read_vec(std::ifstream& is, std::vector<float>& v) {
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  check(static_cast<bool>(is), "model file truncated");
-  check(n == v.size(), "model parameter size mismatch");
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(float)));
-  check(static_cast<bool>(is), "model file truncated");
+// The ten parameter vectors in payload order (const or mutable, as `m` is).
+template <typename Model>
+auto param_vectors(Model& m) {
+  return std::array{&m.conv1().weight(), &m.conv1().bias(), &m.conv2().weight(),
+                    &m.conv2().bias(),   &m.conv3().weight(), &m.conv3().bias(),
+                    &m.fc1().weight(),   &m.fc1().bias(),   &m.fc2().weight(),
+                    &m.fc2().bias()};
 }
 }  // namespace
 
-void SimNetModel::save(const std::filesystem::path& path) const {
-  std::ofstream os(path, std::ios::binary);
-  check(os.is_open(), "cannot open model file for writing: " + path.string());
-  os.write(reinterpret_cast<const char*>(&kModelMagic), sizeof(kModelMagic));
-  os.write(reinterpret_cast<const char*>(&cfg_), sizeof(cfg_));
-  write_vec(os, conv1_->weight());
-  write_vec(os, conv1_->bias());
-  write_vec(os, conv2_->weight());
-  write_vec(os, conv2_->bias());
-  write_vec(os, conv3_->weight());
-  write_vec(os, conv3_->bias());
-  write_vec(os, fc1_->weight());
-  write_vec(os, fc1_->bias());
-  write_vec(os, fc2_->weight());
-  write_vec(os, fc2_->bias());
-  check(static_cast<bool>(os), "model write failed");
+void put_model(wire::Writer& w, const SimNetModel& m) {
+  const SimNetModelConfig& c = m.config();
+  for (const std::uint64_t dim :
+       {c.in_features, c.window, c.channels, c.hidden, c.kernel, c.outputs}) {
+    w.pod(dim);
+  }
+  for (const std::vector<float>* v : param_vectors(m)) w.vec(*v);
 }
 
-SimNetModel SimNetModel::load(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  check(is.is_open(), "cannot open model file: " + path.string());
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-  is.seekg(0);
-  std::uint32_t magic = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  check(magic == kModelMagic, "bad model magic");
+SimNetModel get_model(wire::Reader& r) {
   SimNetModelConfig cfg;
-  is.read(reinterpret_cast<char*>(&cfg), sizeof(cfg));
-  check(static_cast<bool>(is), "model file truncated");
-  check(payload_bytes(cfg) <= file_size - sizeof(magic) - sizeof(cfg),
-        "model file shorter than its header declares");
+  for (std::size_t* dim : {&cfg.in_features, &cfg.window, &cfg.channels, &cfg.hidden,
+                           &cfg.kernel, &cfg.outputs}) {
+    *dim = r.pod<std::uint64_t>();
+  }
+  check(payload_bytes(cfg) <= r.remaining(), "model payload shorter than its config declares");
   SimNetModel m(cfg);
-  read_vec(is, m.conv1_->weight());
-  read_vec(is, m.conv1_->bias());
-  read_vec(is, m.conv2_->weight());
-  read_vec(is, m.conv2_->bias());
-  read_vec(is, m.conv3_->weight());
-  read_vec(is, m.conv3_->bias());
-  read_vec(is, m.fc1_->weight());
-  read_vec(is, m.fc1_->bias());
-  read_vec(is, m.fc2_->weight());
-  read_vec(is, m.fc2_->bias());
+  for (std::vector<float>* v : param_vectors(m)) {
+    std::vector<float> got = r.vec<float>();
+    check(got.size() == v->size(), "model parameter size mismatch");
+    *v = std::move(got);
+  }
   return m;
 }
 

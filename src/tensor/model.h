@@ -5,13 +5,17 @@
 // store latencies (trained in log1p space for the heavy-tailed targets).
 #pragma once
 
-#include <filesystem>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+
+namespace mlsim::wire {
+class Reader;
+class Writer;
+}  // namespace mlsim::wire
 
 namespace mlsim::tensor {
 
@@ -66,17 +70,19 @@ class SimNetModel {
   /// FLOPs of one forward pass for a batch of `batch` windows.
   std::size_t flops_per_batch(std::size_t batch) const;
 
-  void save(const std::filesystem::path& path) const;
-  /// Throws CheckError for a file that is not a well-formed model, before
-  /// allocating anything sized by its header.
-  static SimNetModel load(const std::filesystem::path& path);
-
  private:
   SimNetModelConfig cfg_;
   std::unique_ptr<Conv1D> conv1_, conv2_, conv3_;
   std::unique_ptr<ReLU> relu1_, relu2_, relu3_, relu4_;
   std::unique_ptr<Linear> fc1_, fc2_;
 };
+
+/// Append `m` to a payload: its config's six dimensions, then the ten
+/// parameter vectors (weight and bias of conv1..conv3, fc1, fc2).
+void put_model(wire::Writer& w, const SimNetModel& m);
+/// Read a put_model payload. Throws CheckError for one that is not a
+/// well-formed model, before allocating anything sized by its config.
+SimNetModel get_model(wire::Reader& r);
 
 /// A SimNet's inference path with every layer's weights packed once into
 /// the forward kernels' layout (ops.h): what a deployed predictor keeps in

@@ -22,10 +22,6 @@ Tensor::Tensor(std::vector<std::size_t> shape)
 Tensor::Tensor(std::initializer_list<std::size_t> shape)
     : Tensor(std::vector<std::size_t>(shape)) {}
 
-Tensor Tensor::zeros(std::initializer_list<std::size_t> shape) {
-  return Tensor(shape);
-}
-
 std::size_t Tensor::dim(std::size_t i) const {
   check_index(i, shape_.size(), "tensor dim");
   return shape_[i];

@@ -20,8 +20,6 @@ class Tensor {
   explicit Tensor(std::vector<std::size_t> shape);
   Tensor(std::initializer_list<std::size_t> shape);
 
-  static Tensor zeros(std::initializer_list<std::size_t> shape);
-
   const std::vector<std::size_t>& shape() const { return shape_; }
   std::size_t rank() const { return shape_.size(); }
   std::size_t dim(std::size_t i) const;

@@ -115,11 +115,4 @@ void FunctionalSim::run(std::size_t n, const std::function<void(const DynInst&)>
   for (std::size_t i = 0; i < n; ++i) sink(next());
 }
 
-std::vector<DynInst> generate_benchmark_trace(const WorkloadProfile& profile,
-                                              std::size_t n, std::uint64_t seed) {
-  const Program prog = Program::generate(profile, seed);
-  FunctionalSim sim(prog, seed);
-  return sim.run(n);
-}
-
 }  // namespace mlsim::trace

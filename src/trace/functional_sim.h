@@ -57,9 +57,4 @@ class FunctionalSim {
   std::vector<LoopState> loop_state_;  // per static instruction
 };
 
-/// Convenience: generate `n` dynamic instructions for a named benchmark.
-std::vector<DynInst> generate_benchmark_trace(const WorkloadProfile& profile,
-                                              std::size_t n,
-                                              std::uint64_t seed = 1);
-
 }  // namespace mlsim::trace

@@ -1,9 +1,11 @@
-// Encoded trace container and binary serialization.
+// Encoded trace container and its file format.
 //
 // An EncodedTrace is the unit of work the ML simulator consumes: a dense
 // n × kNumFeatures int32 matrix (one row per dynamic instruction), plus —
-// for labeled traces — n × kNumTargets ground-truth latencies and, for
-// metric derivation, the per-instruction access level / byte count.
+// for labeled traces — n × kNumTargets ground-truth latencies.
+//
+// A trace file is a sealed wire envelope (src/common/wire.h): a torn or
+// corrupted file fails its length or checksum before a field is read.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +53,19 @@ class EncodedTrace {
   /// Contiguous sub-trace view [begin, end): copies rows into a new trace.
   EncodedTrace slice(std::size_t begin, std::size_t end) const;
 
-  // --- Binary file format ----------------------------------------------------
-  // v1: raw little-endian arrays. v2 (default): zigzag-varint streams with
-  // trailing-zero elision per row — feature values are small integers, so
-  // v2 files are typically 5-8x smaller. load() handles both.
-  void save(const std::filesystem::path& path, bool compress = true) const;
+  // --- File format ------------------------------------------------------------
+  // The payload holds the benchmark name, the row count, the feature and
+  // target widths and the labeled flag, then per row its feature count up
+  // to the last nonzero feature, those features as zigzag varints and the
+  // targets as varints. Feature values are small integers, so a file is
+  // typically 5-8x smaller than the raw arrays.
+
+  /// Write the trace to `path` atomically. Throws IoError on filesystem
+  /// failure.
+  void save(const std::filesystem::path& path) const;
+  /// Throws IoError for a missing or unreadable file and CheckError for one
+  /// that is not a well-formed trace, before allocating anything sized by
+  /// its row count.
   static EncodedTrace load(const std::filesystem::path& path);
 
  private:

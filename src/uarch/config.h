@@ -87,8 +87,6 @@ struct MachineConfig {
                  .mshrs = 32, .latency = 29};
   TlbConfig tlb;
   std::uint32_t memory_latency = 110;  // cycles, beyond L2
-
-  std::string describe() const;
 };
 
 }  // namespace mlsim::uarch

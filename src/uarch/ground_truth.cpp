@@ -1,7 +1,6 @@
 #include "uarch/ground_truth.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -11,17 +10,6 @@ using trace::Annotation;
 using trace::DynInst;
 using trace::HitLevel;
 using trace::OpClass;
-
-std::string MachineConfig::describe() const {
-  std::ostringstream os;
-  os << core.fetch_width << "-wide fetch, " << core.issue_width
-     << "-wide OoO issue/commit, " << core.iq_entries << "-entry IQ, "
-     << core.rob_entries << "-entry ROB, " << core.lq_entries << "-entry LQ, "
-     << core.sq_entries << "-entry SQ; L1I " << l1i.size_bytes / 1024 << "KB/"
-     << l1i.assoc << "w, L1D " << l1d.size_bytes / 1024 << "KB/" << l1d.assoc
-     << "w, L2 " << l2.size_bytes / 1024 << "KB/" << l2.assoc << "w";
-  return os.str();
-}
 
 namespace {
 constexpr std::size_t kStoreWindow = 16;  // matches SQ size

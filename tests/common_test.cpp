@@ -378,7 +378,7 @@ TEST(Artifacts, DirectoryCreatedAndPathsCompose) {
   const auto dir = artifact_dir();
   EXPECT_TRUE(std::filesystem::exists(dir));
   EXPECT_EQ(artifact_path("x.bin"), dir / "x.bin");
-  EXPECT_FALSE(artifact_exists("definitely-not-there.bin"));
+  EXPECT_FALSE(std::filesystem::exists(artifact_path("definitely-not-there.bin")));
 }
 
 }  // namespace

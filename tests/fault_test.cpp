@@ -1,21 +1,25 @@
 // Fault-tolerance tests (docs/RESILIENCE.md): deterministic injection,
 // partition requeue under device kills, anomaly degradation, checkpoint/
-// restart bit-identity, and the hardened artifact/trace I/O paths.
+// restart bit-identity, and the hardened trace and bundle files and the
+// artifact cache that holds them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
-#include "common/artifacts.h"
 #include "common/check.h"
 #include "common/wire.h"
 #include "core/analytic_predictor.h"
 #include "core/checkpoint.h"
 #include "core/cnn_predictor.h"
 #include "core/parallel_sim.h"
+#include "core/simulator.h"
 #include "core/suite.h"
 #include "device/fault.h"
 #include "trace/trace.h"
@@ -745,6 +749,118 @@ TEST(Checkpoint, SuiteJobCountBeyondFileIsRejected) {
 
 // ---- hardened I/O -----------------------------------------------------------
 
+std::string file_bytes(const fs::path& p) {
+  std::ifstream is(p, std::ios::binary);
+  std::ostringstream all;
+  all << is.rdbuf();
+  return std::move(all).str();
+}
+
+void write_bytes(const fs::path& p, std::string_view bytes) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The envelope magic a saved file starts with.
+std::uint32_t magic_of(const fs::path& p) {
+  const std::string bytes = file_bytes(p);
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, bytes.data(), std::min(bytes.size(), sizeof(magic)));
+  return magic;
+}
+
+/// The payload of a sealed file.
+std::string payload_of(const fs::path& p) {
+  std::string payload;
+  EXPECT_TRUE(wire::read_envelope_file(p, magic_of(p), payload)) << p;
+  return payload;
+}
+
+SimNetBundle small_bundle() {
+  return {tensor::SimNetModel({.in_features = 6, .window = 5, .channels = 4, .hidden = 7,
+                               .kernel = 3, .outputs = 3},
+                              17),
+          std::vector<float>(trace::kNumFeatures, 0.5f)};
+}
+
+trace::EncodedTrace load_trace(const fs::path& p) { return trace::EncodedTrace::load(p); }
+SimNetBundle load_bundle(const fs::path& p) { return SimNetBundle::load(p); }
+
+/// The message of the CheckError `load(path)` throws; "" if it throws none.
+template <typename Load>
+std::string check_error(Load load, const fs::path& path) {
+  try {
+    load(path);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The file at `path` with one trailing byte, with bit i % 8 of every
+/// `stride`-th byte i flipped, and cut to each of its strict prefixes fails
+/// `load` with a CheckError. Leaves the file empty.
+template <typename Load>
+void expect_every_corruption_rejected(const fs::path& path, std::size_t stride, Load load) {
+  const std::string bytes = file_bytes(path);
+  ASSERT_GT(bytes.size(), wire::kEnvelopeBytes);
+  write_bytes(path, bytes + '\0');
+  EXPECT_THROW(load(path), CheckError) << "trailing byte";
+  for (std::size_t i = 0; i < bytes.size(); i += stride) {
+    std::string bad = bytes;
+    bad[i] = static_cast<char>(bad[i] ^ (1 << (i % 8)));
+    write_bytes(path, bad);
+    EXPECT_THROW(load(path), CheckError) << "bit " << i % 8 << " of byte " << i;
+  }
+  write_bytes(path, bytes);
+  for (std::size_t n = bytes.size(); n-- > 0;) {
+    fs::resize_file(path, n);
+    EXPECT_THROW(load(path), CheckError) << n << "-byte prefix";
+  }
+}
+
+// Earlier builds wrote traces as "MLTR" v2 (a raw header, then the varint
+// rows this build seals, unchecksummed) and bundles as an "MLMD" model file
+// (the model payload this build seals) with an "MLBN" scales trailer.
+constexpr std::uint32_t kOldTraceMagic = 0x4d4c5452, kOldModelMagic = 0x4d4c4d44,
+                        kOldScalesMagic = 0x4d4c424e;
+
+/// The file an earlier build saved for the trace sealed at `sealed`.
+std::string older_build_trace(const fs::path& sealed) {
+  const std::string payload = payload_of(sealed);
+  wire::Reader r(payload, "test");
+  const std::string name = r.str();
+  const auto n = r.pod<std::uint64_t>();
+  r.pod<std::uint32_t>();
+  r.pod<std::uint32_t>();
+  const auto labeled = r.pod<std::uint8_t>();
+  const std::string_view rows = std::string_view(payload).substr(payload.size() - r.remaining());
+  wire::Writer w;
+  w.pod(kOldTraceMagic);
+  w.pod(std::uint32_t{2});
+  w.pod(n);
+  w.pod(static_cast<std::uint32_t>(trace::kNumFeatures));
+  w.pod(static_cast<std::uint32_t>(trace::kNumTargets));
+  w.pod(labeled);
+  w.pod(static_cast<std::uint32_t>(name.size()));
+  for (const char c : name) w.pod(c);
+  w.pod(static_cast<std::uint64_t>(rows.size()));
+  for (const char c : rows) w.pod(c);
+  return w.take();
+}
+
+/// The file an earlier build saved for the bundle sealed at `sealed`.
+std::string older_build_bundle(const fs::path& sealed) {
+  const std::string payload = payload_of(sealed);
+  const std::size_t scales = sizeof(std::uint64_t) + trace::kNumFeatures * sizeof(float);
+  wire::Writer w;
+  w.pod(kOldModelMagic);
+  for (const char c : payload.substr(0, payload.size() - scales)) w.pod(c);
+  w.pod(kOldScalesMagic);
+  for (const char c : payload.substr(payload.size() - scales)) w.pod(c);
+  return w.take();
+}
+
 TEST(HardenedIo, TraceLoadRejectsMissingTruncatedAndBitFlipped) {
   const fs::path path = temp_file("mlsim_fault_test_trace.bin");
   EXPECT_THROW(trace::EncodedTrace::load(path), IoError);  // missing
@@ -773,6 +889,130 @@ TEST(HardenedIo, TraceLoadRejectsMissingTruncatedAndBitFlipped) {
   fs::remove(path);
 }
 
+TEST(HardenedIo, EveryTracePrefixTrailingByteAndBitFlipIsCheckError) {
+  const fs::path path = temp_file("mlsim_fault_test_trace_flips.bin");
+  make_trace("xz", 300).save(path);
+  expect_every_corruption_rejected(path, 97, load_trace);
+  fs::remove(path);
+}
+
+TEST(HardenedIo, EveryBundlePrefixTrailingByteAndBitFlipIsCheckError) {
+  const fs::path path = temp_file("mlsim_fault_test_bundle_flips.bin");
+  small_bundle().save(path);
+  expect_every_corruption_rejected(path, 1, load_bundle);
+  fs::remove(path);
+}
+
+TEST(HardenedIo, MissingBundleIsIoError) {
+  EXPECT_THROW(SimNetBundle::load(temp_file("mlsim_fault_test_no_bundle.bin")), IoError);
+}
+
+TEST(HardenedIo, TraceRowCountBeyondItsPayloadIsCheckErrorBeforeAllocating) {
+  const fs::path path = temp_file("mlsim_fault_test_trace_rows.bin");
+  make_trace("xz", 300).save(path);
+  const std::uint32_t magic = magic_of(path);
+  const std::string payload = payload_of(path);
+  // The payload starts with the name ("xz": its u64 length, 2 bytes), then
+  // the u64 row count. Row counts the arrays cannot be sized for (2^40 and
+  // beyond) show that the count is checked before it sizes them.
+  const std::size_t count_at = sizeof(std::uint64_t) + 2;
+  for (const std::uint64_t n : {std::uint64_t{payload.size()}, std::uint64_t{1} << 40,
+                                ~std::uint64_t{0}}) {
+    std::string bad = payload;
+    std::memcpy(bad.data() + count_at, &n, sizeof n);
+    wire::write_envelope_file(path, magic, bad);
+    EXPECT_NE(check_error(load_trace, path).find("trace payload too small"), std::string::npos)
+        << n;
+  }
+  fs::remove(path);
+}
+
+TEST(HardenedIo, OlderBuildTraceAndBundleAreRejectedOnTheirMagic) {
+  const fs::path path = temp_file("mlsim_fault_test_older_build.bin");
+  make_trace("xz", 300).save(path);
+  write_bytes(path, older_build_trace(path));
+  EXPECT_NE(check_error(load_trace, path).find("bad envelope magic"), std::string::npos)
+      << check_error(load_trace, path);
+
+  small_bundle().save(path);
+  write_bytes(path, older_build_bundle(path));
+  EXPECT_NE(check_error(load_bundle, path).find("bad envelope magic"), std::string::npos)
+      << check_error(load_bundle, path);
+  fs::remove(path);
+}
+
+// A SimNet model file is the bundle: these seal bad bundle payloads, so the
+// envelope holds and the model decoder is what rejects them.
+class ModelFile : public ::testing::Test {
+ protected:
+  // The payload starts with the model config's six u64 dimensions
+  // (tensor::put_model): in_features, window, channels, hidden, kernel,
+  // outputs.
+  static constexpr std::size_t kWindow = 1, kChannels = 2, kHidden = 3;
+
+  void SetUp() override {
+    small_bundle().save(path_);
+    magic_ = magic_of(path_);
+    payload_ = payload_of(path_);
+  }
+  void TearDown() override { fs::remove(path_); }
+
+  void set_field(std::size_t field, std::uint64_t v) {
+    std::memcpy(payload_.data() + field * sizeof(std::uint64_t), &v, sizeof v);
+  }
+  /// Seal the first `n` payload bytes.
+  void seal(std::size_t n) {
+    wire::write_envelope_file(path_, magic_, std::string_view(payload_).substr(0, n));
+  }
+
+  // One file per test: ctest runs the cases as parallel processes.
+  const fs::path path_ = temp_file(
+      std::string("mlsim_model_file_test_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin");
+  std::uint32_t magic_ = 0;
+  std::string payload_;
+};
+
+TEST_F(ModelFile, TruncatedHeaderThrowsTyped) {
+  seal(3 * sizeof(std::uint64_t));
+  EXPECT_THROW(SimNetBundle::load(path_), CheckError);
+  seal(2);
+  EXPECT_THROW(SimNetBundle::load(path_), CheckError);
+}
+
+TEST_F(ModelFile, TruncatedPayloadThrowsTyped) {
+  seal(payload_.size() - 1);
+  EXPECT_THROW(SimNetBundle::load(path_), CheckError);
+}
+
+TEST_F(ModelFile, InflatedChannelCountThrowsTypedBeforeAllocating) {
+  for (const std::uint64_t channels :
+       {std::uint64_t{40}, std::uint64_t{1} << 40, ~std::uint64_t{0}, std::uint64_t{0}}) {
+    set_field(kChannels, channels);
+    seal(payload_.size());
+    EXPECT_THROW(SimNetBundle::load(path_), CheckError) << channels;
+  }
+}
+
+TEST_F(ModelFile, ParameterCountOverflowThrowsTyped) {
+  // channels * window * hidden = 4 * 2^32 * 2^32 wraps a 64-bit count.
+  set_field(kWindow, std::uint64_t{1} << 32);
+  set_field(kHidden, std::uint64_t{1} << 32);
+  seal(payload_.size());
+  EXPECT_NE(check_error(load_bundle, path_).find("model dimensions overflow"),
+            std::string::npos);
+}
+
+TEST_F(ModelFile, WindowShorterThanHalfTheKernelThrowsTyped) {
+  // Well formed, but the model could never run: "same" padding needs
+  // window > kernel / 2.
+  SimNetBundle{tensor::SimNetModel({.in_features = 3, .window = 2, .channels = 2, .hidden = 2,
+                                    .kernel = 5, .outputs = 1}),
+               std::vector<float>(trace::kNumFeatures, 1.0f)}
+      .save(path_);
+  EXPECT_THROW(SimNetBundle::load(path_), CheckError);
+}
+
 class ArtifactDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -794,56 +1034,59 @@ class ArtifactDirTest : public ::testing::Test {
     }
     fs::remove_all(dir_);
   }
+
+  /// Cache a labeled trace, replace its file with `corrupt(file)`, and
+  /// expect the next cached call to regenerate the trace and rewrite the
+  /// file, which then loads.
+  template <typename Corrupt>
+  void expect_regenerated(Corrupt corrupt) {
+    const trace::EncodedTrace fresh = labeled_trace("xz", 400, {}, 1, false);
+    labeled_trace("xz", 400, {}, 1, true);
+    std::vector<fs::path> files;
+    for (const auto& e : fs::directory_iterator(dir_)) files.push_back(e.path());
+    ASSERT_EQ(files.size(), 1u);
+    write_bytes(files[0], corrupt(files[0]));
+    EXPECT_THROW(trace::EncodedTrace::load(files[0]), CheckError);
+
+    const trace::EncodedTrace again = labeled_trace("xz", 400, {}, 1, true);
+    EXPECT_EQ(again.raw_features(), fresh.raw_features());
+    EXPECT_EQ(again.raw_targets(), fresh.raw_targets());
+    const trace::EncodedTrace reloaded = trace::EncodedTrace::load(files[0]);
+    EXPECT_EQ(reloaded.raw_features(), fresh.raw_features());
+    EXPECT_EQ(reloaded.raw_targets(), fresh.raw_targets());
+  }
+
   fs::path dir_;
   std::string old_dir_;
 };
 
-TEST_F(ArtifactDirTest, CommitPublishesAtomicallyWithChecksum) {
-  artifact_commit("x.bin", [](const fs::path& p) {
-    std::ofstream os(p, std::ios::binary);
-    os << "payload bytes";
+TEST_F(ArtifactDirTest, FlippedCachedTraceIsRegenerated) {
+  expect_regenerated([](const fs::path& p) {
+    std::string bytes = file_bytes(p);
+    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
+    return bytes;
   });
-  EXPECT_TRUE(artifact_exists("x.bin"));
-  EXPECT_TRUE(artifact_checksum_ok("x.bin"));
-
-  // Bit-flip the published artifact: the sidecar checksum must disown it.
-  {
-    std::fstream f(artifact_path("x.bin"),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(3);
-    f.write("X", 1);
-  }
-  EXPECT_FALSE(artifact_checksum_ok("x.bin"));
-  EXPECT_FALSE(artifact_exists("x.bin"));
 }
 
 TEST_F(ArtifactDirTest, ZeroLengthArtifactsDoNotExist) {
-  std::ofstream(artifact_path("empty.bin"), std::ios::binary).flush();
-  EXPECT_FALSE(artifact_exists("empty.bin"));
+  expect_regenerated([](const fs::path&) { return std::string(); });
+}
+
+TEST_F(ArtifactDirTest, OlderBuildArtifactsAreRegenerated) {
+  expect_regenerated(older_build_trace);
 }
 
 TEST_F(ArtifactDirTest, FailedWriterPublishesNothing) {
-  EXPECT_THROW(artifact_commit("half.bin",
-                               [](const fs::path& p) {
-                                 std::ofstream os(p, std::ios::binary);
-                                 os << "half-";
-                                 os.flush();
-                                 throw IoError("disk died mid-write");
-                               }),
-               IoError);
-  EXPECT_FALSE(fs::exists(artifact_path("half.bin")));
-  EXPECT_FALSE(artifact_exists("half.bin"));
+  // The target is a non-empty directory, so the rename that would publish
+  // the sealed file fails.
+  const fs::path target = dir_ / "x.bin";
+  fs::create_directories(target / "keep");
+  EXPECT_THROW(make_trace("xz", 100).save(target), IoError);
+  EXPECT_TRUE(fs::is_directory(target / "keep"));
   // No stray temp files left behind either.
   std::size_t entries = 0;
   for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir_)) ++entries;
-  EXPECT_EQ(entries, 0u);
-}
-
-TEST_F(ArtifactDirTest, LegacyArtifactsWithoutSidecarStillLoad) {
-  // Artifacts written before checksum sidecars existed must keep working.
-  std::ofstream(artifact_path("old.bin"), std::ios::binary) << "legacy";
-  EXPECT_TRUE(artifact_checksum_ok("old.bin"));
-  EXPECT_TRUE(artifact_exists("old.bin"));
+  EXPECT_EQ(entries, 1u);
 }
 
 }  // namespace

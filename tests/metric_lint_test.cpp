@@ -5,7 +5,9 @@
 // dead names), and the names themselves must follow the documented
 // `<subsystem>.<what>[_unit]` convention. Runs as a source-level lint (like
 // docs_test) so a drive-by `MLSIM_COUNTER_ADD("my.metric", 1)` fails the
-// suite instead of silently forking the schema.
+// suite instead of silently forking the schema. Flight-recorder events get
+// the same rule: every declared event is stamped, and only by the service
+// layer whose requests the recorder's post-mortems describe.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -26,6 +28,7 @@ namespace fs = std::filesystem;
 
 const fs::path kSourceDir = fs::path(MLSIM_SOURCE_DIR) / "src";
 const fs::path kNamesHeader = kSourceDir / "obs" / "metric_names.h";
+const fs::path kFlightHeader = kSourceDir / "obs" / "flight_recorder.h";
 
 std::string slurp(const fs::path& p) {
   std::ifstream is(p, std::ios::binary);
@@ -47,6 +50,20 @@ std::vector<fs::path> source_files() {
   }
   EXPECT_GT(files.size(), 10u) << "source tree not found under " << kSourceDir;
   return files;
+}
+
+/// True when `text` holds `word` not followed by an identifier character
+/// (kSvcFailed is not found in kSvcFailedFoo).
+bool contains_word(const std::string& text, const std::string& word) {
+  for (std::size_t at = text.find(word); at != std::string::npos;
+       at = text.find(word, at + 1)) {
+    const std::size_t next = at + word.size();
+    if (next >= text.size() ||
+        !(std::isalnum(static_cast<unsigned char>(text[next])) || text[next] == '_')) {
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Parse metric_names.h: constant identifier -> metric name string. Matches
@@ -114,15 +131,7 @@ TEST(MetricLint, EveryConstantIsReferencedInSources) {
     if (unused.empty()) break;
     const std::string text = slurp(file);
     for (auto it = unused.begin(); it != unused.end();) {
-      const std::size_t at = text.find(*it);
-      // Word-bounded: reject matches that are a prefix of a longer
-      // identifier (kSvcFailed vs kSvcFailedFoo).
-      const bool hit =
-          at != std::string::npos &&
-          (at + it->size() >= text.size() ||
-           !(std::isalnum(static_cast<unsigned char>(text[at + it->size()])) ||
-             text[at + it->size()] == '_'));
-      it = hit ? unused.erase(it) : ++it;
+      it = contains_word(text, *it) ? unused.erase(it) : ++it;
     }
   }
   EXPECT_TRUE(unused.empty())
@@ -197,6 +206,49 @@ TEST(MetricLint, NoRawStringLiteralsAtInstrumentationSites) {
     std::smatch m;
     EXPECT_FALSE(std::regex_search(text, m, raw))
         << file << " uses a raw string-literal metric name: " << m[0];
+  }
+}
+
+/// The enumerators of obs::flight::Event, parsed from its declaration.
+std::vector<std::string> flight_events() {
+  const std::string text = slurp(kFlightHeader);
+  std::smatch body;
+  EXPECT_TRUE(std::regex_search(text, body, std::regex(R"(enum class Event[^{]*\{([^}]*)\})")))
+      << "no Event enum in " << kFlightHeader;
+  const std::string enumerators = body[1].str();
+  std::vector<std::string> events;
+  const std::regex name(R"((?:^|\n)\s*(k\w+))");
+  for (std::sregex_iterator it(enumerators.begin(), enumerators.end(), name), end;
+       it != end; ++it) {
+    events.push_back((*it)[1].str());
+  }
+  EXPECT_FALSE(events.empty()) << "no enumerators parsed from " << kFlightHeader;
+  return events;
+}
+
+TEST(MetricLint, EveryFlightEventIsStampedInSources) {
+  // A declared event nothing stamps would only ever read as a gap in the
+  // post-mortems.
+  std::string sources;
+  for (const fs::path& file : source_files()) {
+    if (file.stem() != "flight_recorder") sources += slurp(file);
+  }
+  for (const std::string& event : flight_events()) {
+    EXPECT_TRUE(contains_word(sources, "Event::" + event))
+        << "flight event " << event << " is declared but never stamped in src/";
+  }
+}
+
+TEST(MetricLint, OnlyTheServiceStampsFlightEvents) {
+  // The ring is keyed by service request id; a stamp from anywhere else
+  // (under a session or shard id) would splice into some request's
+  // post-mortem.
+  const std::regex call(R"(flight::record\s*\()");
+  for (const fs::path& file : source_files()) {
+    if (file.parent_path().filename() == "service") continue;
+    const std::string text = slurp(file);
+    EXPECT_FALSE(std::regex_search(text, call))
+        << file << " stamps a flight event outside src/service/";
   }
 }
 

@@ -106,13 +106,11 @@ TEST(StreamingSim, ZeroInstructionsIsEmpty) {
 
 TEST(TraceCompression, RoundTripAndSmaller) {
   const auto tr = uarch::make_encoded_trace(trace::find_workload("mcf"), 5000);
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto raw_path = dir / "mlsim_raw.bin";
-  const auto packed_path = dir / "mlsim_packed.bin";
-  tr.save(raw_path, /*compress=*/false);
-  tr.save(packed_path, /*compress=*/true);
+  const auto packed_path = std::filesystem::temp_directory_path() / "mlsim_packed.bin";
+  tr.save(packed_path);
 
-  const auto raw_size = std::filesystem::file_size(raw_path);
+  const std::size_t raw_size = tr.raw_features().size() * sizeof(std::int32_t) +
+                               tr.raw_targets().size() * sizeof(std::uint32_t);
   const auto packed_size = std::filesystem::file_size(packed_path);
   EXPECT_LT(packed_size, raw_size / 3);  // typically 5-8x smaller
 
@@ -123,11 +121,6 @@ TEST(TraceCompression, RoundTripAndSmaller) {
   EXPECT_EQ(back.benchmark(), tr.benchmark());
   EXPECT_EQ(back.labeled(), tr.labeled());
 
-  // v1 files still load.
-  const auto back_raw = trace::EncodedTrace::load(raw_path);
-  EXPECT_EQ(back_raw.raw_features(), tr.raw_features());
-
-  std::filesystem::remove(raw_path);
   std::filesystem::remove(packed_path);
 }
 

@@ -4,14 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/wire.h"
 #include "tensor/lstm.h"
 #include "tensor/model.h"
 #include "tensor/ops.h"
@@ -345,9 +343,11 @@ TEST(SimNetModel, SaveLoadRoundTrip) {
   SimNetModelConfig cfg{.in_features = 6, .window = 5, .channels = 4,
                         .hidden = 7, .kernel = 3, .outputs = 3};
   SimNetModel m(cfg, 17);
-  const auto path = std::filesystem::temp_directory_path() / "mlsim_model.bin";
-  m.save(path);
-  SimNetModel back = SimNetModel::load(path);
+  wire::Writer w;
+  put_model(w, m);
+  wire::Reader r(w.bytes(), "test");
+  SimNetModel back = get_model(r);
+  r.finish();
   EXPECT_EQ(back.config(), cfg);
   Tensor x({2, 6, 5});
   Rng rng(18);
@@ -355,7 +355,6 @@ TEST(SimNetModel, SaveLoadRoundTrip) {
   const Tensor y1 = m.forward(x);
   const Tensor y2 = back.forward(x);
   for (std::size_t i = 0; i < y1.numel(); ++i) EXPECT_EQ(y1.at(i), y2.at(i));
-  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------ kernel bit-exactness --
@@ -584,73 +583,6 @@ TEST(Kernels, RejectWindowShorterThanHalfTheKernel) {
                  .outputs = 1});
   EXPECT_THROW(m.infer(Tensor({1, 2, 2})), CheckError);
   EXPECT_THROW(m.forward(Tensor({1, 2, 2})), CheckError);
-}
-
-// ------------------------------------------------------------ model files --
-
-class ModelFile : public ::testing::Test {
- protected:
-  // Header: u32 magic, then SimNetModelConfig's six size_t fields in order.
-  static constexpr std::size_t kFieldOffset = sizeof(std::uint32_t);
-  static constexpr std::size_t kChannels = 2;
-
-  void SetUp() override {
-    SimNetModel({.in_features = 6, .window = 5, .channels = 4, .hidden = 7, .kernel = 3,
-                 .outputs = 3},
-                17)
-        .save(path_);
-    std::ifstream is(path_, std::ios::binary);
-    std::ostringstream all;
-    all << is.rdbuf();
-    bytes_ = std::move(all).str();
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  void set_field(std::size_t field, std::uint64_t v) {
-    std::memcpy(bytes_.data() + kFieldOffset + field * sizeof(std::uint64_t), &v, sizeof v);
-  }
-  void write(std::size_t n) {
-    std::ofstream(path_, std::ios::binary | std::ios::trunc)
-        .write(bytes_.data(), static_cast<std::streamsize>(n));
-  }
-
-  // One file per test: ctest runs the cases as parallel processes.
-  const std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() /
-      (std::string("mlsim_model_file_test_") +
-       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-       ".bin");
-  std::string bytes_;
-};
-
-TEST_F(ModelFile, TruncatedHeaderThrowsTyped) {
-  write(kFieldOffset + 3 * sizeof(std::uint64_t));
-  EXPECT_THROW(SimNetModel::load(path_), CheckError);
-  write(2);
-  EXPECT_THROW(SimNetModel::load(path_), CheckError);
-}
-
-TEST_F(ModelFile, TruncatedPayloadThrowsTyped) {
-  write(bytes_.size() - 1);
-  EXPECT_THROW(SimNetModel::load(path_), CheckError);
-}
-
-TEST_F(ModelFile, InflatedChannelCountThrowsTypedBeforeAllocating) {
-  for (const std::uint64_t channels :
-       {std::uint64_t{40}, std::uint64_t{1} << 40, ~std::uint64_t{0}, std::uint64_t{0}}) {
-    set_field(kChannels, channels);
-    write(bytes_.size());
-    EXPECT_THROW(SimNetModel::load(path_), CheckError) << channels;
-  }
-}
-
-TEST_F(ModelFile, WindowShorterThanHalfTheKernelThrowsTyped) {
-  // Well formed, but the model could never run: "same" padding needs
-  // window > kernel / 2.
-  SimNetModel({.in_features = 3, .window = 2, .channels = 2, .hidden = 2, .kernel = 5,
-               .outputs = 1})
-      .save(path_);
-  EXPECT_THROW(SimNetModel::load(path_), CheckError);
 }
 
 // ------------------------------------------------------------------- adam --
