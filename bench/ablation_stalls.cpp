@@ -4,7 +4,6 @@
 // the structural information the ML model's context window must expose
 // (cf. the context-length ablation).
 #include "bench_util.h"
-#include "trace/functional_sim.h"
 #include "uarch/ground_truth.h"
 
 using namespace mlsim;
@@ -18,17 +17,12 @@ int main(int argc, char** argv) {
   Table t({"benchmark", "CPI", "width %", "icache %", "redirect %", "ROB %",
            "IQ %", "LSQ %"});
   for (const auto& abbr : bench::benchmarks_or(args, trace::test_benchmarks())) {
-    const auto& wl = trace::find_workload(abbr);
-    const trace::Program prog = trace::Program::generate(wl, 1);
-    trace::FunctionalSim fsim(prog, 1);
-    uarch::Annotator ann;
-    uarch::OooCore core;
+    uarch::LabeledTraceStream stream(trace::find_workload(abbr));
     std::uint64_t cycles = 0;
     for (std::size_t i = 0; i < args.instructions; ++i) {
-      const auto d = fsim.next();
-      cycles += core.process(d, ann.annotate(d)).fetch_lat;
+      cycles += stream.step().timing.fetch_lat;
     }
-    const auto& s = core.stalls();
+    const auto& s = stream.core().stalls();
     const double tot = std::max<double>(1.0, static_cast<double>(s.total()));
     auto pct = [&](std::uint64_t v) { return 100.0 * static_cast<double>(v) / tot; };
     t.add_row({abbr,

@@ -17,6 +17,7 @@
 #include "core/analytic_predictor.h"
 #include "core/ithemal.h"
 #include "core/parallel_sim.h"
+#include "uarch/ground_truth.h"
 #include "uarch/interval_core.h"
 
 using namespace mlsim;
@@ -44,88 +45,78 @@ int main(int argc, char** argv) {
   const auto& profile = trace::find_workload(abbr);
 
   // gem5-class: the detailed OoO ground-truth pipeline, measured for real.
+  uarch::LabeledTrace labeled;
   const double gem5_mips = wall_mips(args.instructions, [&] {
-    uarch::generate_labeled_trace(profile, args.instructions, {}, 2);
+    labeled = uarch::generate_labeled_trace(profile, args.instructions, {}, 2);
   });
 
-  // ZSim-class: interval core over pre-annotated stream, measured for real.
+  // ZSim-class: interval core over the same annotated stream, measured for
+  // real.
   uarch::IntervalCore interval;
-  {
-    const trace::Program prog = trace::Program::generate(profile, 2);
-    trace::FunctionalSim fsim(prog, 2);
-    uarch::Annotator ann;
-    // Pre-generate outside the timed section.
-    std::vector<std::pair<trace::DynInst, trace::Annotation>> stream;
-    stream.reserve(args.instructions);
-    for (std::size_t i = 0; i < args.instructions; ++i) {
-      const auto d = fsim.next();
-      stream.emplace_back(d, ann.annotate(d));
-    }
-    const double zsim_mips = wall_mips(args.instructions, [&] {
-      for (const auto& [d, a] : stream) interval.process(d, a);
-    });
+  const double zsim_mips = wall_mips(args.instructions, [&] {
+    for (const auto& r : labeled.records) interval.process(r.inst, r.ann);
+  });
 
-    core::AnalyticPredictor pred;
+  core::AnalyticPredictor pred;
 
-    // Our simulator, modeled on 1 A100 / 1 V100 / 282 V100.
-    auto ours = [&](std::size_t gpus, const device::GpuSpec& gpu) {
-      core::ParallelSimOptions o;
-      o.num_subtraces = 32768 * gpus;
-      o.num_gpus = gpus;
-      o.context_length = core::kDefaultContextLength;
-      o.warmup = o.context_length;
-      o.post_error_correction = true;
-      core::CostModel cm;
-      cm.gpu = gpu;
-      o.costs = cm;
-      o.engine = gpu.sparse_speedup > 1.0 ? device::Engine::kTensorRTSparse
-                                          : device::Engine::kTensorRTHalf;
-      // Preserve the paper's per-partition length (~3051 = 100M/32k)
-      // when the total instruction count is scaled down.
-      o.num_subtraces = std::min(o.num_subtraces, tr.size() / 3051);
-      o.num_subtraces = std::max<std::size_t>(o.num_subtraces, gpus);
-      core::ParallelSimulator sim(pred, o);
-      return sim.run(tr).mips();
-    };
-    const double a100 = ours(1, device::GpuSpec::a100());
-    const double v100 = ours(1, device::GpuSpec::v100());
-    const double summit = ours(282, device::GpuSpec::v100());
+  // Our simulator, modeled on 1 A100 / 1 V100 / 282 V100.
+  auto ours = [&](std::size_t gpus, const device::GpuSpec& gpu) {
+    core::ParallelSimOptions o;
+    o.num_subtraces = 32768 * gpus;
+    o.num_gpus = gpus;
+    o.context_length = core::kDefaultContextLength;
+    o.warmup = o.context_length;
+    o.post_error_correction = true;
+    core::CostModel cm;
+    cm.gpu = gpu;
+    o.costs = cm;
+    o.engine = gpu.sparse_speedup > 1.0 ? device::Engine::kTensorRTSparse
+                                        : device::Engine::kTensorRTHalf;
+    // Preserve the paper's per-partition length (~3051 = 100M/32k)
+    // when the total instruction count is scaled down.
+    o.num_subtraces = std::min(o.num_subtraces, tr.size() / 3051);
+    o.num_subtraces = std::max<std::size_t>(o.num_subtraces, gpus);
+    core::ParallelSimulator sim(pred, o);
+    return sim.run(tr).mips();
+  };
+  const double a100 = ours(1, device::GpuSpec::a100());
+  const double v100 = ours(1, device::GpuSpec::v100());
+  const double summit = ours(282, device::GpuSpec::v100());
 
-    // Sequential ML simulator on the device (modeled).
-    device::Device dev(device::GpuSpec::a100());
-    core::GpuSimOptions seq_o;
-    seq_o.context_length = core::kDefaultContextLength;
-    seq_o.gpu_input_construction = false;
-    seq_o.sliding_window = false;
-    seq_o.custom_conv = false;
-    seq_o.engine = device::Engine::kLibTorch;
-    seq_o.pipelined = false;
-    core::GpuSimulator seq_sim(pred, dev, seq_o);
-    const double seq_cpp =
-        seq_sim.run(tr, 0, std::min<std::size_t>(tr.size(), 50000)).mips();
+  // Sequential ML simulator on the device (modeled).
+  device::Device dev(device::GpuSpec::a100());
+  core::GpuSimOptions seq_o;
+  seq_o.context_length = core::kDefaultContextLength;
+  seq_o.gpu_input_construction = false;
+  seq_o.sliding_window = false;
+  seq_o.custom_conv = false;
+  seq_o.engine = device::Engine::kLibTorch;
+  seq_o.pipelined = false;
+  core::GpuSimulator seq_sim(pred, dev, seq_o);
+  const double seq_cpp =
+      seq_sim.run(tr, 0, std::min<std::size_t>(tr.size(), 50000)).mips();
 
-    Table t({"simulator", "MIPS (this repo)", "basis", "paper MIPS"});
-    t.add_row({std::string("Ithemal (Python, sequential)"), 0.00057,
-               std::string("paper value"), 0.00057});
-    t.add_row({std::string("SimNet sequential (Python)"), 0.0013,
-               std::string("paper value"), 0.0013});
-    t.add_row({std::string("SimNet sequential (C++ baseline)"), seq_cpp,
-               std::string("modeled A100"), 0.133});
-    t.add_row({std::string("parallel CPU (64-core ref.)"), 0.0033,
-               std::string("paper value"), 0.0033});
-    t.add_row({std::string("gem5-class detailed OoO"), gem5_mips,
-               std::string("measured host"), 0.198});
-    t.add_row({std::string("ZSim-class interval model"), zsim_mips,
-               std::string("measured host"), 16.45});
-    t.add_row({std::string("ours, 1x A100"), a100, std::string("modeled"), 2.86});
-    t.add_row({std::string("ours, 1x V100"), v100, std::string("modeled"), 2.45});
-    t.add_row({std::string("ours, 282x V100 (Summit)"), summit,
-               std::string("modeled"), 553.68});
-    bench::emit(t, "fig10_sota_comparison");
+  Table t({"simulator", "MIPS (this repo)", "basis", "paper MIPS"});
+  t.add_row({std::string("Ithemal (Python, sequential)"), 0.00057,
+             std::string("paper value"), 0.00057});
+  t.add_row({std::string("SimNet sequential (Python)"), 0.0013,
+             std::string("paper value"), 0.0013});
+  t.add_row({std::string("SimNet sequential (C++ baseline)"), seq_cpp,
+             std::string("modeled A100"), 0.133});
+  t.add_row({std::string("parallel CPU (64-core ref.)"), 0.0033,
+             std::string("paper value"), 0.0033});
+  t.add_row({std::string("gem5-class detailed OoO"), gem5_mips,
+             std::string("measured host"), 0.198});
+  t.add_row({std::string("ZSim-class interval model"), zsim_mips,
+             std::string("measured host"), 16.45});
+  t.add_row({std::string("ours, 1x A100"), a100, std::string("modeled"), 2.86});
+  t.add_row({std::string("ours, 1x V100"), v100, std::string("modeled"), 2.45});
+  t.add_row({std::string("ours, 282x V100 (Summit)"), summit,
+             std::string("modeled"), 553.68});
+  bench::emit(t, "fig10_sota_comparison");
 
-    std::printf("note: host-measured rates reflect this repo's fast timestamp "
-                "models, not gem5/ZSim binaries; ordering + modeled GPU rates "
-                "are the reproduced result.\n");
-  }
+  std::printf("note: host-measured rates reflect this repo's fast timestamp "
+              "models, not gem5/ZSim binaries; ordering + modeled GPU rates "
+              "are the reproduced result.\n");
   return 0;
 }

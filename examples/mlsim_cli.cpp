@@ -173,7 +173,6 @@
 #include "obs/telemetry_http.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
-#include "trace/stream.h"
 
 using namespace mlsim;
 using flags::Kind;
@@ -538,7 +537,7 @@ int cmd_stream(flags::CommandLine& cli) {
               {"[context]", &ctx, Kind::kPositive}},
              reports.flags()});
   reports.start();
-  trace::LabeledTraceStream stream(trace::find_workload(abbr));
+  uarch::LabeledTraceStream stream(trace::find_workload(abbr));
   core::AnalyticPredictor pred;
   const auto res = core::simulate_stream(pred, stream, n, ctx);
   std::printf("streamed %llu instructions of %s (context %zu, bounded memory)\n",

@@ -23,9 +23,6 @@ class Table {
   /// RFC-4180-ish CSV (no embedded quotes expected in our data).
   void write_csv(std::ostream& os) const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return headers_.size(); }
-
   /// Formatting precision for double cells (default 4 significant decimals).
   void set_precision(int digits) { precision_ = digits; }
 

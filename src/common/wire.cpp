@@ -39,6 +39,15 @@ std::filesystem::path temp_sibling(const std::filesystem::path& path) {
           "." + std::to_string(counter.fetch_add(1)));
 }
 
+/// Throw CheckError "<what>: <context>" for the check at `loc`. Envelope
+/// checks call it only once they have failed, so an envelope that opens
+/// builds no message.
+[[noreturn, gnu::cold]] void envelope_failed(
+    std::string_view what, const std::string& context,
+    std::source_location loc = std::source_location::current()) {
+  check_failed(std::string(what) + ": " + context, loc);
+}
+
 /// The murmur3 fmix64 finalizer: a bijection that spreads every input bit
 /// over the whole sum.
 std::uint64_t avalanche(std::uint64_t h) {
@@ -97,16 +106,19 @@ std::string seal(std::uint32_t magic, std::string_view payload) {
 
 Header open_header(std::uint32_t magic, std::string_view header,
                    const std::string& context) {
-  check(header.size() >= kEnvelopeBytes,
-        "envelope too small for its header: " + context);
-  Reader head(header.data(), kEnvelopeBytes, context);
-  check(head.pod<std::uint32_t>() == magic,
-        "bad envelope magic (wrong file or corrupted): " + context);
+  if (header.size() < kEnvelopeBytes) [[unlikely]] {
+    envelope_failed("envelope too small for its header", context);
+  }
+  Reader head(header.data(), kEnvelopeBytes, {});  // sized above: cannot fail
+  if (head.pod<std::uint32_t>() != magic) [[unlikely]] {
+    envelope_failed("bad envelope magic (wrong file or corrupted)", context);
+  }
   const auto version = head.pod<std::uint32_t>();
-  check(version == kWireVersion,
-        "unsupported envelope version " + std::to_string(version) +
-            " (this build reads " + std::to_string(kWireVersion) +
-            "): " + context);
+  if (version != kWireVersion) [[unlikely]] {
+    envelope_failed("unsupported envelope version " + std::to_string(version) +
+                        " (this build reads " + std::to_string(kWireVersion) + ")",
+                    context);
+  }
   Header h;
   h.checksum = head.pod<std::uint64_t>();
   h.payload_size = head.pod<std::uint64_t>();
@@ -115,18 +127,12 @@ Header open_header(std::uint32_t magic, std::string_view header,
 
 void verify_payload(const Header& header, std::string_view payload,
                     const std::string& context) {
-  check(header.payload_size == payload.size(),
-        "envelope payload length mismatch (torn write?): " + context);
-  check(checksum(payload) == header.checksum,
-        "envelope checksum mismatch (corrupted): " + context);
-}
-
-std::string_view unseal(std::uint32_t magic, std::string_view enveloped,
-                        const std::string& context) {
-  const Header header = open_header(magic, enveloped, context);
-  const std::string_view payload = enveloped.substr(kEnvelopeBytes);
-  verify_payload(header, payload, context);
-  return payload;
+  if (header.payload_size != payload.size()) [[unlikely]] {
+    envelope_failed("envelope payload length mismatch (torn write?)", context);
+  }
+  if (checksum(payload) != header.checksum) [[unlikely]] {
+    envelope_failed("envelope checksum mismatch (corrupted)", context);
+  }
 }
 
 void write_envelope_file(const std::filesystem::path& path, std::uint32_t magic,

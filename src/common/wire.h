@@ -189,13 +189,6 @@ Header open_header(std::uint32_t magic, std::string_view header,
 void verify_payload(const Header& header, std::string_view payload,
                     const std::string& context);
 
-/// Validate an enveloped byte string and return a view of its payload:
-/// open_header, then verify_payload. Throws CheckError naming `context` on
-/// bad magic/version, length mismatch (torn write), or checksum mismatch
-/// (corruption).
-std::string_view unseal(std::uint32_t magic, std::string_view enveloped,
-                        const std::string& context);
-
 /// Write `payload` to `path` sealed and atomically: header and payload go
 /// to a temporary sibling, which is renamed into place, so a killed writer
 /// leaves the old file or none, never a torn one. Throws IoError on

@@ -50,9 +50,6 @@ class InstructionQueue {
   /// Drop all state but keep the configuration (new sub-trace).
   void reset();
 
-  /// Seed the Clock (used when resuming from a predecessor partition).
-  void set_clock(std::uint64_t clock) { clock_ = clock; }
-
   /// Cycles including the drain of still-in-flight instructions.
   std::uint64_t total_cycles_with_drain() const;
 

@@ -38,10 +38,10 @@ std::vector<BasicBlock> extract_basic_blocks(const trace::EncodedTrace& labeled,
 IthemalModel::IthemalModel(const IthemalConfig& cfg, std::uint64_t seed)
     : cfg_(cfg) {
   Rng rng(seed);
-  embed_ = std::make_unique<tensor::Linear>(trace::kNumFeatures, cfg.embed, rng);
+  embed_ = std::make_unique<tensor::Linear>(trace::kNumFeatures, cfg.embed, &rng);
   relu_ = std::make_unique<tensor::ReLU>();
   lstm_ = std::make_unique<tensor::Lstm>(cfg.embed, cfg.hidden, rng);
-  head_ = std::make_unique<tensor::Linear>(cfg.hidden, 1, rng);
+  head_ = std::make_unique<tensor::Linear>(cfg.hidden, 1, &rng);
   std::vector<tensor::Param> params;
   embed_->collect_params(params);
   lstm_->collect_params(params);

@@ -8,7 +8,7 @@
 namespace mlsim::core {
 
 StreamingResult simulate_stream(LatencyPredictor& predictor,
-                                trace::LabeledTraceStream& stream,
+                                uarch::LabeledTraceStream& stream,
                                 std::uint64_t total_instructions,
                                 std::size_t context_length,
                                 std::size_t chunk_size) {

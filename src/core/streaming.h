@@ -8,7 +8,7 @@
 
 #include "core/predictor.h"
 #include "core/window.h"
-#include "trace/stream.h"
+#include "uarch/ground_truth.h"
 
 namespace mlsim::core {
 
@@ -33,7 +33,7 @@ struct StreamingResult {
 /// most `chunk_size` + context_length trace rows in memory at any time and
 /// produces exactly the same predictions as materialising the whole trace.
 StreamingResult simulate_stream(LatencyPredictor& predictor,
-                                trace::LabeledTraceStream& stream,
+                                uarch::LabeledTraceStream& stream,
                                 std::uint64_t total_instructions,
                                 std::size_t context_length,
                                 std::size_t chunk_size = 1 << 16);

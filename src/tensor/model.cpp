@@ -7,8 +7,12 @@
 
 namespace mlsim::tensor {
 
-SimNetModel::SimNetModel(const SimNetModelConfig& cfg, std::uint64_t seed) : cfg_(cfg) {
+SimNetModel::SimNetModel(const SimNetModelConfig& cfg, std::uint64_t seed) {
   Rng rng(seed);
+  *this = SimNetModel(&rng, cfg);
+}
+
+SimNetModel::SimNetModel(Rng* rng, const SimNetModelConfig& cfg) : cfg_(cfg) {
   conv1_ = std::make_unique<Conv1D>(cfg.in_features, cfg.channels, cfg.kernel, rng);
   conv2_ = std::make_unique<Conv1D>(cfg.channels, cfg.channels, cfg.kernel, rng);
   conv3_ = std::make_unique<Conv1D>(cfg.channels, cfg.channels, cfg.kernel, rng);
@@ -155,7 +159,7 @@ SimNetModel get_model(wire::Reader& r) {
     *dim = r.pod<std::uint64_t>();
   }
   check(payload_bytes(cfg) <= r.remaining(), "model payload shorter than its config declares");
-  SimNetModel m(cfg);
+  SimNetModel m(nullptr, cfg);
   for (std::vector<float>* v : param_vectors(m)) {
     std::vector<float> got = r.vec<float>();
     check(got.size() == v->size(), "model parameter size mismatch");

@@ -71,6 +71,11 @@ class SimNetModel {
   std::size_t flops_per_batch(std::size_t batch) const;
 
  private:
+  /// Layers sized for `cfg`, drawn from `rng`, or all zero when it is null
+  /// (get_model then sets every parameter).
+  SimNetModel(Rng* rng, const SimNetModelConfig& cfg);
+  friend SimNetModel get_model(wire::Reader& r);
+
   SimNetModelConfig cfg_;
   std::unique_ptr<Conv1D> conv1_, conv2_, conv3_;
   std::unique_ptr<ReLU> relu1_, relu2_, relu3_, relu4_;

@@ -167,7 +167,7 @@ void linear_block(const LinearWeights& lw, std::size_t np, std::size_t o, const 
 // ---------------------------------------------------------------- Conv1D ---
 
 Conv1D::Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-               Rng& rng)
+               Rng* rng)
     : c_in_(in_channels),
       c_out_(out_channels),
       k_(kernel),
@@ -176,7 +176,7 @@ Conv1D::Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t ke
       gw_(w_.size(), 0.0f),
       gb_(b_.size(), 0.0f) {
   check(kernel % 2 == 1, "Conv1D uses odd kernels with 'same' padding");
-  kaiming_uniform(w_, c_in_ * k_, rng);
+  if (rng) kaiming_uniform(w_, c_in_ * k_, *rng);
 }
 
 Tensor Conv1D::forward(const Tensor& x) {
@@ -280,14 +280,14 @@ std::size_t Conv1D::flops(std::size_t batch, std::size_t length) const {
 
 // ---------------------------------------------------------------- Linear ---
 
-Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
+Linear::Linear(std::size_t in_features, std::size_t out_features, Rng* rng)
     : n_in_(in_features),
       n_out_(out_features),
       w_(out_features * in_features),
       b_(out_features, 0.0f),
       gw_(w_.size(), 0.0f),
       gb_(b_.size(), 0.0f) {
-  kaiming_uniform(w_, n_in_, rng);
+  if (rng) kaiming_uniform(w_, n_in_, *rng);
 }
 
 Tensor Linear::forward(const Tensor& x) {

@@ -74,9 +74,10 @@ class Layer {
 
 class Conv1D final : public Layer {
  public:
-  /// Kaiming-uniform initialisation from `rng`.
+  /// Kaiming-uniform initialisation from `rng`; all zero when it is null
+  /// (for a decoder that sets every parameter).
   Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         Rng& rng);
+         Rng* rng);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -110,7 +111,8 @@ class Conv1D final : public Layer {
 
 class Linear final : public Layer {
  public:
-  Linear(std::size_t in_features, std::size_t out_features, Rng& rng);
+  /// Initialised as Conv1D is.
+  Linear(std::size_t in_features, std::size_t out_features, Rng* rng);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;

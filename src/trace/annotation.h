@@ -34,6 +34,8 @@ struct Annotation {
   /// Distance (in dynamic instructions, capped) to the most recent older
   /// store to an overlapping address; 0 if none in the tracked window.
   std::uint8_t store_forward_dist = 0;
+
+  bool operator==(const Annotation&) const = default;
 };
 
 }  // namespace mlsim::trace

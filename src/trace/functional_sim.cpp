@@ -111,8 +111,4 @@ std::vector<DynInst> FunctionalSim::run(std::size_t n) {
   return out;
 }
 
-void FunctionalSim::run(std::size_t n, const std::function<void(const DynInst&)>& sink) {
-  for (std::size_t i = 0; i < n; ++i) sink(next());
-}
-
 }  // namespace mlsim::trace

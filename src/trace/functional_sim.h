@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,9 +28,6 @@ class FunctionalSim {
 
   /// Emit `n` instructions into a vector.
   std::vector<DynInst> run(std::size_t n);
-
-  /// Emit `n` instructions through a sink callback (no allocation).
-  void run(std::size_t n, const std::function<void(const DynInst&)>& sink);
 
   std::uint64_t instructions_retired() const { return count_; }
 

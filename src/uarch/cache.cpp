@@ -139,29 +139,23 @@ Cache::InsertHint Cache::note_miss(std::size_t set, std::uint64_t laddr) {
   return hint;
 }
 
-CacheAccessResult Cache::access(std::uint64_t addr, std::uint64_t now,
-                                std::uint64_t fill_ready, bool is_write) {
-  ++tick_;
-  const std::uint64_t laddr = line_addr(addr);
-  const std::size_t set = set_index(laddr);
-  Line* base = &lines_[set * cfg_.assoc];
-
-  for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-    Line& ln = base[w];
-    if (ln.valid && ln.tag == laddr) {
-      ++hits_;
-      on_hit(ln);
-      if (is_write) ln.dirty = true;
-      // Tagged prefetching: the first demand touch of a prefetched line
-      // keeps the stream running by prefetching the next one.
-      if (ln.prefetched) {
-        ln.prefetched = false;
-        if (cfg_.next_line_prefetch) prefetch_line(laddr + 1);
-      }
-      return {.hit = true, .ready_cycle = now + cfg_.latency, .mshr_merge = false};
-    }
+CacheAccessResult Cache::demand_hit(Line& ln, std::uint64_t laddr, std::uint64_t now,
+                                    bool is_write) {
+  ++hits_;
+  on_hit(ln);
+  if (is_write) ln.dirty = true;
+  // Tagged prefetching: the first demand touch of a prefetched line keeps
+  // the stream running by prefetching the next one.
+  if (ln.prefetched) {
+    ln.prefetched = false;
+    if (cfg_.next_line_prefetch) prefetch_line(laddr + 1);
   }
+  return {.hit = true, .ready_cycle = now + cfg_.latency, .mshr_merge = false};
+}
 
+CacheAccessResult Cache::demand_miss(std::size_t set, std::uint64_t laddr,
+                                     std::uint64_t addr, std::uint64_t now,
+                                     std::uint64_t fill_ready, bool is_write) {
   // Miss path. First look for an in-flight MSHR for the same line.
   ++misses_;
   const InsertHint hint = note_miss(set, laddr);
@@ -202,7 +196,7 @@ CacheAccessResult Cache::access(std::uint64_t addr, std::uint64_t now,
   slot->line_addr = laddr;
   slot->ready = ready;
 
-  Line* victim = select_victim(base, set, addr, hint);
+  Line* victim = select_victim(&lines_[set * cfg_.assoc], set, addr, hint);
   victim->valid = true;
   victim->tag = laddr;
   victim->fill_order = fill_tick_++;
@@ -218,14 +212,11 @@ CacheAccessResult Cache::access(std::uint64_t addr, std::uint64_t now,
 
 void Cache::prefetch_line(std::uint64_t laddr) {
   const std::size_t set = set_index(laddr);
-  Line* base = &lines_[set * cfg_.assoc];
-  for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-    if (base[w].valid && base[w].tag == laddr) return;  // already resident
-  }
+  if (find(set, laddr) != nullptr) return;  // already resident
   // Prefetches insert without the demand-miss bookkeeping (no PSEL vote, no
   // ghost-list adaptation): a speculative fill must not steer the duel.
   const InsertHint hint;
-  Line* victim = select_victim(base, set, laddr * cfg_.line_bytes, hint);
+  Line* victim = select_victim(&lines_[set * cfg_.assoc], set, laddr * cfg_.line_bytes, hint);
   victim->valid = true;
   victim->tag = laddr;
   victim->fill_order = fill_tick_++;

@@ -1,6 +1,10 @@
 // Set-associative cache with MSHR-based miss tracking and a selectable
 // replacement policy. Used for L1I, L1D and the shared L2.
 //
+// A demand access searches its set once. A hit is promoted in that search;
+// a miss asks the next level (a callback, so an L1 miss reaches the L2)
+// for the fill cycle, then takes an MSHR and fills.
+//
 // MSHRs model miss-level parallelism: a miss to a line that already has an
 // outstanding MSHR entry piggybacks on it (secondary miss) rather than
 // issuing a second fill; when all MSHRs are busy the miss serialises behind
@@ -22,6 +26,7 @@
 // bit-identity guarantees rest on.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -45,16 +50,30 @@ class Cache {
   /// does not implement (any value beyond the ReplacementPolicy enum).
   explicit Cache(const CacheConfig& cfg, const char* name = "cache");
 
-  /// Timed access at `now`. On a miss, `fill_ready` is the cycle the next
-  /// level delivers the line (caller computes it by querying the next
-  /// level / memory). Returns hit/miss and the data-ready cycle, accounting
-  /// for MSHR occupancy.
-  ///
-  /// Usage contract: call probe() first to learn hit/miss, compute the fill
-  /// time if needed, then call access() exactly once per reference.
-  bool probe(std::uint64_t addr) const;
+  /// Timed access at `now`, one search of the set. A hit is promoted in
+  /// that search and ready after this level's latency. A miss calls
+  /// `next_level()` for the cycle the next level delivers the line, then
+  /// takes an MSHR and fills. Returns hit/miss and the data-ready cycle,
+  /// accounting for MSHR occupancy.
+  template <std::invocable NextLevel>
+  CacheAccessResult access(std::uint64_t addr, std::uint64_t now, bool is_write,
+                           NextLevel&& next_level) {
+    ++tick_;
+    const std::uint64_t laddr = line_addr(addr);
+    const std::size_t set = set_index(laddr);
+    if (Line* ln = find(set, laddr)) return demand_hit(*ln, laddr, now, is_write);
+    return demand_miss(set, laddr, addr, now, next_level(), is_write);
+  }
+  /// access() for a level whose next level serves every miss at
+  /// `fill_ready`: the last level, whose next level is memory at a fixed
+  /// latency.
   CacheAccessResult access(std::uint64_t addr, std::uint64_t now,
-                           std::uint64_t fill_ready, bool is_write);
+                           std::uint64_t fill_ready, bool is_write) {
+    return access(addr, now, is_write, [fill_ready] { return fill_ready; });
+  }
+
+  /// Whether `addr`'s line is resident. A query only: it changes no state.
+  bool probe(std::uint64_t addr) const;
 
   const CacheConfig& config() const { return cfg_; }
 
@@ -106,6 +125,19 @@ class Cache {
 
   std::uint64_t line_addr(std::uint64_t addr) const { return addr / cfg_.line_bytes; }
   std::size_t set_index(std::uint64_t laddr) const { return laddr % num_sets_; }
+  /// The valid way of `set` holding line `laddr`, or null.
+  Line* find(std::size_t set, std::uint64_t laddr) {
+    Line* base = &lines_[set * cfg_.assoc];
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (base[w].valid && base[w].tag == laddr) return &base[w];
+    }
+    return nullptr;
+  }
+  CacheAccessResult demand_hit(Line& ln, std::uint64_t laddr, std::uint64_t now,
+                               bool is_write);
+  CacheAccessResult demand_miss(std::size_t set, std::uint64_t laddr, std::uint64_t addr,
+                                std::uint64_t now, std::uint64_t fill_ready,
+                                bool is_write);
 
   /// Demand-miss bookkeeping before the fill: PSEL dueling updates
   /// (DIP/DRRIP) and ARC ghost-hit adaptation. Returns the insertion hint.

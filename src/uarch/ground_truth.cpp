@@ -25,41 +25,14 @@ Annotator::Annotator(const MachineConfig& cfg)
       dtlb_(cfg.tlb),
       store_window_(kStoreWindow) {}
 
-HitLevel Annotator::lookup_fetch(std::uint64_t pc) {
-  if (l1i_.probe(pc)) {
-    l1i_.access(pc, now_, now_ + cfg_.l1i.latency, false);
-    return HitLevel::kL1;
-  }
-  HitLevel level;
-  std::uint64_t fill;
-  if (l2_.probe(pc)) {
-    level = HitLevel::kL2;
-    fill = l2_.access(pc, now_, 0, false).ready_cycle;
-  } else {
-    level = HitLevel::kMemory;
-    fill = l2_.access(pc, now_, now_ + cfg_.l2.latency + cfg_.memory_latency, false)
-               .ready_cycle;
-  }
-  l1i_.access(pc, now_, fill, false);
-  return level;
-}
-
-HitLevel Annotator::lookup_data(std::uint64_t addr, bool is_write) {
-  if (l1d_.probe(addr)) {
-    l1d_.access(addr, now_, now_ + cfg_.l1d.latency, is_write);
-    return HitLevel::kL1;
-  }
-  HitLevel level;
-  std::uint64_t fill;
-  if (l2_.probe(addr)) {
-    level = HitLevel::kL2;
-    fill = l2_.access(addr, now_, 0, false).ready_cycle;
-  } else {
-    level = HitLevel::kMemory;
-    fill = l2_.access(addr, now_, now_ + cfg_.l2.latency + cfg_.memory_latency, false)
-               .ready_cycle;
-  }
-  l1d_.access(addr, now_, fill, is_write);
+HitLevel Annotator::lookup(Cache& l1, std::uint64_t addr, bool is_write) {
+  HitLevel level = HitLevel::kL1;
+  l1.access(addr, now_, is_write, [&] {
+    const CacheAccessResult r = l2_.access(
+        addr, now_, now_ + cfg_.l2.latency + cfg_.memory_latency, false);
+    level = r.hit ? HitLevel::kL2 : HitLevel::kMemory;
+    return r.ready_cycle;
+  });
   return level;
 }
 
@@ -67,15 +40,13 @@ Annotation Annotator::annotate(const DynInst& inst) {
   Annotation ann;
   ++now_;
 
-  // Instruction side: one lookup per line transition is handled by the
-  // caches themselves (hits are cheap; repeated probes of the same line hit).
   ann.itlb_level = itlb_.access(inst.pc).level;
-  ann.fetch_level = lookup_fetch(inst.pc);
+  ann.fetch_level = lookup(l1i_, inst.pc, false);
 
   if (trace::is_memory(inst.op)) {
     ann.dtlb_level = dtlb_.access(inst.mem_addr).level;
     const bool is_write = inst.op == OpClass::kStore;
-    ann.data_level = lookup_data(inst.mem_addr, is_write);
+    ann.data_level = lookup(l1d_, inst.mem_addr, is_write);
 
     if (inst.op == OpClass::kLoad) {
       // Store-to-load forwarding: newest overlapping store in the window.
@@ -128,57 +99,48 @@ std::uint64_t LabeledTrace::total_cycles() const {
   return cycles;
 }
 
+LabeledTraceStream::LabeledTraceStream(const trace::WorkloadProfile& profile,
+                                       const MachineConfig& machine,
+                                       std::uint64_t seed)
+    : benchmark_(profile.abbr),
+      program_(trace::Program::generate(profile, seed)),
+      fsim_(program_, seed),
+      annotator_(machine),
+      core_(machine) {}
+
+LabeledInst LabeledTraceStream::step() {
+  LabeledInst r;
+  r.inst = fsim_.next();
+  r.ann = annotator_.annotate(r.inst);
+  r.timing = core_.process(r.inst, r.ann);
+  return r;
+}
+
+std::size_t LabeledTraceStream::fill(trace::EncodedTrace& out, std::size_t max_rows) {
+  out.reserve(out.size() + max_rows);
+  for (std::size_t i = 0; i < max_rows; ++i) {
+    const LabeledInst r = step();
+    out.append(encoder_.encode(r.inst, r.ann), r.timing.fetch_lat, r.timing.exec_lat,
+               r.timing.store_lat);
+  }
+  return max_rows;
+}
+
 LabeledTrace generate_labeled_trace(const trace::WorkloadProfile& profile,
                                     std::size_t n, const MachineConfig& machine,
                                     std::uint64_t seed) {
-  LabeledTrace out;
-  out.benchmark = profile.abbr;
-  out.machine = machine;
+  LabeledTrace out{profile.abbr, machine, {}};
   out.records.reserve(n);
-
-  const trace::Program prog = trace::Program::generate(profile, seed);
-  trace::FunctionalSim fsim(prog, seed);
-  Annotator annotator(machine);
-  OooCore core(machine);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    LabeledInst rec;
-    rec.inst = fsim.next();
-    rec.ann = annotator.annotate(rec.inst);
-    rec.timing = core.process(rec.inst, rec.ann);
-    out.records.push_back(rec);
-  }
-  return out;
-}
-
-trace::EncodedTrace encode_trace(const LabeledTrace& labeled) {
-  trace::EncodedTrace out(labeled.benchmark);
-  out.reserve(labeled.size());
-  trace::FeatureEncoder enc;
-  for (const auto& r : labeled.records) {
-    out.append(enc.encode(r.inst, r.ann), r.timing.fetch_lat, r.timing.exec_lat,
-               r.timing.store_lat);
-  }
+  LabeledTraceStream stream(profile, machine, seed);
+  for (std::size_t i = 0; i < n; ++i) out.records.push_back(stream.step());
   return out;
 }
 
 trace::EncodedTrace make_encoded_trace(const trace::WorkloadProfile& profile,
                                        std::size_t n, const MachineConfig& machine,
                                        std::uint64_t seed) {
-  return encode_trace(generate_labeled_trace(profile, n, machine, seed));
-}
-
-std::vector<LabeledInst> annotate_trace(const std::vector<trace::DynInst>& insts,
-                                        const MachineConfig& machine) {
-  std::vector<LabeledInst> out;
-  out.reserve(insts.size());
-  Annotator annotator(machine);
-  for (const auto& inst : insts) {
-    LabeledInst rec;
-    rec.inst = inst;
-    rec.ann = annotator.annotate(inst);
-    out.push_back(rec);
-  }
+  trace::EncodedTrace out(profile.abbr);
+  LabeledTraceStream(profile, machine, seed).fill(out, n);
   return out;
 }
 

@@ -204,7 +204,6 @@ InstTiming OooCore::process(const DynInst& inst, const Annotation& ann) {
   t.exec_lat = static_cast<std::uint32_t>(complete - f);
   t.store_lat = static_cast<std::uint32_t>(store_done - complete);
   last_fetch_time_ = f;
-  last_complete_ = std::max(last_complete_, complete);
   ++idx_;
   return t;
 }

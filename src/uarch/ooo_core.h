@@ -61,9 +61,6 @@ class OooCore {
   /// Current clock = fetch cycle of the most recent instruction.
   std::uint64_t clock() const { return last_fetch_time_; }
 
-  /// Completion cycle of the most recent instruction (for drain accounting).
-  std::uint64_t last_complete() const { return last_complete_; }
-
   std::uint64_t instructions() const { return idx_; }
 
   /// Cycles a data access spends beyond dispatch for a given level
@@ -106,7 +103,6 @@ class OooCore {
   std::uint32_t commit_in_cycle_ = 0;
 
   std::uint64_t last_fetch_time_ = 0;
-  std::uint64_t last_complete_ = 0;
   std::uint64_t last_store_complete_ = 0;
   StallBreakdown stalls_;
 };

@@ -28,7 +28,6 @@ TlbResult Tlb::access(std::uint64_t vaddr) {
     if (base[w].valid && base[w].tag == pg) {
       base[w].lru = tick_;
       l1_tags_[l1_idx] = pg;
-      ++l2_hits_;
       return {trace::TlbLevel::kL2Tlb, cfg_.l2_latency};
     }
   }

@@ -23,7 +23,6 @@ class Tlb {
   TlbResult access(std::uint64_t vaddr);
 
   std::uint64_t l1_hits() const { return l1_hits_; }
-  std::uint64_t l2_hits() const { return l2_hits_; }
   std::uint64_t walks() const { return walks_; }
 
  private:
@@ -42,7 +41,6 @@ class Tlb {
   std::size_t l2_sets_;
   std::uint64_t tick_ = 0;
   std::uint64_t l1_hits_ = 0;
-  std::uint64_t l2_hits_ = 0;
   std::uint64_t walks_ = 0;
 };
 

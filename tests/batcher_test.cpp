@@ -34,7 +34,6 @@
 #include "service/remote.h"
 #include "service/service.h"
 #include "trace/encoder.h"
-#include "trace/stream.h"
 #include "trace/trace.h"
 #include "uarch/ground_truth.h"
 
@@ -256,7 +255,7 @@ TEST(Batcher, EveryEngineMatchesUnbatchedOverOneScheduler) {
       out.predictions = std::move(r.predictions);
       out.degraded = std::move(r.degraded_partitions);
     } else {
-      trace::LabeledTraceStream stream(trace::find_workload("mcf"));
+      uarch::LabeledTraceStream stream(trace::find_workload("mcf"));
       out.cycles =
           core::simulate_stream(pred, stream, kN, kCtx, 512).predicted_cycles;
     }

@@ -12,7 +12,7 @@
 #include "core/simulator.h"
 #include "core/streaming.h"
 #include "core/suite.h"
-#include "trace/stream.h"
+#include "uarch/ground_truth.h"
 
 namespace mlsim::core {
 namespace {
@@ -75,7 +75,7 @@ TEST(CrossEngine, StreamingAgreesWithParallelAnalytic) {
   po.context_length = ctx;
   const auto par = ParallelSimulator(pred, po).run(tr);
 
-  trace::LabeledTraceStream stream(wl, {}, 13);
+  uarch::LabeledTraceStream stream(wl, {}, 13);
   const auto str = simulate_stream(pred, stream, 3000, ctx, 113);
   EXPECT_EQ(str.predicted_cycles, par.total_cycles);
 }

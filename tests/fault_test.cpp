@@ -502,8 +502,9 @@ std::string read_file(const fs::path& path) {
 
 TEST(Checkpoint, EveryPrefixAndTrailingByteIsRejected) {
   CrashedRun run("mlsim_fault_test_prefixes.ckpt");
-  const std::string payload(wire::unseal(
-      kRunCheckpointMagic, read_file(run.opts.checkpoint_path), "test"));
+  std::string payload;
+  ASSERT_TRUE(wire::read_envelope_file(run.opts.checkpoint_path, kRunCheckpointMagic,
+                                       payload));
   // Each candidate is sealed in a valid envelope, so only the payload
   // decoder stands between it and the engine.
   const auto resume_from = [&run](std::string_view p) {

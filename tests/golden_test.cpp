@@ -19,7 +19,7 @@
 #include "core/streaming.h"
 #include "device/device.h"
 #include "tensor/quant.h"
-#include "trace/stream.h"
+#include "uarch/ground_truth.h"
 
 namespace mlsim::core {
 namespace {
@@ -156,7 +156,7 @@ TEST(GoldenPredictions, LockstepPartitionedPinned) {
 }
 
 TEST(GoldenPredictions, StreamingPinned) {
-  trace::LabeledTraceStream stream(trace::find_workload("xz"), {}, 1);
+  uarch::LabeledTraceStream stream(trace::find_workload("xz"), {}, 1);
   AnalyticPredictor pred;
   const auto res = simulate_stream(pred, stream, 10000, /*context_length=*/16,
                                    /*chunk_size=*/1000);
@@ -443,6 +443,81 @@ INSTANTIATE_TEST_SUITE_P(
       const GpuSimPin& g = std::get<0>(p.param);
       return std::string(g.abbr) + "_c" + std::to_string(g.context) + "_n" +
              std::to_string(g.batch_n) + "_" + kGpuStacks[std::get<1>(p.param)].name;
+    });
+
+// ---- Encoded trace bytes ----------------------------------------------------
+// make_encoded_trace's features and targets under every replacement policy,
+// with next-line prefetch off and on, set on all three caches of a machine
+// with a 16 KB L1D. Pinned per configuration: an FNV-1a hash over every
+// feature and then every target, so a cache-lookup change that moves one
+// victim, one prefetch or one hit-level feature fails here.
+
+constexpr std::size_t kNumPolicies = 6;  // ReplacementPolicy kLru..kArc
+
+struct TracePin {
+  const char* abbr;
+  std::uint64_t hash[kNumPolicies][2];  // [policy][next-line prefetch]
+};
+
+void PrintTo(const TracePin& g, std::ostream* os) { *os << g.abbr; }
+
+class GoldenTrace
+    : public ::testing::TestWithParam<std::tuple<TracePin, std::size_t, bool>> {};
+
+TEST_P(GoldenTrace, EncodedRowsPinned) {
+  const auto& [g, policy, prefetch] = GetParam();
+  uarch::MachineConfig m;
+  m.l1d.size_bytes = 16 * 1024;
+  for (uarch::CacheConfig* c : {&m.l1i, &m.l1d, &m.l2}) {
+    c->replacement = static_cast<uarch::ReplacementPolicy>(policy);
+    c->next_line_prefetch = prefetch;
+  }
+  const auto tr = uarch::make_encoded_trace(trace::find_workload(g.abbr), 20000, m, 3);
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::int32_t f : tr.raw_features()) {
+    h = fnv_fold(h, static_cast<std::uint32_t>(f));
+  }
+  for (const std::uint32_t t : tr.raw_targets()) h = fnv_fold(h, t);
+  EXPECT_EQ(h, g.hash[policy][prefetch]) << std::hex << "0x" << h;
+}
+
+// 20000 instructions, seed 3.
+constexpr TracePin kTracePins[] = {
+    {"mcf",
+     {{0x827b44d8c3e0e8eb, 0xac354a3b56a20188}, {0x5e0dded385d00cfd, 0xf4cb8e14df60d739},
+      {0x1166d63f9031b6e5, 0x5c1f0d2ee07f1e5c}, {0xf471db26db6b8465, 0x6a796aa6755bde4a},
+      {0x209ced448493b68c, 0x91aec20595fdb6e3}, {0x132d19500244114e, 0x30128f8c507669b0}}},
+    {"lbm",
+     {{0x45e1d40da98ac0f2, 0xc362c7063dd88a82}, {0x4fba174ea4d80387, 0x9ab0363eb86d666f},
+      {0x19295c65040bc78a, 0x08533b17d07dfc52}, {0x153b4dc4912ce352, 0x753010c993e2f0e4},
+      {0x3f3e40c1ac05eb9f, 0xcf4a162977c78305}, {0x054fbb83863d511f, 0x2be53b44f1a9dc3a}}},
+    {"exch",
+     {{0x9dd3ce13b5edb8d3, 0x02dc6b1f519fa560}, {0x5b9a6f5bef57e2da, 0x3178c65f119ca9ae},
+      {0xc41a02425c82f62d, 0x1397f59b5fe7a522}, {0x2291f0b53f5ab89b, 0x896c2c8f72c55ca3},
+      {0x73bbe8079bd83360, 0xbcbdc0597ac2a44a}, {0xde0a857ba678ba68, 0xb831cb2367aa6af7}}},
+    {"xz",
+     {{0xcd18539469a184b9, 0xf52236e342ae58b7}, {0xfccfc0995c207bfa, 0x3d32a903933608c8},
+      {0x5eb56a6ce8cedac0, 0x63acea6071674453}, {0x0fe19856950796c1, 0x9106117664faf079},
+      {0x1dfeead40b05a057, 0x791b897a9ccb7745}, {0x6c2ac4e4f9e42293, 0x4732116098e31116}}},
+    {"perl",
+     {{0x40ca3c2634a740e0, 0x6cf9d0f7b68e6471}, {0xdbc9a12a43bf7d2c, 0x7169d5eccb8b4404},
+      {0xbeb137245c38be70, 0x11d923c1bf219e99}, {0x3289688508ea1b3b, 0x8403852fc64fdb6e},
+      {0x61a627ee9cee2530, 0x575448ca31f24c09}, {0x73e7323e3befee02, 0xb304961a4ca3b40c}}},
+    {"spei",
+     {{0x32c0de836e6df239, 0xe9ece0e594bc90da}, {0xa8baad04cd24756c, 0x46c87f2dd009a8f7},
+      {0x033b7514f58305bc, 0x89ea51eeb01f31be}, {0xa72fccd880e7f92e, 0x88bf55c31f563f21},
+      {0x724cbf8efa719c8c, 0x4852ba859889e406}, {0xfbf41572aa715923, 0x6777de8c6190fbf2}}},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, GoldenTrace,
+    ::testing::Combine(::testing::ValuesIn(kTracePins),
+                       ::testing::Range(std::size_t{0}, kNumPolicies),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<GoldenTrace::ParamType>& p) {
+      const auto policy = static_cast<uarch::ReplacementPolicy>(std::get<1>(p.param));
+      return std::string(std::get<0>(p.param).abbr) + "_" + uarch::to_string(policy) +
+             (std::get<2>(p.param) ? "_prefetch" : "");
     });
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "core/parallel_sim.h"
 #include "core/simulator.h"
 #include "core/streaming.h"
-#include "trace/stream.h"
+#include "uarch/ground_truth.h"
 #include "uarch/presets.h"
 
 namespace mlsim {
@@ -21,7 +21,7 @@ TEST(TraceStream, MatchesBatchGeneration) {
   const auto& wl = trace::find_workload("xz");
   const auto batch = uarch::make_encoded_trace(wl, 5000, {}, 7);
 
-  trace::LabeledTraceStream stream(wl, {}, 7);
+  uarch::LabeledTraceStream stream(wl, {}, 7);
   trace::EncodedTrace streamed("xz");
   // Uneven chunk sizes must not change anything.
   for (const std::size_t chunk : {1000u, 1u, 999u, 3000u}) {
@@ -35,7 +35,7 @@ TEST(TraceStream, MatchesBatchGeneration) {
 
 TEST(TraceStream, UnboundedAndDeterministic) {
   const auto& wl = trace::find_workload("perl");
-  trace::LabeledTraceStream a(wl, {}, 3), b(wl, {}, 3);
+  uarch::LabeledTraceStream a(wl, {}, 3), b(wl, {}, 3);
   trace::EncodedTrace ta("p"), tb("p");
   a.fill(ta, 2000);
   b.fill(tb, 2000);
@@ -57,7 +57,7 @@ TEST(StreamingSim, MatchesMaterializedSimulationExactly) {
   const auto ref = core::ParallelSimulator(pred, o).run(tr);
 
   // Streaming with a tiny chunk: bounded memory, same result.
-  trace::LabeledTraceStream stream(wl, {}, 5);
+  uarch::LabeledTraceStream stream(wl, {}, 5);
   const auto res = core::simulate_stream(pred, stream, n, ctx, /*chunk=*/257);
   EXPECT_EQ(res.instructions, n);
   EXPECT_EQ(res.predicted_cycles, ref.total_cycles);
@@ -69,7 +69,7 @@ TEST(StreamingSim, ChunkSizeInvariant) {
   core::AnalyticPredictor pred;
   std::uint64_t first = 0;
   for (const std::size_t chunk : {64u, 1000u, 4096u}) {
-    trace::LabeledTraceStream stream(wl, {}, 11);
+    uarch::LabeledTraceStream stream(wl, {}, 11);
     const auto res = core::simulate_stream(pred, stream, 3000, 16, chunk);
     if (first == 0) {
       first = res.predicted_cycles;
@@ -86,7 +86,7 @@ TEST(StreamingSim, OracleReplaysLabelsAcrossCompactions) {
   const auto labels = core::labeled_trace("xz", n, {}, 1, /*use_cache=*/false);
   core::OraclePredictor oracle(labels);
   for (const std::size_t chunk : {500u, 1000u, 5000u}) {
-    trace::LabeledTraceStream stream(trace::find_workload("xz"), {}, 1);
+    uarch::LabeledTraceStream stream(trace::find_workload("xz"), {}, 1);
     const auto res = core::simulate_stream(oracle, stream, n, 16, chunk);
     EXPECT_EQ(res.truth_cycles, core::total_cycles_from_targets(labels));
     EXPECT_EQ(res.predicted_cycles, res.truth_cycles) << "chunk " << chunk;
@@ -95,7 +95,7 @@ TEST(StreamingSim, OracleReplaysLabelsAcrossCompactions) {
 
 TEST(StreamingSim, ZeroInstructionsIsEmpty) {
   const auto& wl = trace::find_workload("xz");
-  trace::LabeledTraceStream stream(wl);
+  uarch::LabeledTraceStream stream(wl);
   core::AnalyticPredictor pred;
   const auto res = core::simulate_stream(pred, stream, 0, 16);
   EXPECT_EQ(res.instructions, 0u);

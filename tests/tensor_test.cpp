@@ -85,7 +85,7 @@ void grad_check(std::vector<Param> params, const Forward& fwd, const Backward& b
 
 TEST(Conv1D, ForwardShapeAndBias) {
   Rng rng(1);
-  Conv1D conv(4, 8, 3, rng);
+  Conv1D conv(4, 8, 3, &rng);
   Tensor x({2, 4, 10});
   const Tensor y = conv.forward(x);
   ASSERT_EQ(y.shape(), (std::vector<std::size_t>{2, 8, 10}));
@@ -95,7 +95,7 @@ TEST(Conv1D, ForwardShapeAndBias) {
 
 TEST(Conv1D, MatchesManualComputation) {
   Rng rng(2);
-  Conv1D conv(1, 1, 3, rng);
+  Conv1D conv(1, 1, 3, &rng);
   conv.weight() = {0.5f, 1.0f, -0.25f};  // (1,1,3)
   conv.bias() = {0.1f};
   Tensor x({1, 1, 4});
@@ -112,7 +112,7 @@ TEST(Conv1D, MatchesManualComputation) {
 
 TEST(Conv1D, GradientCheck) {
   Rng rng(3);
-  Conv1D conv(3, 5, 3, rng);
+  Conv1D conv(3, 5, 3, &rng);
   Tensor x({2, 3, 7});
   Rng xr(4);
   for (auto& v : x.flat()) v = static_cast<float>(xr.normal());
@@ -132,7 +132,7 @@ TEST(Conv1D, GradientCheck) {
 
 TEST(Conv1D, InputGradientCheck) {
   Rng rng(5);
-  Conv1D conv(2, 3, 3, rng);
+  Conv1D conv(2, 3, 3, &rng);
   Tensor x({1, 2, 6});
   Rng xr(6);
   for (auto& v : x.flat()) v = static_cast<float>(xr.normal());
@@ -164,18 +164,18 @@ TEST(Conv1D, InputGradientCheck) {
 
 TEST(Conv1D, RejectsEvenKernel) {
   Rng rng(1);
-  EXPECT_THROW(Conv1D(2, 2, 2, rng), CheckError);
+  EXPECT_THROW(Conv1D(2, 2, 2, &rng), CheckError);
 }
 
 TEST(Conv1D, FlopsAccounting) {
   Rng rng(1);
-  Conv1D conv(50, 64, 3, rng);
+  Conv1D conv(50, 64, 3, &rng);
   EXPECT_EQ(conv.flops(1, 112), 2u * 64 * 50 * 3 * 112);
 }
 
 TEST(Linear, MatchesManualComputation) {
   Rng rng(8);
-  Linear fc(2, 2, rng);
+  Linear fc(2, 2, &rng);
   fc.weight() = {1.0f, 2.0f, -1.0f, 0.5f};
   fc.bias() = {0.5f, -0.5f};
   Tensor x({1, 2});
@@ -188,7 +188,7 @@ TEST(Linear, MatchesManualComputation) {
 
 TEST(Linear, GradientCheck) {
   Rng rng(9);
-  Linear fc(6, 4, rng);
+  Linear fc(6, 4, &rng);
   Tensor x({3, 6}), target({3, 4});
   Rng xr(10);
   for (auto& v : x.flat()) v = static_cast<float>(xr.normal());
@@ -455,7 +455,7 @@ TEST(Kernels, ConvMatchesScalarLoopsBitForBit) {
     for (std::size_t L = k / 2 + 1; L <= 130; ++L) {
       const std::size_t c_in = 1 + rng.next_below(9), c_out = 1 + rng.next_below(7);
       const std::size_t B = 1 + rng.next_below(3);
-      Conv1D conv(c_in, c_out, k, rng);
+      Conv1D conv(c_in, c_out, k, &rng);
       randomize(conv.weight(), conv.bias(), rng);
       Tensor x({B, c_in, L});
       fill_input(x, L, rng);
@@ -474,7 +474,7 @@ TEST(Kernels, LinearMatchesScalarLoopsBitForBit) {
     const std::size_t n_in = 1 + rng.next_below(t % 10 == 0 ? 1100 : 70);
     const std::size_t n_out = 1 + rng.next_below(70);
     const std::size_t B = 1 + rng.next_below(3);
-    Linear fc(n_in, n_out, rng);
+    Linear fc(n_in, n_out, &rng);
     randomize(fc.weight(), fc.bias(), rng);
     Tensor x({B, n_in});
     fill_input(x, n_in, rng);
@@ -514,7 +514,7 @@ TEST(Kernels, EdgeShapesMatchScalarLoopsBitForBit) {
     const std::size_t pad = k / 2;
     for (const std::size_t c_out : {1, 2, 3, 5, 6, 7, 9, 33}) {
       for (std::size_t L = pad + 1; L < 2 * pad + 4; ++L) {
-        Conv1D conv(4 + rng.next_below(3), c_out, k, rng);
+        Conv1D conv(4 + rng.next_below(3), c_out, k, &rng);
         do randomize(conv.weight(), conv.bias(), rng);
         while (!conv.packed().has_zero);  // until a draw 2:4-prunes
         Tensor x({3, conv.in_channels(), L});
@@ -528,7 +528,7 @@ TEST(Kernels, EdgeShapesMatchScalarLoopsBitForBit) {
     }
   }
   for (const std::size_t n_out : {1, 2, 3, 5, 7, 31, 33, 63, 65}) {
-    Linear fc(1 + rng.next_below(40), n_out, rng);
+    Linear fc(1 + rng.next_below(40), n_out, &rng);
     randomize(fc.weight(), fc.bias(), rng);
     prune_2to4_inplace(fc.weight());
     Tensor x({3, fc.in_features()});
@@ -574,7 +574,7 @@ TEST(Kernels, PackedSimNetMatchesModel) {
 
 TEST(Kernels, RejectWindowShorterThanHalfTheKernel) {
   Rng rng(65);
-  Conv1D conv(2, 2, 5, rng);
+  Conv1D conv(2, 2, 5, &rng);
   EXPECT_THROW(conv.infer(Tensor({1, 2, 2})), CheckError);
   EXPECT_THROW(conv.forward(Tensor({1, 2, 2})), CheckError);
   EXPECT_NO_THROW(conv.infer(Tensor({1, 2, 3})));

@@ -1,4 +1,4 @@
-// Shared wire envelope (common/wire.h): seal/unseal round-trips, corruption
+// Shared wire envelope (common/wire.h): seal/open round-trips, corruption
 // and truncation detection (every bit of payloads that span several checksum
 // lane blocks and a ragged tail, swapped and inserted words), rejection of
 // an older envelope version, and the enveloped-file path used by
@@ -37,12 +37,21 @@ std::string sample_payload() {
   return w.take();
 }
 
+/// The payload of `enveloped`, as every reader of an envelope opens one:
+/// open_header, then verify_payload on the bytes after the header.
+std::string_view open_sealed(std::uint32_t magic, std::string_view enveloped) {
+  const Header header = open_header(magic, enveloped, "test");
+  const std::string_view payload = enveloped.substr(kEnvelopeBytes);
+  verify_payload(header, payload, "test");
+  return payload;
+}
+
 TEST(Wire, SealUnsealRoundTrip) {
   const std::string payload = sample_payload();
   const std::string sealed = seal(kMagic, payload);
   EXPECT_EQ(sealed.size(), kEnvelopeBytes + payload.size());
 
-  const std::string_view out = unseal(kMagic, sealed, "test");
+  const std::string_view out = open_sealed(kMagic, sealed);
   ASSERT_EQ(out.size(), payload.size());
   EXPECT_EQ(std::string(out), payload);
 
@@ -58,7 +67,7 @@ TEST(Wire, SealUnsealRoundTrip) {
 TEST(Wire, EmptyPayloadRoundTrips) {
   const std::string sealed = seal(kMagic, "");
   EXPECT_EQ(sealed.size(), kEnvelopeBytes);
-  EXPECT_EQ(unseal(kMagic, sealed, "test").size(), 0u);
+  EXPECT_EQ(open_sealed(kMagic, sealed).size(), 0u);
 }
 
 /// Distinct 8-byte words, so no two words are equal by accident.
@@ -85,7 +94,7 @@ TEST(Wire, EveryBitFlipIsDetected) {
       for (int bit = 0; bit < 8; ++bit) {
         std::string bad = sealed;
         bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
-        EXPECT_THROW(unseal(kMagic, bad, "test"), CheckError)
+        EXPECT_THROW(open_sealed(kMagic, bad), CheckError)
             << "flip of bit " << bit << " of byte " << byte << " of a "
             << payload.size() << "-byte payload went undetected";
       }
@@ -115,7 +124,7 @@ TEST(Wire, WordsSwappedAcrossLanesAreDetected) {
     swapped.replace(sw.b * 8, 8, sw.payload, sw.a * 8, 8);
     ASSERT_NE(swapped, sw.payload);
     EXPECT_NE(checksum(swapped), checksum(sw.payload));
-    EXPECT_THROW(unseal(kMagic, header + swapped, "test"), CheckError)
+    EXPECT_THROW(open_sealed(kMagic, header + swapped), CheckError)
         << "words " << sw.a << " and " << sw.b << " of a "
         << sw.payload.size() << "-byte payload swapped went undetected";
   }
@@ -131,7 +140,7 @@ TEST(Wire, InsertedZeroWordIsDetected) {
   const std::uint64_t size = inserted.size();
   sealed.replace(16, 8, reinterpret_cast<const char*>(&size), 8);
   sealed.replace(kEnvelopeBytes, std::string::npos, inserted);
-  EXPECT_THROW(unseal(kMagic, sealed, "test"), CheckError);
+  EXPECT_THROW(open_sealed(kMagic, sealed), CheckError);
 }
 
 TEST(Wire, OlderEnvelopeVersionIsRejectedNamingIt) {
@@ -139,7 +148,7 @@ TEST(Wire, OlderEnvelopeVersionIsRejectedNamingIt) {
   const std::uint32_t v1 = 1;
   sealed.replace(4, 4, reinterpret_cast<const char*>(&v1), 4);
   try {
-    (void)unseal(kMagic, sealed, "test");
+    (void)open_sealed(kMagic, sealed);
     FAIL() << "a version-1 envelope was accepted";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
@@ -152,20 +161,20 @@ TEST(Wire, TruncationIsDetected) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{3}, kEnvelopeBytes - 1, kEnvelopeBytes,
         sealed.size() - 1}) {
-    EXPECT_THROW(unseal(kMagic, sealed.substr(0, keep), "test"), CheckError)
+    EXPECT_THROW(open_sealed(kMagic, sealed.substr(0, keep)), CheckError)
         << "truncation to " << keep << " bytes went undetected";
   }
 }
 
 TEST(Wire, WrongMagicIsRejected) {
   const std::string sealed = seal(kMagic, sample_payload());
-  EXPECT_THROW(unseal(kMagic + 1, sealed, "test"), CheckError);
+  EXPECT_THROW(open_sealed(kMagic + 1, sealed), CheckError);
 }
 
 TEST(Wire, TrailingGarbageIsRejected) {
   std::string sealed = seal(kMagic, sample_payload());
   sealed += "junk";
-  EXPECT_THROW(unseal(kMagic, sealed, "test"), CheckError);
+  EXPECT_THROW(open_sealed(kMagic, sealed), CheckError);
 }
 
 TEST(Wire, ReaderNeverReadsPastEnd) {
